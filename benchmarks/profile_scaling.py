@@ -219,6 +219,18 @@ def phase_cell(
             wall_s,
         )
     )
+    # The layer number behind the transport bucket: heap events are the
+    # engine's unit of work, so events/message says whether a transport
+    # change did less work or the same work faster.
+    executed = result.engine_counters["executed"]
+    print(
+        "events: %d executed, %.2f per message (%d compactions)"
+        % (
+            executed,
+            executed / max(result.stats.messages_sent, 1),
+            result.engine_counters["compactions"],
+        )
+    )
     print("%-12s %10s %7s" % ("phase", "time (s)", "share"))
     print("-" * 31)
     for bucket in (*phases.BUCKETS, "other"):

@@ -108,6 +108,10 @@ class ProtocolRunResult:
     #: runs without a :class:`~repro.clients.workload.ClientWorkload`): state
     #: counts, fetch success rate, p50/p99 time-to-fresh, staleness-seconds.
     client_summary: Dict[str, Any] = field(default_factory=dict)
+    #: :meth:`repro.simnet.engine.Simulator.counters` at the end of the run
+    #: (events executed, heap state).  Like the trace, not part of
+    #: :meth:`summary`: it describes the engine, not the simulated outcome.
+    engine_counters: Dict[str, int] = field(default_factory=dict)
 
     @property
     def successful_authorities(self) -> List[int]:
@@ -307,12 +311,12 @@ class DirectoryAuthorityNode(ProtocolNode):
         """
         return self.consensus if self.outcome.success else None
 
-    def receive(self, message: Message) -> None:
+    def receive(self, message: Message, now: float) -> None:
         """Deliver ``message``, routing the client plane to the service."""
         if self._client_service is not None and message.msg_type.startswith("CLIENT/"):
-            self._client_service.handle_fetch(self, message, self.now)
+            self._client_service.handle_fetch(self, message, now)
             return
-        super().receive(message)
+        self.on_message(message, now)
 
     def record_success(self, completion_time: float, network_latency: Optional[float] = None) -> None:
         """Mark this authority's run as successful and publish the consensus."""

@@ -15,7 +15,7 @@ import bisect
 from typing import List, Optional, Sequence, Tuple
 
 from repro.utils.units import mbps_to_bytes_per_s
-from repro.utils.validation import ensure
+from repro.utils.validation import ValidationError, ensure
 
 
 class BandwidthSchedule:
@@ -95,12 +95,16 @@ class BandwidthSchedule:
 
     def rate_at(self, time: float) -> float:
         """Available bandwidth (bytes/second) at virtual time ``time``."""
-        ensure(time >= 0, "time must be non-negative")
-        index = bisect.bisect_right(self._breakpoints, time) - 1
-        return self._rates[max(index, 0)]
+        if not time >= 0:
+            raise ValidationError("time must be non-negative")
+        if len(self._rates) == 1:  # constant: every unattacked link
+            return self._rates[0]
+        return self._rates[bisect.bisect_right(self._breakpoints, time) - 1]
 
     def next_change_after(self, time: float) -> Optional[float]:
         """The next breakpoint strictly after ``time`` (None when constant)."""
+        if len(self._rates) == 1:
+            return None
         index = bisect.bisect_right(self._breakpoints, time)
         if index >= len(self._breakpoints):
             return None

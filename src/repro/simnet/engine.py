@@ -37,13 +37,13 @@ class EventHandle:
 
     __slots__ = ("time", "seq", "callback", "args", "cancelled", "_owner", "_executed")
 
-    def __init__(self, time: float, seq: int, callback: Callable[..., None], args: Tuple):
+    def __init__(self, time: float, seq: int, callback: Callable[..., None], args: Tuple, owner=None):
         self.time = time
         self.seq = seq
         self.callback = callback
         self.args = args
         self.cancelled = False
-        self._owner: "Optional[Simulator]" = None
+        self._owner: "Optional[Simulator]" = owner
         self._executed = False
 
     def cancel(self) -> None:
@@ -57,11 +57,6 @@ class EventHandle:
         self.cancelled = True
         if self._owner is not None:
             self._owner._note_cancelled()
-
-    def __lt__(self, other: "EventHandle") -> bool:
-        # The heap itself orders (time, seq, handle) tuples and never reaches
-        # this method (seq values are unique); kept for explicit comparisons.
-        return (self.time, self.seq) < (other.time, other.seq)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging convenience
         state = "cancelled" if self.cancelled else "pending"
@@ -82,6 +77,7 @@ class Simulator:
         self._processed_events = 0
         self._pending = 0
         self._cancelled_in_heap = 0
+        self._compactions = 0
         # Open micro-batches: (time, key) -> list of queued items, drained by
         # one heap event each (see schedule_batch).
         self._batches: Dict[Tuple[float, Any], List[Any]] = {}
@@ -102,6 +98,18 @@ class Simulator:
         """Number of non-cancelled events still queued (O(1): kept incrementally)."""
         return self._pending
 
+    def counters(self) -> Dict[str, int]:
+        """What the loop did and holds: events executed and pending, cancelled
+        corpses still in the heap, the heap's length including them, and how
+        often the corpses were swept out."""
+        return {
+            "executed": self._processed_events,
+            "pending": self._pending,
+            "cancelled_in_heap": self._cancelled_in_heap,
+            "heap_size": len(self._heap),
+            "compactions": self._compactions,
+        }
+
     # -- serials -------------------------------------------------------------
     def next_serial(self) -> int:
         """The next value of the simulator-owned monotonic counter.
@@ -118,13 +126,16 @@ class Simulator:
     # -- scheduling ----------------------------------------------------------
     def schedule(self, time: float, callback: Callable[..., None], *args: Any) -> EventHandle:
         """Schedule ``callback(*args)`` at absolute virtual time ``time``."""
-        if time < self._now - 1e-12:
-            raise SimulationError(
-                "cannot schedule event at %.6f, current time is %.6f" % (time, self._now)
-            )
-        handle = EventHandle(max(time, self._now), self.next_serial(), callback, args)
-        handle._owner = self
-        heapq.heappush(self._heap, (handle.time, handle.seq, handle))
+        now = self._now
+        if time < now:
+            if time < now - 1e-12:
+                raise SimulationError(
+                    "cannot schedule event at %.6f, current time is %.6f" % (time, now)
+                )
+            time = now
+        self._serial = seq = self._serial + 1
+        handle = EventHandle(time, seq, callback, args, self)
+        heapq.heappush(self._heap, (time, seq, handle))
         self._pending += 1
         return handle
 
@@ -160,9 +171,12 @@ class Simulator:
         slot = (time, key)
         batch = self._batches.get(slot)
         if batch is None:
-            self._batches[slot] = batch = []
+            # Scheduled before the batch is opened: a refused instant (in the
+            # past) must not leave an open batch that no event will drain.
             self.schedule(time, self._drain_batch, slot, drain)
-        batch.append(item)
+            self._batches[slot] = [item]
+        else:
+            batch.append(item)
 
     def _drain_batch(self, slot: Tuple[float, Any], drain: Callable[[List[Any]], None]) -> None:
         drain(self._batches.pop(slot))
@@ -209,39 +223,46 @@ class Simulator:
         self._heap = [entry for entry in self._heap if not entry[2].cancelled]
         heapq.heapify(self._heap)
         self._cancelled_in_heap = 0
+        self._compactions += 1
 
     # -- execution -------------------------------------------------------------
-    def _peek_next(self) -> Optional[EventHandle]:
-        """The next live event, discarding cancelled heap entries on the way.
+    def _fire_next(self, until: Optional[float] = None, fire: bool = True) -> bool:
+        """Whether a live event is due by ``until``; pops and runs it when ``fire``.
 
-        The single place cancelled events are skipped; both :meth:`step` and
-        :meth:`run` go through it.
+        The single place cancelled heap entries are skipped and the single
+        place an event executes; :meth:`step` and :meth:`run` both loop on it.
         """
-        while self._heap and self._heap[0][2].cancelled:
-            heapq.heappop(self._heap)
-            self._cancelled_in_heap -= 1
-        return self._heap[0][2] if self._heap else None
+        heap = self._heap
+        while heap:
+            time, _seq, handle = heap[0]
+            if handle.cancelled:
+                heapq.heappop(heap)
+                self._cancelled_in_heap -= 1
+                continue
+            if until is not None and time > until:
+                return False
+            if fire:
+                heapq.heappop(heap)
+                handle._executed = True
+                self._pending -= 1
+                self._now = time
+                self._processed_events += 1
+                handle.callback(*handle.args)
+            return True
+        return False
 
     def step(self) -> bool:
         """Execute the next pending event.  Returns False when the queue is empty."""
-        handle = self._peek_next()
-        if handle is None:
-            return False
-        heapq.heappop(self._heap)
-        handle._executed = True
-        self._pending -= 1
-        self._now = handle.time
-        self._processed_events += 1
-        handle.callback(*handle.args)
-        return True
+        return self._fire_next()
 
     def run(self, until: Optional[float] = None, max_events: int = 10_000_000) -> float:
         """Run events until the queue empties or virtual time passes ``until``.
 
-        Returns the virtual time at which the run stopped.  ``max_events`` is
-        an exact bound protecting against runaway protocols in tests: at most
-        ``max_events`` events execute, and the error is raised only when a
-        further live event is still due.
+        Returns the virtual time at which the run stopped (never earlier than
+        it started: an ``until`` in the past executes nothing and leaves the
+        clock alone).  ``max_events`` is an exact bound protecting against
+        runaway protocols in tests: at most ``max_events`` events execute,
+        and the error is raised only when a further live event is still due.
         """
         executed = 0
         # The run loop is the outermost `transport` phase bucket: everything
@@ -251,18 +272,11 @@ class Simulator:
         if measured:
             phases.enter(phases.TRANSPORT)
         try:
-            while True:
-                handle = self._peek_next()
-                if handle is None:
-                    break
-                if until is not None and handle.time > until:
-                    self._now = until
-                    return self._now
+            while self._fire_next(until, executed < max_events):
                 if executed >= max_events:
                     raise SimulationError(
                         "exceeded max_events=%d; runaway simulation?" % max_events
                     )
-                self.step()
                 executed += 1
         finally:
             if measured:

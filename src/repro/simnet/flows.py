@@ -33,10 +33,11 @@ link model can declare:
 
 :class:`IndependentFlowScheduler` (``not LinkModel.shared``)
     For models where a flow's rate depends on its own two links only
-    (``latency-only``).  Every flow owns a single pending event at the
+    (``latency-only``).  Every flow is aimed at one pending event at the
     minimum of its completion estimate, its deadline, and its links' next
-    bandwidth breakpoints; flow events cost O(1) and never touch other
-    flows, which is what makes 10×-paper node counts tractable.
+    bandwidth breakpoints; flows of one burst that land on the same instant
+    share that event, flow events cost O(1) and never touch other flows,
+    which is what makes 10×-paper node counts tractable.
 
 Flow ids come from the simulator's serial counter
 (:meth:`~repro.simnet.engine.Simulator.next_serial`), so the fifo model's
@@ -48,7 +49,7 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Mapping, Optional, Set
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Mapping, Optional, Set
 
 from repro.simnet.engine import EventHandle, Simulator
 from repro.simnet.linkmodel import LinkModel
@@ -226,7 +227,9 @@ class Flow:
         self.rate = 0.0
         self.weight = weight
         self.last_update = start_time
-        self.pending: Optional[EventHandle] = None
+        # The scheduler's claim on the flow's next event: the event's handle
+        # (shared engines) or a wave of same-instant flows (independent).
+        self.pending: Optional[Any] = None
         self.on_timeout = on_timeout
         self.on_delivered = on_delivered
         # Explicit arrival order for FIFO service.  Defaults to the flow id
@@ -291,24 +294,37 @@ class FlowScheduler:
         flow.arrival_seq = self._arrival_counter
         self._arrival_counter += 1
         self._flows[flow.flow_id] = flow
-        self._by_src.setdefault(flow.src, {})[flow.flow_id] = flow
-        self._by_dst.setdefault(flow.dst, {})[flow.flow_id] = flow
-        self._src_weight[flow.src] = self._src_weight.get(flow.src, 0) + flow.weight
-        self._dst_weight[flow.dst] = self._dst_weight.get(flow.dst, 0) + flow.weight
+        bucket = self._by_src.get(flow.src)
+        if bucket is None:
+            self._by_src[flow.src] = {flow.flow_id: flow}
+            self._src_weight[flow.src] = flow.weight
+        else:
+            bucket[flow.flow_id] = flow
+            self._src_weight[flow.src] += flow.weight
+        bucket = self._by_dst.get(flow.dst)
+        if bucket is None:
+            self._by_dst[flow.dst] = {flow.flow_id: flow}
+            self._dst_weight[flow.dst] = flow.weight
+        else:
+            bucket[flow.flow_id] = flow
+            self._dst_weight[flow.dst] += flow.weight
 
     def _remove(self, flow: Flow) -> None:
         del self._flows[flow.flow_id]
-        for index, weights, name in (
-            (self._by_src, self._src_weight, flow.src),
-            (self._by_dst, self._dst_weight, flow.dst),
-        ):
-            bucket = index[name]
-            del bucket[flow.flow_id]
-            if not bucket:
-                del index[name]
-                del weights[name]
-            else:
-                weights[name] -= flow.weight
+        bucket = self._by_src[flow.src]
+        del bucket[flow.flow_id]
+        if bucket:
+            self._src_weight[flow.src] -= flow.weight
+        else:
+            del self._by_src[flow.src]
+            del self._src_weight[flow.src]
+        bucket = self._by_dst[flow.dst]
+        del bucket[flow.flow_id]
+        if bucket:
+            self._dst_weight[flow.dst] -= flow.weight
+        else:
+            del self._by_dst[flow.dst]
+            del self._dst_weight[flow.dst]
 
     def _clamp_residual(self, flow: Flow) -> None:
         """Clamp a completing flow's residual to exactly zero, once.
@@ -351,12 +367,12 @@ class FlowScheduler:
         """Register a same-instant batch of flows (a broadcast burst).
 
         The default is the sequential loop — exactly ``start_flow`` per flow
-        — which is already right for the independent scheduler (each start is
-        O(1)) and for the legacy engine (whose conformance contract is the
-        per-start trajectory).  Occupancy-coupled engines override this: a
-        burst of B flows from one sender re-rates the sender's growing uplink
-        set per start, O(B²) flow touches, where one rate pass over the final
-        occupancy does the same work in O(B).
+        — which is right for the legacy engine (whose conformance contract is
+        the per-start trajectory).  Occupancy-coupled engines override this:
+        a burst of B flows from one sender re-rates the sender's growing
+        uplink set per start, O(B²) flow touches, where one rate pass over
+        the final occupancy does the same work in O(B).  The independent
+        scheduler overrides it to share heap events across the burst.
         """
         for flow in flows:
             self.start_flow(flow, now)
@@ -513,72 +529,128 @@ class SharedLinkScheduler(FlowScheduler):
         self._pending_recompute = self.simulator.schedule(next_time, self._recompute)
 
 
+class _Wave:
+    """One heap event shared by the flows that are due at the same instant.
+
+    ``aimed`` counts the member flows whose ``pending`` is still this wave.
+    A flow that is re-aimed or settled before the event fires gives up its
+    claim; the event is cancelled only when the last claim goes, never on
+    behalf of a sibling.
+    """
+
+    __slots__ = ("flows", "aimed", "handle")
+
+    def __init__(self, flow: Flow) -> None:
+        self.flows = [flow]
+        self.aimed = 1
+        self.handle: Optional[EventHandle] = None
+
+
 class IndependentFlowScheduler(FlowScheduler):
     """Scheduler for link models whose flow rates never couple (latency-only).
 
-    Each flow owns exactly one pending event — the earliest of its completion
-    estimate, its deadline, and its links' next bandwidth breakpoints — so a
-    flow starting or finishing costs O(1) regardless of how many other
-    transfers are in flight.
+    Each flow is aimed at exactly one pending event — the earliest of its
+    completion estimate, its deadline, and its links' next bandwidth
+    breakpoints — so a flow starting or finishing costs O(1) regardless of
+    how many other transfers are in flight.  Flows refreshed in one pass (a
+    ``send_many`` burst, a replaced link's flows, the members of a firing
+    wave) that land on the same instant share one :class:`_Wave`: on
+    homogeneous links a broadcast to N-1 peers is one heap event, not N-1.
+    Event order stays exactly ``(time, seq)``; DESIGN-transport.md has the
+    argument.
     """
 
     def start_flow(self, flow: Flow, now: float) -> None:
-        self._add(flow)
-        self._refresh(flow, now)
+        self.start_flows([flow], now)
+
+    def start_flows(self, flows: List[Flow], now: float) -> None:
+        waves: Dict[float, _Wave] = {}
+        for flow in flows:
+            self._add(flow)
+            self._refresh(flow, now, waves)
 
     def on_link_replaced(self, name: str, now: float) -> None:
-        affected = dict(self._by_src.get(name, {}))
-        affected.update(self._by_dst.get(name, {}))
-        for flow in affected.values():
-            self._refresh(flow, now)
+        waves: Dict[float, _Wave] = {}
+        # A flow is on the node's uplink or its downlink, never both.
+        for flow in [*self._by_src.get(name, {}).values(), *self._by_dst.get(name, {}).values()]:
+            self._refresh(flow, now, waves)
 
     # -- machinery ---------------------------------------------------------
-    def _refresh(self, flow: Flow, now: float) -> None:
-        """Advance one flow to ``now``, settle it, or reschedule its event."""
+    def _refresh(self, flow: Flow, now: float, waves: Dict[float, _Wave]) -> None:
+        """Advance one flow to ``now``, settle it, or aim it at its next event.
+
+        ``waves`` holds the waves this pass has opened, by instant.  Settling
+        a flow runs code that may schedule events, and a wave must not span
+        those (its members would fire out of scheduling order), so it closes
+        them: later flows of the pass open fresh ones.
+        """
         elapsed = now - flow.last_update
         if elapsed > 0 and flow.rate > 0:
             # Clamped like the shared scheduler's advance: the completion
             # event lands at fl(now + remaining/rate), whose rounding error
             # grows with virtual time — by t ≈ 3000 s a 31 MB/s flow can
             # overshoot its residual by ~1e-5 bytes, past the byte epsilon.
-            flow.remaining = max(0.0, flow.remaining - flow.rate * elapsed)
+            remaining = flow.remaining - flow.rate * elapsed
+            flow.remaining = remaining if remaining > 0.0 else 0.0
         flow.last_update = now
 
-        if flow.pending is not None:
-            flow.pending.cancel()
+        wave = flow.pending
+        if wave is not None:
             flow.pending = None
+            wave.aimed -= 1
+            if not wave.aimed:
+                wave.handle.cancel()
 
         if self._is_complete(flow, now):
             self._remove(flow)
             self._clamp_residual(flow)
+            waves.clear()
             self._complete(flow)
             return
-        if flow.deadline is not None and now >= flow.deadline - _TIME_EPSILON:
+        deadline = flow.deadline
+        if deadline is not None and now >= deadline - _TIME_EPSILON:
             self._remove(flow)
+            waves.clear()
             self._expire(flow)
             return
 
-        flow.rate = self.model.flow_rate(flow, self._links, now)
-        candidates = []
-        if flow.rate > 0:
-            candidates.append(now + flow.remaining / flow.rate)
-        if flow.deadline is not None:
-            candidates.append(flow.deadline)
-        for schedule in (self._links[flow.src].uplink, self._links[flow.dst].downlink):
-            change = schedule.next_change_after(now)
-            if change is not None:
-                candidates.append(change)
-        if not candidates:
+        flow.rate = rate = self.model.flow_rate(flow, self._links, now)
+        # Earliest of completion, deadline and both links' next breakpoints.
+        target = now + flow.remaining / rate if rate > 0 else deadline
+        if deadline is not None and deadline < target:
+            target = deadline
+        change = self._links[flow.src].uplink.next_change_after(now)
+        if change is not None and (target is None or change < target):
+            target = change
+        change = self._links[flow.dst].downlink.next_change_after(now)
+        if change is not None and (target is None or change < target):
+            target = change
+        if target is None:
             # Zero rate forever and no deadline: the transfer can never
             # finish nor abort, exactly like a starved shared-model flow.
             return
-        flow.pending = self.simulator.schedule(
-            max(min(candidates), now), self._on_flow_event, flow
-        )
+        if target < now:
+            target = now
 
-    def _on_flow_event(self, flow: Flow) -> None:
-        flow.pending = None
-        self._refresh(flow, self.simulator.now)
+        wave = waves.get(target)
+        if wave is None:
+            wave = waves[target] = _Wave(flow)
+            wave.handle = self.simulator.schedule(target, self._on_wave_event, wave)
+        else:
+            wave.flows.append(flow)
+            wave.aimed += 1
+        flow.pending = wave
+
+    def _on_wave_event(self, wave: _Wave) -> None:
+        now = self.simulator.now
+        waves: Dict[float, _Wave] = {}
+        for flow in wave.flows:
+            # Still aimed at this event?  A flow that was re-aimed (link
+            # replaced) or settled since is someone else's, or nobody's.
+            if flow.pending is wave:
+                flow.pending = None
+                self._refresh(flow, now, waves)
+        wave.handle = None  # the handle's args hold the wave: drop the cycle
 
 
 def make_flow_scheduler(

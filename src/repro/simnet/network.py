@@ -294,14 +294,14 @@ class SimNetwork:
             name, self.simulator.now
         ):
             return
-        if phases.ENABLED:
+        measured = phases.ENABLED
+        if measured:
             phases.enter(phases.PROTOCOL)
-            try:
-                callback(*args)
-            finally:
+        try:
+            callback(*args)
+        finally:
+            if measured:
                 phases.leave()
-            return
-        callback(*args)
 
     # -- lifecycle -------------------------------------------------------------
     def start(self, at: float = 0.0) -> None:
@@ -341,66 +341,9 @@ class SimNetwork:
         deliveries of empty messages, or messages dropped by the fault
         injector at send initiation).
         """
-        if sender not in self._nodes:
-            raise UnknownNodeError("unknown sender %r" % sender)
-        if destination not in self._nodes:
-            raise UnknownNodeError("unknown destination %r" % destination)
-        if sender == destination:
-            raise ValidationError("a node cannot send a message to itself")
-        ensure(weight >= 1, "flow weight must be at least 1")
-        # Flow admission is transport work even when a protocol handler calls
-        # it (rate maintenance dominates a broadcast burst's cost), so the
-        # phase accounting claims it out of the enclosing protocol bucket.
-        if phases.ENABLED:
-            phases.enter(phases.TRANSPORT)
-            try:
-                return self._admit(sender, destination, message, timeout,
-                                   on_timeout, on_delivered, weight)
-            finally:
-                phases.leave()
-        return self._admit(sender, destination, message, timeout,
-                           on_timeout, on_delivered, weight)
-
-    def _admit(
-        self,
-        sender: str,
-        destination: str,
-        message: Message,
-        timeout: Optional[float],
-        on_timeout: Optional[Callable[[Message, str], None]],
-        on_delivered: Optional[Callable[[Message, str, float], None]],
-        weight: int,
-    ) -> int:
-        """Validated send: account, fault-filter, and start (or deliver)."""
-        message.sender = sender
-        now = self.simulator.now
-        self.stats.record_sent(sender, message, count=weight)
-
-        if self._fault_injector is not None:
-            filtered = self._fault_injector.filter_send(sender, destination, message, now)
-            if filtered is None:
-                self.stats.record_dropped(count=weight)
-                return 0
-            filtered.sender = sender
-            message = filtered
-
-        if message.size_bytes <= 0:
-            self._schedule_delivery(sender, destination, message, on_delivered, weight, now)
-            return 0
-
-        flow = Flow(
-            flow_id=self.simulator.next_serial(),
-            src=sender,
-            dst=destination,
-            message=message,
-            start_time=now,
-            deadline=None if timeout is None else now + timeout,
-            on_timeout=on_timeout,
-            on_delivered=on_delivered,
-            weight=weight,
-        )
-        self._scheduler.start_flow(flow, now)
-        return flow.flow_id
+        return self.send_many(
+            sender, (destination,), message, timeout, on_timeout, on_delivered, weight
+        )[0]
 
     def send_many(
         self,
@@ -427,7 +370,8 @@ class SimNetwork:
         ``send`` calls; flow ids are assigned in destination order and are
         identical to the loop's.  Returns one flow id per destination (0 for
         dropped or zero-size entries).  With ``REPRO_BATCH_DISPATCH=off``
-        this *is* the sequential loop, trajectory included.
+        each flow is started as soon as it is built — the sequential loop's
+        trajectory.  :meth:`send` is the one-destination case of this method.
         """
         destinations = list(destinations)
         if sender not in self._nodes:
@@ -438,71 +382,58 @@ class SimNetwork:
             if destination == sender:
                 raise ValidationError("a node cannot send a message to itself")
         ensure(weight >= 1, "flow weight must be at least 1")
-
-        if not self._batch_dispatch:
-            return [
-                self.send(sender, destination, message, timeout=timeout,
-                          on_timeout=on_timeout, on_delivered=on_delivered, weight=weight)
-                for destination in destinations
-            ]
-
-        if phases.ENABLED:
+        # Flow admission is transport work even when a protocol handler calls
+        # it (rate maintenance dominates a broadcast burst's cost), so the
+        # phase accounting claims it out of the enclosing protocol bucket.
+        measured = phases.ENABLED
+        if measured:
             phases.enter(phases.TRANSPORT)
-            try:
-                return self._admit_many(sender, destinations, message, timeout,
-                                        on_timeout, on_delivered, weight)
-            finally:
-                phases.leave()
-        return self._admit_many(sender, destinations, message, timeout,
-                                on_timeout, on_delivered, weight)
-
-    def _admit_many(
-        self,
-        sender: str,
-        destinations: List[str],
-        message: Message,
-        timeout: Optional[float],
-        on_timeout: Optional[Callable[[Message, str], None]],
-        on_delivered: Optional[Callable[[Message, str, float], None]],
-        weight: int,
-    ) -> List[int]:
-        message.sender = sender
-        now = self.simulator.now
-        deadline = None if timeout is None else now + timeout
-        injector = self._fault_injector
-        flow_ids: List[int] = []
-        flows: List[Flow] = []
-        for destination in destinations:
-            self.stats.record_sent(sender, message, count=weight)
-            outgoing = message
-            if injector is not None:
-                filtered = injector.filter_send(sender, destination, message, now)
-                if filtered is None:
-                    self.stats.record_dropped(count=weight)
+        try:
+            message.sender = sender
+            now = self.simulator.now
+            deadline = None if timeout is None else now + timeout
+            injector = self._fault_injector
+            flow_ids: List[int] = []
+            flows: List[Flow] = []
+            for destination in destinations:
+                self.stats.record_sent(sender, message, count=weight)
+                outgoing = message
+                if injector is not None:
+                    filtered = injector.filter_send(sender, destination, message, now)
+                    if filtered is None:
+                        self.stats.record_dropped(count=weight)
+                        flow_ids.append(0)
+                        continue
+                    filtered.sender = sender
+                    outgoing = filtered
+                if outgoing.size_bytes <= 0:
+                    self._schedule_delivery(
+                        sender, destination, outgoing, on_delivered, weight, now
+                    )
                     flow_ids.append(0)
                     continue
-                filtered.sender = sender
-                outgoing = filtered
-            if outgoing.size_bytes <= 0:
-                self._schedule_delivery(sender, destination, outgoing, on_delivered, weight, now)
-                flow_ids.append(0)
-                continue
-            flow = Flow(
-                flow_id=self.simulator.next_serial(),
-                src=sender,
-                dst=destination,
-                message=outgoing,
-                start_time=now,
-                deadline=deadline,
-                on_timeout=on_timeout,
-                on_delivered=on_delivered,
-                weight=weight,
-            )
-            flows.append(flow)
-            flow_ids.append(flow.flow_id)
-        if flows:
-            self._scheduler.start_flows(flows, now)
-        return flow_ids
+                flow = Flow(
+                    flow_id=self.simulator.next_serial(),
+                    src=sender,
+                    dst=destination,
+                    message=outgoing,
+                    start_time=now,
+                    deadline=deadline,
+                    on_timeout=on_timeout,
+                    on_delivered=on_delivered,
+                    weight=weight,
+                )
+                flow_ids.append(flow.flow_id)
+                if self._batch_dispatch:
+                    flows.append(flow)
+                else:  # the per-message reference path: admit as it is built
+                    self._scheduler.start_flow(flow, now)
+            if flows:
+                self._scheduler.start_flows(flows, now)
+            return flow_ids
+        finally:
+            if measured:
+                phases.leave()
 
     def active_flow_count(self) -> int:
         """Number of in-flight transfers (mostly for tests and debugging)."""
@@ -541,56 +472,35 @@ class SimNetwork:
         per-message events would have fired.  ``off`` keeps the per-message
         reference path.
         """
-        time = self.simulator.now + self._delivery_latency(sender, destination)
-        if self._batch_dispatch:
-            self.simulator.schedule_batch(
-                time,
-                destination,
-                self._deliver_batch,
-                (sender, destination, message, on_delivered, weight, sent_at),
-            )
-            return
-        self.simulator.schedule(
-            time, self._deliver, sender, destination, message, on_delivered, weight, sent_at
-        )
-
-    def _deliver_batch(self, items: List[Tuple]) -> None:
-        for item in items:
-            self._deliver(*item)
-
-    def _delivery_latency(self, sender: str, destination: str) -> float:
-        """Propagation latency plus any fault-injected jitter for one delivery."""
-        latency = self.latency(sender, destination)
+        now = self.simulator.now
+        # Propagation latency (sender != destination: send() refuses
+        # self-sends) plus any fault-injected jitter.
+        latency = self._latency.get((sender, destination), self._default_latency)
         if self._fault_injector is not None:
-            latency += self._fault_injector.delivery_jitter(
-                sender, destination, self.simulator.now
-            )
-        return latency
+            latency += self._fault_injector.delivery_jitter(sender, destination, now)
+        item = (sender, destination, message, on_delivered, weight, sent_at)
+        if self._batch_dispatch:
+            self.simulator.schedule_batch(now + latency, destination, self._deliver, item)
+        else:
+            self.simulator.schedule(now + latency, self._deliver, (item,))
 
-    def _deliver(
-        self,
-        sender: str,
-        destination: str,
-        message: Message,
-        on_delivered: Optional[Callable[[Message, str, float], None]],
-        weight: int = 1,
-        sent_at: Optional[float] = None,
-    ) -> None:
-        if self._fault_injector is not None and not self._fault_injector.filter_delivery(
-            sender, destination, message, self.simulator.now, sent_at=sent_at
-        ):
-            self.stats.record_dropped(count=weight)
-            return
-        self.stats.record_delivered(sender, message, count=weight)
-        if phases.ENABLED:
-            phases.enter(phases.PROTOCOL)
+    def _deliver(self, items: Iterable[Tuple]) -> None:
+        """Hand over the deliveries of one heap event, in order."""
+        now = self.simulator.now
+        for sender, destination, message, on_delivered, weight, sent_at in items:
+            if self._fault_injector is not None and not self._fault_injector.filter_delivery(
+                sender, destination, message, now, sent_at=sent_at
+            ):
+                self.stats.record_dropped(count=weight)
+                continue
+            self.stats.record_delivered(sender, message, weight)
+            measured = phases.ENABLED
+            if measured:
+                phases.enter(phases.PROTOCOL)
             try:
                 if on_delivered is not None:
-                    on_delivered(message, destination, self.simulator.now)
-                self._nodes[destination].receive(message)
+                    on_delivered(message, destination, now)
+                self._nodes[destination].receive(message, now)
             finally:
-                phases.leave()
-            return
-        if on_delivered is not None:
-            on_delivered(message, destination, self.simulator.now)
-        self._nodes[destination].receive(message)
+                if measured:
+                    phases.leave()

@@ -151,9 +151,9 @@ class ProtocolNode:
         raise NotImplementedError
 
     # -- delivery entry point (used by the network) -------------------------
-    def receive(self, message: Message) -> None:
-        """Deliver ``message`` to this node now."""
-        self.on_message(message, self.now)
+    def receive(self, message: Message, now: float) -> None:
+        """Deliver ``message`` to this node at virtual time ``now``."""
+        self.on_message(message, now)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging convenience
         return "%s(name=%r)" % (type(self).__name__, self.name)

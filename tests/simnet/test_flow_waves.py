@@ -1,0 +1,266 @@
+"""Shared flow events on ``latency-only``: ownership and the event-count floor.
+
+The independent scheduler lets the flows of one burst that are due at the
+same instant share one heap event.  These tests pin what sharing must not
+change — a flow that is re-aimed, expires or hangs does so alone — and what
+it must deliver: one completion event per burst, counted, not timed.
+
+The behavioural tests use whatever dispatch mode the environment selects, so
+CI's ``REPRO_BATCH_DISPATCH=off`` leg replays them on the one-event-per-flow
+reference path; the counting tests pin the mode they count.
+"""
+
+import pytest
+
+from repro.protocols.runner import execute_spec
+from repro.runtime.spec import RunSpec
+from repro.simnet.bandwidth import BandwidthSchedule
+from repro.simnet.engine import Simulator
+from repro.simnet.flows import BATCH_DISPATCH_ENV, Flow, make_flow_scheduler
+from repro.simnet.linkmodel import get_link_model
+from repro.simnet.message import Message
+from repro.simnet.network import LinkConfig, SimNetwork
+from repro.simnet.node import ProtocolNode
+
+MB = 1_000_000
+
+
+class _Recorder(ProtocolNode):
+    def __init__(self, name, log):
+        super().__init__(name)
+        self.log = log
+
+    def on_message(self, message, now):
+        self.log.append((now, message.sender, self.name, message.msg_id))
+
+
+def _network(names, latency=0.0):
+    """``latency-only`` nodes on 8 Mbit/s (1 MB/s) links, one shared log."""
+    network = SimNetwork(transport="latency-only", default_latency_s=latency)
+    log = []
+    for name in names:
+        network.add_node(_Recorder(name, log), LinkConfig.symmetric_mbps(8.0))
+    return network, log
+
+
+def _arrivals(log):
+    return {destination: time for time, _src, destination, _id in log}
+
+
+# -- ownership: a sibling's fate is its own ------------------------------------
+
+
+def test_set_link_mid_burst_rerates_only_the_replaced_nodes_flows():
+    network, log = _network("abcd")
+    network.send_many("a", ["b", "c", "d"], Message("DOC", size_bytes=MB))
+    # Half way through, b's link drops to 0.1 MB/s: 0.5 MB left takes 5 s.
+    network.simulator.schedule(0.5, network.set_link, "b", LinkConfig.symmetric_mbps(0.8))
+    network.run(until=0.75)
+    assert network.active_flow_count() == 3
+    network.run()
+    assert _arrivals(log) == {
+        "b": pytest.approx(5.5),
+        "c": pytest.approx(1.0),
+        "d": pytest.approx(1.0),
+    }
+    assert network.active_flow_count() == 0
+
+
+def test_replacing_the_senders_link_reaims_the_whole_burst_and_leaves_no_stale_event():
+    network, log = _network("a")
+    for name in "bc":
+        network.add_node(_Recorder(name, log), LinkConfig.symmetric_mbps(32.0))
+    network.send_many("a", ["b", "c"], Message("DOC", size_bytes=MB))
+    # The sender's link (the bottleneck) speeds up 4x at 0.5 s: 0.5 MB left
+    # takes 0.125 s.
+    network.simulator.schedule(0.5, network.set_link, "a", LinkConfig.symmetric_mbps(32.0))
+    # Nothing may keep the loop alive until the abandoned instant (1.0 s).
+    assert network.simulator.run_until_idle() == pytest.approx(0.625)
+    assert _arrivals(log) == {"b": pytest.approx(0.625), "c": pytest.approx(0.625)}
+    assert network.simulator.pending_events == 0
+
+
+def test_a_flow_that_leaves_its_burst_for_a_deadline_expires_alone():
+    network, log = _network("abcd")
+    timed_out = []
+    network.send_many(
+        "a",
+        ["b", "c", "d"],
+        Message("DOC", size_bytes=MB),
+        timeout=2.0,
+        on_timeout=lambda message, destination: timed_out.append(
+            (destination, network.simulator.now)
+        ),
+    )
+    # c slows to a crawl mid-transfer: its completion moves past the 2 s
+    # deadline, so it is re-aimed at the deadline; b and d are untouched.
+    network.simulator.schedule(0.5, network.set_link, "c", LinkConfig.symmetric_mbps(0.8))
+    network.run()
+    assert timed_out == [("c", pytest.approx(2.0))]
+    assert _arrivals(log) == {"b": pytest.approx(1.0), "d": pytest.approx(1.0)}
+    assert network.stats.messages_timed_out == 1
+    assert network.active_flow_count() == 0
+
+
+def _bare_scheduler():
+    """The independent scheduler without a network: per-flow deadlines in one
+    ``start_flows`` pass (``send_many`` gives a burst one timeout) and a log
+    of what settled when."""
+    simulator = Simulator()
+    links = {name: LinkConfig.symmetric_mbps(8.0) for name in "abcd"}
+    log = []
+    scheduler = make_flow_scheduler(
+        get_link_model("latency-only"),
+        simulator,
+        links,
+        lambda flow: log.append(("done", flow.dst, simulator.now)),
+        lambda flow: flow.on_timeout(flow.message, flow.dst),
+    )
+    return simulator, scheduler, log
+
+
+def _flows(simulator, deadlines, on_timeout):
+    message = Message("DOC", size_bytes=MB)
+    return [
+        Flow(simulator.next_serial(), "a", dst, message, 0.0, deadline, on_timeout, None)
+        for dst, deadline in deadlines.items()
+    ]
+
+
+def test_a_shorter_deadline_in_the_same_burst_expires_alone():
+    simulator, scheduler, log = _bare_scheduler()
+    flows = _flows(
+        simulator,
+        {"b": None, "c": 0.4, "d": 3.0},
+        lambda message, dst: log.append(("expired", dst, simulator.now)),
+    )
+    scheduler.start_flows(flows, 0.0)
+    assert scheduler.active_count() == 3
+    simulator.run(until=0.5)
+    assert log == [("expired", "c", 0.4)]
+    assert scheduler.active_count() == 2
+    simulator.run()
+    assert log[1:] == [("done", "b", 1.0), ("done", "d", 1.0)]
+    assert scheduler.active_count() == 0
+
+
+def test_a_flow_settling_inside_the_pass_keeps_its_place_in_the_event_order():
+    # c's deadline has already passed when the burst starts, and its timeout
+    # handler schedules for the instant b and d complete.  Per-flow events
+    # would run b, the handler's event, d — in scheduling order — so b and d
+    # may not share an event that runs them back to back.
+    def run(start):
+        simulator, scheduler, log = _bare_scheduler()
+        flows = _flows(
+            simulator,
+            {"b": None, "c": 0.0, "d": None},
+            lambda message, dst: simulator.schedule(1.0, log.append, ("handler", dst, 1.0)),
+        )
+        start(scheduler, flows)
+        simulator.run()
+        return log
+
+    def one_by_one(scheduler, flows):
+        for flow in flows:
+            scheduler.start_flow(flow, 0.0)
+
+    grouped = run(lambda scheduler, flows: scheduler.start_flows(flows, 0.0))
+    assert grouped == [("done", "b", 1.0), ("handler", "c", 1.0), ("done", "d", 1.0)]
+    assert grouped == run(one_by_one)
+
+
+def test_a_zero_rate_sibling_hangs_without_blocking_the_group():
+    network, log = _network("abd")
+    network.add_node(
+        _Recorder("c", log), LinkConfig.symmetric(BandwidthSchedule.constant(0.0))
+    )
+    network.send_many("a", ["b", "c", "d"], Message("DOC", size_bytes=MB))
+    assert network.simulator.run_until_idle() == pytest.approx(1.0)
+    assert _arrivals(log) == {"b": pytest.approx(1.0), "d": pytest.approx(1.0)}
+    # The starved transfer is still in flight, with no event to wake it.
+    assert network.active_flow_count() == 1
+    assert network.simulator.pending_events == 0
+
+
+def test_active_flow_count_is_exact_around_the_group_event():
+    network, _log = _network("abcd", latency=0.25)
+    network.send_many("a", ["b", "c", "d"], Message("DOC", size_bytes=MB))
+    assert network.active_flow_count() == 3
+    network.run(until=0.999)
+    assert network.active_flow_count() == 3
+    network.run(until=1.0)  # transfers done, deliveries still in the air
+    assert network.active_flow_count() == 0
+    assert network.stats.messages_delivered == 0
+    network.run()
+    assert network.stats.messages_delivered == 3
+
+
+def test_a_breakpoint_crossing_burst_regroups_at_its_new_instant():
+    # 1 MB/s until t=0.5, then 0.25 MB/s: the burst wakes at the breakpoint
+    # and lands together at 0.5 + 0.5/0.25 = 2.5 s.
+    network, log = _network("bcd")
+    throttled = BandwidthSchedule.constant_mbps(8.0).with_window_mbps(0.5, 100.0, 2.0)
+    network.add_node(_Recorder("a", log), LinkConfig.symmetric(throttled))
+    network.send_many("a", ["b", "c", "d"], Message("DOC", size_bytes=MB))
+    network.run()
+    assert _arrivals(log) == {name: pytest.approx(2.5) for name in "bcd"}
+
+
+# -- the floor, counted ----------------------------------------------------------
+
+
+def _all_pairs_wave(monkeypatch, dispatch, nodes, distinct_latencies):
+    """Every node broadcasts one equal-size message to every other at t=0."""
+    monkeypatch.setenv(BATCH_DISPATCH_ENV, dispatch)
+    names = ["n%02d" % index for index in range(nodes)]
+    network, log = _network(names, latency=0.05)
+    if distinct_latencies:
+        # No two messages reach a node at the same instant, so deliveries
+        # cannot coalesce and every one of them is its own heap event.
+        for i, a in enumerate(names):
+            for j, b in enumerate(names[i + 1 :], start=i + 1):
+                network.set_latency(a, b, 0.01 + 0.001 * (i * nodes + j))
+    for index, name in enumerate(names):
+        others = [other for other in names if other != name]
+        network.send_many(name, others, Message("WAVE", size_bytes=64_000, msg_id=index))
+    network.run()
+    assert network.stats.messages_delivered == nodes * (nodes - 1)
+    return network.simulator.processed_events, log
+
+
+@pytest.mark.parametrize("nodes", [2, 7, 24])
+def test_a_broadcast_wave_costs_one_completion_event_per_burst(monkeypatch, nodes):
+    messages = nodes * (nodes - 1)
+    events, grouped = _all_pairs_wave(monkeypatch, "on", nodes, distinct_latencies=True)
+    assert events == nodes + messages
+    # The per-flow reference path: the same deliveries, an event per flow.
+    events, sequential = _all_pairs_wave(monkeypatch, "off", nodes, distinct_latencies=True)
+    assert events == 2 * messages
+    assert grouped == sequential
+
+
+def test_same_instant_deliveries_coalesce_on_top_of_shared_completions(monkeypatch):
+    nodes = 12
+    events, grouped = _all_pairs_wave(monkeypatch, "on", nodes, distinct_latencies=False)
+    assert events == 2 * nodes  # one completion per burst, one delivery per node
+    _events, sequential = _all_pairs_wave(monkeypatch, "off", nodes, distinct_latencies=False)
+    assert sorted(grouped) == sorted(sequential)
+
+
+def test_a_current_run_on_latency_only_stays_under_the_event_floor(monkeypatch):
+    monkeypatch.delenv(BATCH_DISPATCH_ENV, raising=False)
+    result = execute_spec(
+        RunSpec(
+            protocol="current",
+            relay_count=200,
+            bandwidth_mbps=250.0,
+            seed=7,
+            transport="latency-only",
+            authority_count=30,
+            max_time=600.0,
+        )
+    )
+    assert result.success
+    executed = result.engine_counters["executed"]
+    # 2.04 events per message with an event per flow; 1.32 with shared ones.
+    assert executed <= 1.4 * result.stats.messages_sent
