@@ -53,7 +53,7 @@ import pstats
 import time
 from typing import Optional, Sequence
 
-from repro.protocols.runner import execute_spec
+from repro.protocols.runner import execute_spec, scenario_cache_info
 from repro.runtime.spec import RunSpec
 from repro.simnet.flows import (
     SHARED_ENGINES,
@@ -229,6 +229,15 @@ def phase_cell(
             executed,
             executed / max(result.stats.messages_sent, 1),
             result.engine_counters["compactions"],
+        )
+    )
+    # Scenario ingredients built vs. taken from the process-wide memo: one
+    # cell builds each once; over a loop of specs the builds stay put.
+    print(
+        "scenario: %s (process-wide, built/reused)"
+        % ", ".join(
+            "%s %d/%d" % (layer, info["misses"], info["hits"])
+            for layer, info in scenario_cache_info().items()
         )
     )
     print("%-12s %10s %7s" % ("phase", "time (s)", "share"))

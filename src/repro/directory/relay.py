@@ -16,7 +16,7 @@ entry so that vote sizes per relay are realistic (a few hundred bytes).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import FrozenSet, Tuple
 
 from repro.utils.memo import instance_memo
@@ -133,14 +133,6 @@ class Relay:
         ensure(self.nickname != "", "relay nickname must not be empty")
         if self.bandwidth < 0:
             raise ValidationError("relay bandwidth must be non-negative")
-
-    def with_flags(self, flags: FrozenSet[str]) -> "Relay":
-        """Return a copy of this relay with a different flag set."""
-        return replace(self, flags=frozenset(flags))
-
-    def with_bandwidth(self, bandwidth: int, measured: bool) -> "Relay":
-        """Return a copy with a different bandwidth measurement."""
-        return replace(self, bandwidth=bandwidth, measured=measured)
 
     def serialize(self) -> str:
         """Serialise this entry in a dir-spec-like multi-line format.

@@ -35,6 +35,7 @@ from repro.protocols.runner import (
     build_scenario,
     execute_spec,
     run_protocol,
+    scenario_cache_info,
     scenario_from_spec,
 )
 
@@ -50,5 +51,6 @@ __all__ = [
     "build_scenario",
     "execute_spec",
     "run_protocol",
+    "scenario_cache_info",
     "scenario_from_spec",
 ]

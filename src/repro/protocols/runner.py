@@ -21,12 +21,27 @@ Large sweeps (Figures 7 and 10 go up to 10,000 relays) materialise a capped
 sample of relays per vote and use ``padded_relay_count`` so the bandwidth
 model still sees full-size documents; see DESIGN-calibration.md for the
 calibration discussion.
+
+**Shared ingredients.**  Everything a scenario is made of is a pure function
+of a few seed-determined keys, and the specs of a sweep repeat those keys
+(the 120 runs behind Figures 10-12 draw on one relay population and one set
+of per-authority views), so :func:`build_scenario` takes its ingredients
+from a small process-global memo — see :data:`_SCENARIO_MEMO_MAX` for the
+layers and the bound.  The contract that makes this sound: a
+:class:`Scenario`'s containers (``authorities``, ``votes``,
+``alternate_votes``, ``bandwidth_schedules``) are fresh per call and the
+caller's to edit, but the objects *in* them — authorities, the key ring, vote
+documents and their relay entries, the topology — are shared with other
+scenarios of the process and are **read-only**.  Nothing in the library
+mutates them (tests/protocols/test_scenario_memo.py checks), which is also
+why their serialisation/size/digest instance memos carry over from run to run.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional
+from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
 
 from repro.clients.distribution import ConsensusDistribution
 from repro.clients.workload import ClientWorkload
@@ -38,7 +53,11 @@ from repro.faults.injector import FaultInjector
 from repro.faults.plan import EMPTY_FAULT_PLAN, FaultPlan
 from repro.netgen.relaygen import RelayPopulationConfig, generate_population
 from repro.netgen.topology_gen import AuthorityTopology, generate_topology
-from repro.netgen.views import AuthorityViewConfig, generate_authority_votes
+from repro.netgen.views import (
+    AuthorityViewConfig,
+    generate_authority_view_entries,
+    votes_from_view_entries,
+)
 from repro.protocols.base import DirectoryProtocolConfig, ProtocolRunResult
 from repro.protocols.current_v3 import CurrentProtocolAuthority
 from repro.protocols.partialsync import PartialSyncAuthority
@@ -79,6 +98,108 @@ class Scenario:
         return replace(self, bandwidth_schedules=merged)
 
 
+#: How many entries each layer of the scenario memo keeps before evicting its
+#: oldest.  Adjacent specs of a sweep share keys (the three protocols of a
+#: cell, the relay counts and bandwidths of a figure, the fault mixes of
+#: Figure 12), so a few per layer is all a sweep can use — and a sweep over
+#: authority counts must not pin every large entry set it has ever built.
+_SCENARIO_MEMO_MAX = 4
+
+
+class _MemoLayer:
+    """One layer of the scenario memo: a bounded key → ingredient map.
+
+    Recency-ordered like the aggregation memo (a hit moves the key to the
+    young end, an insert past the bound drops the oldest).  ``hits`` and
+    ``misses`` are bumped once per scenario build, nothing per message.
+    """
+
+    def __init__(self) -> None:
+        self.entries: "OrderedDict[Hashable, Any]" = OrderedDict()
+        self.hits = 0
+        self.misses = 0
+
+    def get(self, key: Hashable, build: Callable[[], Any]) -> Any:
+        """The ingredient under ``key``, built (and kept) on first request."""
+        value = self.entries.get(key)
+        if value is None:
+            self.misses += 1
+            value = build()
+            self.entries[key] = value
+            if len(self.entries) > _SCENARIO_MEMO_MAX:
+                self.entries.popitem(last=False)
+        else:
+            self.hits += 1
+            self.entries.move_to_end(key)
+        return value
+
+    def clear(self) -> None:
+        self.entries.clear()
+        self.hits = 0
+        self.misses = 0
+
+
+#: The memo's layers, each a pure function of its key (``generate_*`` and
+#: ``make_authorities`` themselves stay uncached):
+#:
+#: * ``authorities`` — ``(authority_count, seed)`` → authorities + key ring;
+#: * ``population`` — the frozen ``RelayPopulationConfig`` → relay population;
+#: * ``view_entries`` — ``(population key, authorities key,
+#:   AuthorityViewConfig)`` → every authority's relay entries;
+#: * ``votes`` — ``(view-entries key, padded_relay_count)`` → those entries
+#:   wrapped in ``VoteDocument``s (an equivocator's alternate votes are the
+#:   same layer under another view seed);
+#: * ``topology`` — ``(authority_count, bandwidth_mbps, seed)`` → latencies.
+_SCENARIO_MEMO: Dict[str, _MemoLayer] = {
+    name: _MemoLayer()
+    for name in ("authorities", "population", "view_entries", "votes", "topology")
+}
+
+
+def clear_scenario_caches() -> None:
+    """Drop every shared scenario ingredient and zero the hit/miss counters."""
+    for layer in _SCENARIO_MEMO.values():
+        layer.clear()
+
+
+def scenario_cache_info() -> Dict[str, Dict[str, int]]:
+    """Per-layer ``{hits, misses, size}`` of the scenario memo.
+
+    ``misses`` is how often the layer's ingredient was actually built, so
+    "one population for 120 runs" reads directly off this.
+    """
+    return {
+        name: {"hits": layer.hits, "misses": layer.misses, "size": len(layer.entries)}
+        for name, layer in _SCENARIO_MEMO.items()
+    }
+
+
+def _shared_votes(
+    authorities_key: Tuple[int, int],
+    authorities: Tuple[DirectoryAuthority, ...],
+    population_config: RelayPopulationConfig,
+    view_config: AuthorityViewConfig,
+    padded_relay_count: int,
+) -> Dict[int, VoteDocument]:
+    """The (read-only) votes of one view of one population at one padding."""
+    views_key = (population_config, authorities_key, view_config)
+
+    def draw_entries():
+        population = _SCENARIO_MEMO["population"].get(
+            population_config, lambda: generate_population(population_config)
+        )
+        return generate_authority_view_entries(population, authorities, view_config)
+
+    def wrap_entries():
+        return votes_from_view_entries(
+            _SCENARIO_MEMO["view_entries"].get(views_key, draw_entries),
+            authorities,
+            padded_relay_count=padded_relay_count,
+        )
+
+    return _SCENARIO_MEMO["votes"].get((views_key, padded_relay_count), wrap_entries)
+
+
 def build_scenario(
     relay_count: int,
     bandwidth_mbps: float = 250.0,
@@ -89,42 +210,55 @@ def build_scenario(
     view_config: Optional[AuthorityViewConfig] = None,
     fault_plan: FaultPlan = EMPTY_FAULT_PLAN,
 ) -> Scenario:
-    """Build a scenario with ``relay_count`` relays and uniform authority bandwidth."""
+    """Build a scenario with ``relay_count`` relays and uniform authority bandwidth.
+
+    The ingredients come from the process-global scenario memo: the returned
+    containers are fresh, what they hold is shared and read-only (see the
+    module docstring).
+    """
     ensure(relay_count >= 1, "relay_count must be at least 1")
     ensure(bandwidth_mbps > 0, "bandwidth_mbps must be positive")
     fault_plan.validate_for(authority_count)
-    authorities, ring = make_authorities(authority_count, seed=seed)
-    materialised = min(relay_count, content_relay_cap)
-    population = generate_population(
-        RelayPopulationConfig(relay_count=materialised, seed=seed)
+    authorities_key = (authority_count, seed)
+
+    def make_identities():
+        made, made_ring = make_authorities(authority_count, seed=seed)
+        return tuple(made), made_ring
+
+    authorities, ring = _SCENARIO_MEMO["authorities"].get(authorities_key, make_identities)
+    population_config = RelayPopulationConfig(
+        relay_count=min(relay_count, content_relay_cap), seed=seed
     )
-    votes = generate_authority_votes(
-        population,
-        authorities,
-        config=view_config or AuthorityViewConfig(seed=seed),
-        padded_relay_count=relay_count,
+    view_config = view_config or AuthorityViewConfig(seed=seed)
+    votes = _shared_votes(
+        authorities_key, authorities, population_config, view_config, relay_count
     )
     alternate_votes: Dict[int, VoteDocument] = {}
     equivocators = fault_plan.byzantine_authority_ids("equivocate")
     if equivocators:
-        # A different view seed yields conflicting-but-plausible vote content
-        # for the equivocators to present to the second half of their peers.
-        conflicting = generate_authority_votes(
-            population,
+        # The same view under a different seed yields conflicting-but-plausible
+        # vote content for the equivocators to present to the second half of
+        # their peers.
+        conflicting = _shared_votes(
+            authorities_key,
             authorities,
-            config=AuthorityViewConfig(seed=seed + _ALTERNATE_VOTE_SEED_OFFSET),
-            padded_relay_count=relay_count,
+            population_config,
+            replace(view_config, seed=view_config.seed + _ALTERNATE_VOTE_SEED_OFFSET),
+            relay_count,
         )
         alternate_votes = {aid: conflicting[aid] for aid in equivocators}
-    topology = generate_topology(authorities, bandwidth_mbps=bandwidth_mbps, seed=seed)
+    topology = _SCENARIO_MEMO["topology"].get(
+        (authority_count, bandwidth_mbps, seed),
+        lambda: generate_topology(authorities, bandwidth_mbps=bandwidth_mbps, seed=seed),
+    )
     schedules = {
         authority.authority_id: BandwidthSchedule.constant_mbps(bandwidth_mbps)
         for authority in authorities
     }
     return Scenario(
-        authorities=authorities,
+        authorities=list(authorities),
         ring=ring,
-        votes=votes,
+        votes=dict(votes),
         topology=topology,
         bandwidth_schedules=schedules,
         relay_count=relay_count,
@@ -140,7 +274,11 @@ def scenario_from_spec(spec: RunSpec) -> Scenario:
 
     Pure with respect to the spec: equal specs produce identical scenarios
     (every stochastic input derives from ``spec.seed``), which is what makes
-    spec hashes valid cache keys.
+    spec hashes valid cache keys — and what lets scenarios of one process
+    share their seed-determined ingredients.  The votes, authorities, key
+    ring and topology of the result are therefore read-only (module
+    docstring); swap entries of the ``votes`` dict rather than editing a
+    :class:`~repro.directory.vote.VoteDocument` in place.
     """
     scenario = build_scenario(
         relay_count=spec.relay_count,

@@ -10,7 +10,10 @@ and "many runs" into an executor:
   over a ``multiprocessing`` pool with deterministic per-run seeding (results
   are identical for any worker count);
 * :class:`~repro.runtime.cache.ResultCache` — a content-addressed on-disk
-  store of run summaries, so repeated sweeps execute nothing.
+  store of run summaries, so repeated sweeps execute nothing;
+* :func:`~repro.runtime.executor.clear_process_caches` — the one reset for
+  the in-process memos (aggregation, shared scenario ingredients) that make
+  the runs of a sweep cheaper without changing any of them.
 
 Every experiment module, analysis sweep, benchmark, and example routes its
 protocol runs through this layer; it is also the seam future sharding or
@@ -28,7 +31,11 @@ from repro.runtime.spec import (
     overrides_from_config,
 )
 from repro.runtime.cache import ResultCache
-from repro.runtime.executor import SweepExecutor, execute_spec_summary
+from repro.runtime.executor import (
+    SweepExecutor,
+    clear_process_caches,
+    execute_spec_summary,
+)
 
 __all__ = [
     "DEFAULT_CONTENT_RELAY_CAP",
@@ -43,5 +50,6 @@ __all__ = [
     "overrides_from_config",
     "ResultCache",
     "SweepExecutor",
+    "clear_process_caches",
     "execute_spec_summary",
 ]

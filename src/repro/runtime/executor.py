@@ -86,19 +86,35 @@ def cap_partition_workers() -> None:
     os.environ[WORKERS_ENV] = "1"
 
 
+def clear_process_caches() -> None:
+    """Drop every process-global cache that outlives a run.
+
+    There are two, both pure memos whose presence never changes a result:
+    the aggregation caches (:func:`repro.directory.aggregate.clear_aggregation_caches`)
+    and the scenario-ingredient memo
+    (:func:`repro.protocols.runner.clear_scenario_caches`).  This is the one
+    place that knows the list — sweep workers and tests that compare warm
+    against cold state call it rather than the individual functions.
+    """
+    from repro.directory.aggregate import clear_aggregation_caches
+    from repro.protocols.runner import clear_scenario_caches
+
+    clear_aggregation_caches()
+    clear_scenario_caches()
+
+
 def sweep_worker_setup() -> None:
     """Pool initializer run once in every sweep worker process.
 
     Beyond capping nested parallelism (:func:`cap_partition_workers`), drops
-    the process-global caches a ``fork`` worker inherits from the parent —
-    notably the aggregation relay-map memo, whose entries the parent built
-    for *its* runs and which the child would otherwise keep alive (and
-    un-share, copy-on-write) for the whole sweep.
+    the process-global caches a ``fork`` worker inherits from the parent
+    (:func:`clear_process_caches`) — the aggregation relay-map memo and the
+    shared scenario ingredients, whose entries the parent built for *its*
+    runs and which the child would otherwise keep alive (and un-share,
+    copy-on-write) for the whole sweep.
     """
     cap_partition_workers()
-    from repro.directory.aggregate import clear_aggregation_caches
-
-    clear_aggregation_caches()
+    clear_process_caches()
 
 
 class SweepExecutor:

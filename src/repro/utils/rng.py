@@ -103,5 +103,16 @@ class DeterministicRNG:
 
     def hex_string(self, length: int) -> str:
         """Return a deterministic uppercase hex string of the given length."""
+        # The exact draws ``random.choice(alphabet)`` makes — ``getrandbits``
+        # of ``len(alphabet).bit_length()`` = 5 bits, redrawn while the value
+        # is out of range — without a Python-level ``choice`` → ``_randbelow``
+        # call pair per character.  Seeded content depends on this stream
+        # (tests/netgen/test_stream_identity.py pins it).
         alphabet = "0123456789ABCDEF"
-        return "".join(self._random.choice(alphabet) for _ in range(length))
+        getrandbits = self._random.getrandbits
+        chars: List[str] = []
+        while len(chars) < length:
+            value = getrandbits(5)
+            if value < 16:
+                chars.append(alphabet[value])
+        return "".join(chars)

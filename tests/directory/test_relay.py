@@ -65,15 +65,6 @@ def test_measured_flag_changes_w_line():
     assert "Measured" not in relay.serialize()
 
 
-def test_with_flags_and_with_bandwidth_return_copies():
-    relay = make_relay()
-    flagged = relay.with_flags(frozenset({RelayFlag.EXIT}))
-    measured = relay.with_bandwidth(999, measured=True)
-    assert flagged is not relay and flagged.flags == frozenset({RelayFlag.EXIT})
-    assert measured.bandwidth == 999 and measured.measured
-    assert relay.flags == frozenset() and relay.bandwidth == 1000
-
-
 def test_exit_policy_serialization_and_ordering():
     accept = ExitPolicySummary(accept=True, ports="80,443")
     reject = ExitPolicySummary(accept=False, ports="1-65535")

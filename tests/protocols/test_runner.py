@@ -81,3 +81,33 @@ def test_stats_and_trace_populated():
     assert result.stats.total_bytes_delivered > 0
     assert result.stats.bytes_by_type.get("V3/VOTE", 0) > 0
     assert len(result.trace) > 0
+
+
+def test_alternate_votes_honour_the_callers_view_config():
+    """An equivocator's conflicting vote is the caller's view under another seed."""
+    from dataclasses import replace
+
+    from repro.faults.plan import FaultPlan
+    from repro.netgen.relaygen import RelayPopulationConfig, generate_population
+    from repro.netgen.views import AuthorityViewConfig, generate_authority_votes
+    from repro.protocols.runner import _ALTERNATE_VOTE_SEED_OFFSET
+
+    view = AuthorityViewConfig(miss_probability=0.5, flag_flip_probability=0.2, seed=3)
+    scenario = build_scenario(
+        relay_count=100,
+        seed=5,
+        view_config=view,
+        fault_plan=FaultPlan.byzantine(2, "equivocate"),
+    )
+    assert set(scenario.alternate_votes) == {2}
+    alternate = scenario.alternate_votes[2]
+    # Half the relays are missed, as in the real vote — not the default 1%.
+    assert alternate.relay_count < 75
+    assert alternate.digest() != scenario.votes[2].digest()
+    expected = generate_authority_votes(
+        generate_population(RelayPopulationConfig(relay_count=100, seed=5)),
+        scenario.authorities,
+        config=replace(view, seed=view.seed + _ALTERNATE_VOTE_SEED_OFFSET),
+        padded_relay_count=100,
+    )[2]
+    assert alternate.serialize() == expected.serialize()
