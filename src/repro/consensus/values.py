@@ -12,6 +12,8 @@ from __future__ import annotations
 import hashlib
 from typing import Any
 
+from repro.utils.memo import instance_memo
+
 #: Digest used for "nil" votes (Tendermint) and missing values.
 NIL_DIGEST = b"\x00" * 32
 
@@ -20,13 +22,20 @@ def value_digest(value: Any) -> bytes:
     """Return a stable 32-byte digest of ``value``.
 
     Values may implement ``canonical_encoding() -> bytes`` to control their
-    encoding; otherwise ``repr`` is used.
+    encoding; otherwise ``repr`` is used.  A frozen dataclass that does (the
+    ICPS digest vector) has its digest memoised on the instance: every vote,
+    QC check and view change of a run hashes the same ``(H, π)`` object.
     """
     if value is None:
         return NIL_DIGEST
     encode = getattr(value, "canonical_encoding", None)
-    if callable(encode):
-        material = encode()
-    else:
-        material = repr(value).encode("utf-8")
+    if not callable(encode):
+        return _digest(repr(value).encode("utf-8"))
+    params = getattr(type(value), "__dataclass_params__", None)
+    if params is None or not params.frozen:
+        return _digest(encode())
+    return instance_memo(value, "_value_digest", lambda: _digest(encode()))
+
+
+def _digest(material: bytes) -> bytes:
     return hashlib.sha256(b"consensus-value|" + material).digest()

@@ -48,7 +48,14 @@ class _SubjectState:
 
 
 class DisseminationTracker:
-    """One node's view of the dissemination sub-protocol."""
+    """One node's view of the dissemination sub-protocol.
+
+    Every signed object is checked before it changes state: a ``DOCUMENT`` or
+    a directly recorded claim by ``verify_claim``, a proposal by
+    ``validate_proposal``.  A stored proposal is therefore *validated*: its
+    entries are in ``nodes`` order and every non-⊥ subject signature verified
+    under this tracker's ring.
+    """
 
     def __init__(
         self,
@@ -67,6 +74,8 @@ class DisseminationTracker:
         self.ring = ring
         self.keypair = keypair
         self._subjects: Dict[str, _SubjectState] = {name: _SubjectState() for name in self.nodes}
+        self._index_of: Dict[str, int] = {name: index for index, name in enumerate(self.nodes)}
+        self._document_count = 0
         self._proposals: Dict[str, ProposalMessage] = {}
 
     # -- documents -------------------------------------------------------------
@@ -75,10 +84,16 @@ class DisseminationTracker:
         digest = document.digest()
         signature = sign_claim(self.keypair, self.node_id, digest)
         state = self._subjects[self.node_id]
-        state.document = document
+        self._store_document(state, document)
         state.digest = digest
         state.signature = signature
         return signature
+
+    def _store_document(self, state: _SubjectState, document: Document) -> None:
+        """The one place a document is stored: counts a subject's first only."""
+        if state.document is None:
+            self._document_count += 1
+        state.document = document
 
     def record_document(self, sender: str, document: Document, signature: Signature) -> bool:
         """Record a DOCUMENT message.  Returns True when accepted.
@@ -100,8 +115,16 @@ class DisseminationTracker:
         if state.digest is None:
             state.digest = digest
             state.signature = signature
-        state.document = document
+        self._store_document(state, document)
         return True
+
+    def store_fetched_document(self, subject: str, document: Document, digest: bytes) -> None:
+        """Store a fetched document; the caller matched it against ``digest`` from
+        the agreed digest vector, which vouches for it without a claim signature."""
+        state = self._subjects[subject]
+        self._store_document(state, document)
+        if state.digest is None:
+            state.digest = digest
 
     def record_claim(self, subject: str, digest: Optional[bytes], signature: Signature) -> None:
         """Record a digest claim seen inside someone else's proposal.
@@ -109,11 +132,14 @@ class DisseminationTracker:
         Claims carry the subject's own signature, so a claim for a digest that
         differs from what we saw directly is evidence of equivocation.
         """
-        if subject not in self._subjects or digest is None:
+        if subject not in self._subjects or digest is None or signature.signer != subject:
             return
         if not verify_claim(self.ring, signature, subject, digest):
             return
-        state = self._subjects[subject]
+        self._note_verified_claim(self._subjects[subject], digest, signature)
+
+    @staticmethod
+    def _note_verified_claim(state: _SubjectState, digest: bytes, signature: Signature) -> None:
         if state.digest is None:
             # We learn the subject's digest (but not the document itself).
             state.digest = digest
@@ -133,15 +159,15 @@ class DisseminationTracker:
     @property
     def received_document_count(self) -> int:
         """Number of full documents received (including our own)."""
-        return sum(1 for state in self._subjects.values() if state.document is not None)
+        return self._document_count
 
     def has_all_documents(self) -> bool:
         """True when every node's document has been received."""
-        return self.received_document_count == len(self.nodes)
+        return self._document_count == len(self.nodes)
 
     def has_quorum_of_documents(self) -> bool:
         """True when at least ``n - f`` documents have been received."""
-        return self.received_document_count >= len(self.nodes) - self.f
+        return self._document_count >= len(self.nodes) - self.f
 
     # -- proposals ------------------------------------------------------------
     def make_proposal(self) -> ProposalMessage:
@@ -170,16 +196,26 @@ class DisseminationTracker:
         return ProposalMessage(proposer=self.node_id, entries=tuple(entries))
 
     def record_proposal(self, proposal: ProposalMessage) -> bool:
-        """Validate and store a proposal from another node."""
+        """Validate and store a proposal (another node's, or this node's own).
+
+        Contract: validated ⇒ every non-⊥ subject signature verified under
+        this ring (the verdict is memoised per ``(ring, nodes, f)``, so a
+        tracker on another ring validates for itself).  Those are exactly the
+        checks :meth:`record_claim` makes, so the entries are mined for digests
+        and equivocation evidence without verifying each claim a second time.
+        """
         if proposal.proposer not in self._subjects:
             return False
         if not validate_proposal(proposal, self.ring, self.nodes, self.f):
             return False
         self._proposals[proposal.proposer] = proposal
-        # Mine the proposal's claims for equivocation evidence and digests.
+        subjects = self._subjects
         for entry in proposal.entries:
-            if entry.digest is not None and entry.subject_signature is not None:
-                self.record_claim(entry.subject, entry.digest, entry.subject_signature)
+            digest = entry.digest
+            if digest is not None:
+                state = subjects[entry.subject]
+                if state.digest != digest:  # a digest already recorded teaches nothing
+                    self._note_verified_claim(state, digest, entry.subject_signature)
         return True
 
     @property
@@ -242,11 +278,11 @@ class DisseminationTracker:
         if equivocation is not None:
             return (subject, None, equivocation)
 
+        # Stored proposals are validated, so their entries are in ``nodes`` order.
+        position = self._index_of[subject]
         by_digest: Dict[Optional[bytes], List[Signature]] = {}
         for proposal in self._proposals.values():
-            entry = proposal.entry_for(subject)
-            if entry is None:
-                continue
+            entry = proposal.entries[position]
             by_digest.setdefault(entry.digest, []).append(entry.proposer_signature)
 
         for digest, claims in by_digest.items():

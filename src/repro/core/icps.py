@@ -170,6 +170,16 @@ class ICPSOutput:
 class ICPSNode:
     """One participant of the ICPS protocol (all three sub-protocols)."""
 
+    #: ``msg_type`` → name of the handling method (by name, so a subclass's
+    #: override is the one that runs).
+    _HANDLERS = {
+        "DOCUMENT": "_on_document",
+        "PROPOSAL": "_on_proposal",
+        "AGREEMENT": "_on_agreement",
+        "FETCH_REQUEST": "_on_fetch_request",
+        "FETCH_RESPONSE": "_on_fetch_response",
+    }
+
     def __init__(
         self,
         config: ICPSConfig,
@@ -268,17 +278,10 @@ class ICPSNode:
         """Process an incoming ICPS message."""
         if not self._started or not isinstance(message, ICPSMessage):
             return []
-        handlers = {
-            "DOCUMENT": self._on_document,
-            "PROPOSAL": self._on_proposal,
-            "AGREEMENT": self._on_agreement,
-            "FETCH_REQUEST": self._on_fetch_request,
-            "FETCH_RESPONSE": self._on_fetch_response,
-        }
-        handler = handlers.get(message.msg_type)
+        handler = self._HANDLERS.get(message.msg_type)
         if handler is None:
             return []
-        return handler(message)
+        return getattr(self, handler)(message)
 
     def on_timeout(self, timer_id: str) -> List[Action]:
         """Process a timer expiry."""
@@ -478,12 +481,7 @@ class ICPSNode:
             digest = expected.get(subject)
             if digest is None or document.digest() != digest:
                 continue
-            # Store the fetched document; the claim signature is not needed
-            # because the agreed digest vector already vouches for the digest.
-            state = self.tracker._subjects[subject]
-            state.document = document
-            if state.digest is None:
-                state.digest = digest
+            self.tracker.store_fetched_document(subject, document, digest)
         return self._maybe_complete_output()
 
     def _maybe_complete_output(self) -> List[Action]:

@@ -104,11 +104,11 @@ class ProposalMessage:
         )
 
     def entry_for(self, subject: str) -> Optional[ProposalEntry]:
-        """The entry about ``subject`` (None if absent)."""
-        for entry in self.entries:
-            if entry.subject == subject:
-                return entry
-        return None
+        """The entry about ``subject`` (None if absent; the first if repeated)."""
+        index = instance_memo(
+            self, "_by_subject", lambda: {entry.subject: entry for entry in reversed(self.entries)}
+        )
+        return index.get(subject)
 
 
 def _verdict_memo(obj: object, ring: KeyRing, nodes: Sequence[str], f: int):
@@ -225,10 +225,10 @@ class DigestVectorValue:
 
     def digest_of(self, node: str) -> Optional[bytes]:
         """The agreed digest for ``node`` (None for ⊥)."""
-        for name, digest, _proof in self.entries:
-            if name == node:
-                return digest
-        return None
+        index = instance_memo(
+            self, "_by_node", lambda: {name: digest for name, digest, _proof in reversed(self.entries)}
+        )
+        return index.get(node)
 
     def digests(self) -> Dict[str, Optional[bytes]]:
         """Mapping node → agreed digest (or None)."""

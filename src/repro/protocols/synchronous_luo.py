@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from repro.crypto.digest import sha256_digest
 from repro.crypto.signatures import SignatureChain, verify
 from repro.directory.consensus_doc import ConsensusSignature
 from repro.directory.vote import VoteDocument
@@ -39,6 +40,9 @@ class SynchronousLuoAuthority(DirectoryAuthorityNode):
 
     #: Authority ID whose vote package is the Dolev–Strong subject.
     designated_sender_id = 0
+
+    #: The last package digested and its digest (see :meth:`_package_digest`).
+    _digested_package: Optional[Tuple[Dict[int, VoteDocument], bytes]] = None
 
     def on_start(self) -> None:
         self._start_time = self.now
@@ -156,14 +160,22 @@ class SynchronousLuoAuthority(DirectoryAuthorityNode):
             for vote in package.values():
                 self._store_list(vote, now)
 
-    @staticmethod
-    def _package_digest(package: Dict[int, VoteDocument]) -> bytes:
-        from repro.crypto.digest import sha256_digest
+    def _package_digest(self, package: Dict[int, VoteDocument]) -> bytes:
+        """Digest of a vote package, remembered for the last distinct package.
 
+        Every peer relays its own copy of the one designated package — equal
+        dicts of the same frozen votes, which ``==`` settles by identity per
+        member.  The memo keeps a private copy, so no sender can stale it.
+        """
+        memo = self._digested_package
+        if memo is not None and memo[0] == package:
+            return memo[1]
         member_digests = "".join(
             package[authority_id].digest_hex() for authority_id in sorted(package)
         )
-        return sha256_digest(member_digests)
+        digest = sha256_digest(member_digests)
+        self._digested_package = (dict(package), digest)
+        return digest
 
     # -- round 4: compute consensus from the agreed package and sign -----------------------
     def _signature_round(self) -> None:

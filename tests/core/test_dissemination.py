@@ -4,7 +4,12 @@ import pytest
 
 from repro.core.documents import Document
 from repro.core.dissemination import DisseminationTracker
-from repro.core.proofs import sign_claim, validate_digest_vector
+from repro.core.proofs import (
+    ProposalEntry,
+    ProposalMessage,
+    sign_claim,
+    validate_digest_vector,
+)
 from repro.crypto.keys import KeyPair, KeyRing
 
 NODES = ("a0", "a1", "a2", "a3")
@@ -139,7 +144,107 @@ def test_invalid_proposal_rejected(env):
     broadcast_documents(pairs, docs, trackers)
     good = trackers["a1"].make_proposal()
     # A proposal claiming to be from a2 but signed by a1 must be rejected.
-    from repro.core.proofs import ProposalMessage
-
     impostor = ProposalMessage(proposer="a2", entries=good.entries)
     assert not trackers["a0"].record_proposal(impostor)
+
+
+# -- the document counter ------------------------------------------------------
+def assert_count_matches_recount(tracker):
+    recount = sum(1 for name in tracker.nodes if tracker.document_of(name) is not None)
+    assert tracker.received_document_count == recount
+    assert tracker.has_all_documents() == (recount == len(tracker.nodes))
+    assert tracker.has_quorum_of_documents() == (recount >= len(tracker.nodes) - tracker.f)
+    return recount
+
+
+def test_document_counter_equals_a_recount_on_every_path(env):
+    pairs, ring, docs, trackers = env
+    tracker = trackers["a0"]
+    assert assert_count_matches_recount(tracker) == 0
+    tracker.record_own_document(docs["a0"])
+    assert assert_count_matches_recount(tracker) == 1
+    signature = sign_claim(pairs["a1"], "a1", docs["a1"].digest())
+    assert tracker.record_document("a1", docs["a1"], signature)
+    assert assert_count_matches_recount(tracker) == 2
+    # A duplicate DOCUMENT is accepted again but is not a second document.
+    assert tracker.record_document("a1", docs["a1"], signature)
+    assert assert_count_matches_recount(tracker) == 2
+    # An equivocating DOCUMENT is rejected and not counted.
+    other = Document.from_text("another a1")
+    assert not tracker.record_document("a1", other, sign_claim(pairs["a1"], "a1", other.digest()))
+    assert tracker.document_of("a1") is docs["a1"]
+    assert assert_count_matches_recount(tracker) == 2
+    # A badly signed DOCUMENT stores nothing.
+    assert not tracker.record_document("a2", docs["a2"], sign_claim(pairs["a3"], "a2", docs["a2"].digest()))
+    assert assert_count_matches_recount(tracker) == 2
+    # A fetched document counts once, a re-fetched one not at all.
+    tracker.store_fetched_document("a2", docs["a2"], docs["a2"].digest())
+    assert assert_count_matches_recount(tracker) == 3
+    tracker.store_fetched_document("a2", docs["a2"], docs["a2"].digest())
+    assert assert_count_matches_recount(tracker) == 3
+    assert tracker.digest_claim_of("a2") == (docs["a2"].digest(), None)
+    tracker.store_fetched_document("a3", docs["a3"], docs["a3"].digest())
+    assert assert_count_matches_recount(tracker) == 4 and tracker.has_all_documents()
+
+
+# -- soundness of mining a validated proposal without re-verifying it ----------
+def forged_proposal(pairs, docs, proposer, forged_subject):
+    """A full proposal whose ``forged_subject`` signature is the proposer's own."""
+    entries = []
+    for subject in NODES:
+        digest = docs[subject].digest()
+        signer = proposer if subject == forged_subject else subject
+        entries.append(
+            ProposalEntry(
+                subject=subject,
+                digest=digest,
+                subject_signature=sign_claim(pairs[signer], subject, digest),
+                proposer_signature=sign_claim(pairs[proposer], subject, digest),
+            )
+        )
+    return ProposalMessage(proposer=proposer, entries=tuple(entries))
+
+
+def test_forged_subject_signature_rejects_the_proposal_and_mines_nothing(env):
+    pairs, ring, docs, trackers = env
+    tracker = trackers["a0"]
+    tracker.record_own_document(docs["a0"])
+    # a1 equivocates towards a0: the forged proposal would expose the conflict.
+    lie = Document.from_text("a1 told a0 something else")
+    tracker.record_document("a1", lie, sign_claim(pairs["a1"], "a1", lie.digest()))
+    assert not tracker.record_proposal(forged_proposal(pairs, docs, "a2", "a3"))
+    assert tracker.proposal_count == 0
+    assert tracker.digest_claim_of("a2") == (None, None)      # no digest learned
+    assert tracker.digest_claim_of("a3") == (None, None)
+    assert tracker.equivocation_proof("a1") is None           # no conflict recorded
+    # The same claims inside a well-signed proposal are mined.
+    assert tracker.record_proposal(forged_proposal(pairs, docs, "a2", None))
+    assert tracker.digest_claim_of("a3")[0] == docs["a3"].digest()
+    assert tracker.equivocation_proof("a1") is not None
+
+
+def test_proposal_verdict_is_per_ring_not_per_object(env):
+    pairs, ring, docs, trackers = env
+    proposal = forged_proposal(pairs, docs, "a1", None)
+    assert trackers["a0"].record_proposal(proposal)
+    # Ring B knows a different key for a3: the object already carries a True
+    # verdict under ring A, yet a tracker on ring B validates for itself.
+    other_pairs = dict(pairs, a3=KeyPair.generate("a3", b"another-seed"))
+    other_ring = KeyRing(other_pairs.values())
+    stranger = DisseminationTracker("a0", NODES, F, other_ring, other_pairs["a0"])
+    assert not stranger.record_proposal(proposal)
+    assert stranger.proposal_count == 0
+    assert all(stranger.digest_claim_of(name) == (None, None) for name in NODES)
+    assert trackers["a2"].record_proposal(proposal)           # ring A still accepts
+
+
+def test_record_claim_still_verifies_for_direct_callers(env):
+    pairs, ring, docs, trackers = env
+    tracker = trackers["a0"]
+    digest = docs["a1"].digest()
+    tracker.record_claim("a1", digest, sign_claim(pairs["a2"], "a1", digest))      # wrong signer
+    tracker.record_claim("a1", digest, sign_claim(pairs["a1"], "a1", b"x" * 32))   # wrong digest
+    tracker.record_claim("zz", digest, sign_claim(pairs["a1"], "a1", digest))      # unknown subject
+    assert tracker.digest_claim_of("a1") == (None, None)
+    tracker.record_claim("a1", digest, sign_claim(pairs["a1"], "a1", digest))
+    assert tracker.digest_claim_of("a1")[0] == digest

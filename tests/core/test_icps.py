@@ -126,3 +126,23 @@ def test_messages_before_start_are_ignored():
     node = nodes["a0"]
     assert node.on_message(ICPSMessage(msg_type="DOCUMENT", sender="a1", payload={})) == []
     assert node.on_timeout("dissemination") == []
+
+
+def test_fetched_documents_go_through_the_tracker_and_count_once():
+    names, _pairs, _ring, nodes, docs = build_cluster()
+
+    def lose_a1_document_to_a0(sender, receiver, message, now):
+        if (sender, receiver, message.msg_type) == ("a1", "a0", "DOCUMENT"):
+            return None
+        return now + 0.01
+
+    run_cluster(nodes, docs, delivery_policy=lose_a1_document_to_a0)
+    outputs = {name: nodes[name].output for name in names}
+    assert check_termination(outputs, names) and check_agreement(outputs, names)
+    # a0 never got a1's DOCUMENT, so what it outputs for a1 was fetched.
+    assert outputs["a0"].document_of("a1") == docs["a1"]
+    for node in nodes.values():
+        tracker = node.tracker
+        held = sum(1 for name in names if tracker.document_of(name) is not None)
+        assert tracker.received_document_count == held == len(names)
+        assert tracker.has_all_documents()

@@ -184,3 +184,22 @@ class TestDigestVectorValidation:
     def test_unknown_proof_kind_rejected(self):
         with pytest.raises(Exception):
             EntryProof(kind="mystery", signatures=())
+
+
+def test_indexed_lookups_keep_the_scan_semantics(pairs_and_ring):
+    """``entry_for``/``digest_of``: absent is None, the first of a repeat wins."""
+    pairs, _ring = pairs_and_ring
+    docs = documents()
+    proposal = full_proposal("a0", pairs, docs, missing=("a3",))
+    assert proposal.entry_for("a1") is proposal.entries[1]
+    assert proposal.entry_for("a3").is_bottom
+    assert proposal.entry_for("zz") is None
+    repeated = ProposalMessage(proposer="a0", entries=proposal.entries[2:] + proposal.entries[:3])
+    assert repeated.entry_for("a2") is repeated.entries[0]
+
+    proof = EntryProof(kind="timeout", signatures=())
+    vector = DigestVectorValue(
+        leader="a0", entries=(("a1", b"first", proof), ("a2", None, proof), ("a1", b"second", proof))
+    )
+    assert vector.digest_of("a1") == b"first"
+    assert vector.digest_of("a2") is None and vector.digest_of("zz") is None

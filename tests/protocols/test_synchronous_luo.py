@@ -1,8 +1,11 @@
 """Synchronous (Luo et al.) protocol behaviour tests."""
 
 
+from repro.crypto.digest import sha256_digest
+from repro.protocols import synchronous_luo
 from repro.protocols.base import DirectoryProtocolConfig
 from repro.protocols.runner import build_scenario, run_protocol
+from repro.protocols.synchronous_luo import SynchronousLuoAuthority
 
 CONFIG = DirectoryProtocolConfig()
 
@@ -53,3 +56,30 @@ def test_successful_run_agrees_on_single_digest():
         outcome.consensus_digest for outcome in result.outcomes.values() if outcome.success
     }
     assert len(digests) == 1
+
+
+def test_relayed_copies_of_one_package_are_digested_once(
+    monkeypatch, nine_authorities, small_votes
+):
+    authorities, ring = nine_authorities
+    node = SynchronousLuoAuthority(authorities[0], authorities, small_votes[0], ring, CONFIG)
+    hashed = []
+
+    def counting_sha256(text):
+        hashed.append(text)
+        return sha256_digest(text)
+
+    monkeypatch.setattr(synchronous_luo, "sha256_digest", counting_sha256)
+    package = dict(small_votes)
+    digest = node._package_digest(package)
+    # Every relayer forwards its own dict of the same vote objects.
+    assert all(node._package_digest(dict(package)) == digest for _ in range(8))
+    assert len(hashed) == 1
+    # A sender mutating the dict it sent cannot stale the memo …
+    del package[8]
+    assert node._package_digest(package) != digest
+    # … and any different package is digested afresh, in both directions.
+    assert node._package_digest(dict(small_votes)) == digest
+    assert len(hashed) == 3
+    members = "".join(small_votes[authority_id].digest_hex() for authority_id in sorted(small_votes))
+    assert digest == sha256_digest(members)
