@@ -10,7 +10,7 @@ rate recomputation was incremental.
 Usage::
 
     PYTHONPATH=src python benchmarks/profile_scaling.py
-    PYTHONPATH=src python benchmarks/profile_scaling.py --engine legacy
+    PYTHONPATH=src python benchmarks/profile_scaling.py --engine vector
     PYTHONPATH=src python benchmarks/profile_scaling.py \\
         --authorities 30 --transport fifo --sort tottime --top 40
     PYTHONPATH=src python benchmarks/profile_scaling.py --out cell.prof
@@ -24,13 +24,6 @@ Usage::
         --authorities 120 --transport tcp --compare
     PYTHONPATH=src python benchmarks/profile_scaling.py \\
         --authorities 120 --phases
-    PYTHONPATH=src python benchmarks/profile_scaling.py \\
-        --engine parallel --partitions 4 --authorities 120
-
-``--partitions`` pins ``REPRO_PARALLEL_PARTITIONS`` for the process, so a
-``--engine parallel`` profile (or a ``--compare`` table) runs the
-partition-parallel engine at a chosen shard count instead of the
-environment's default.
 
 ``--out`` writes the raw pstats dump for ``snakeviz``/``pstats`` digging;
 without it the report just prints.  The cell always executes in-process and
@@ -38,17 +31,16 @@ uncached, so the profile measures simulation cost only.  ``--clients``
 attaches a consensus-distribution workload (``--cohorts`` cohorts, the
 Figure 13 defaults otherwise), making the client layer profilable exactly
 like the transport.  ``--compare`` skips the profiler and instead times the
-same cell once per engine, printing a scalar-vs-vector speedup table (the
-quick sanity check before trusting a profile's relative numbers); with
-``--transport tcp`` the vector row runs the real tcp vector policy (no
-longer a lazy fallback), so the table prices cohort ack ticks directly.
+same cell once per engine (lazy, then vector), printing a scalar-vs-vector
+speedup table (the quick sanity check before trusting a profile's relative
+numbers); with ``--transport tcp`` the vector row runs the tcp vector
+policy, so the table prices cohort ack ticks directly.
 """
 
 from __future__ import annotations
 
 import argparse
 import cProfile
-import os
 import pstats
 import time
 from typing import Optional, Sequence
@@ -155,7 +147,7 @@ def compare_engines(
     timings = []
     for engine in engines:
         with use_shared_engine(engine):
-            effective = effective_shared_engine(transport=transport)
+            effective = effective_shared_engine(transport)
             started = time.perf_counter()
             result = execute_spec(spec)
             elapsed = time.perf_counter() - started
@@ -276,12 +268,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="cohort count for --clients",
     )
     parser.add_argument(
-        "--partitions",
-        type=int,
-        default=None,
-        help="pin REPRO_PARALLEL_PARTITIONS for the parallel engine",
-    )
-    parser.add_argument(
         "--compare",
         action="store_true",
         help="time the cell once per engine and print a speedup table "
@@ -299,11 +285,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument("--out", default=None, help="write raw pstats dump here")
     args = parser.parse_args(argv)
-
-    if args.partitions is not None:
-        from repro.simnet.partition import PARTITION_ENV
-
-        os.environ[PARTITION_ENV] = str(args.partitions)
 
     if args.compare:
         compare_engines(

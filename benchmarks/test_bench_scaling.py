@@ -3,19 +3,13 @@
 Unlike the figure benchmarks this one measures the *simulator itself*: the
 same consensus runs at 9, 30, 90, 120 and 300 authorities under the
 ``fair``, ``latency-only`` and ``tcp`` transports — ``fair`` on the vector
-engine at every count, on the lazy engine up to 120, and on the legacy
-engine up to 90; ``tcp`` on the lazy and vector engines up to 120 — timed
-cell by cell.  It deliberately bypasses the session sweep executor and
-its cache — a cache hit would report a near-zero wall clock and poison the
-comparison.
+engine at every count and on the lazy engine up to 120; ``tcp`` on the lazy
+and vector engines up to 120 — timed cell by cell.  It deliberately bypasses
+the session sweep executor and its cache — a cache hit would report a
+near-zero wall clock and poison the comparison.
 
-Six acceptance bars are asserted:
+Three acceptance bars are asserted:
 
-* the lazy-advance bar — ``fair`` on the lazy engine ≥3× faster than the
-  same spec on the legacy global-recompute engine at the 10×-paper point
-  (measured ~5.9× on the reference machine pre-batching, ~21× after the
-  batched-dispatch PR, which speeds the lazy engine but not the legacy
-  reference); and
 * the vectorized bar — ``fair`` on the structure-of-arrays vector engine
   still ahead of the lazy engine at the 120-authority point (skipped
   without numpy, where vector requests run the lazy fallback).  PR 8's
@@ -27,19 +21,6 @@ Six acceptance bars are asserted:
   (≥1.1×) at the point where batch width is widest; vector's real
   remaining win is the 300-authority cell (~26 s vs ~102 s scalar lazy,
   measured out-of-sweep); and
-* the partition-parallel bar — ``fair`` on the partition-sharded parallel
-  engine within noise of the vector engine at the 300-authority point
-  (also numpy-gated).  The tentpole issue targeted ≥2× over vector at 4
-  workers; the honest measurement on the 1-core reference container is
-  **parity** (~1.0×), because the shared-occupancy coupling has zero
-  transport lookahead (all shards must synchronise at every instant — see
-  ``DESIGN-parallel.md``) and ``effective_worker_count`` caps the pool at
-  the machine's single schedulable core, so partition-gated scanning is
-  the only available win and it roughly cancels the sharding overhead.
-  The committed assertion is therefore a *parity tripwire* (≥0.5×, wide
-  noise margin): it catches the partition bookkeeping regressing into
-  real cost, and must be re-tightened from measurements on a wider
-  machine, never loosened; and
 * the tcp-vector bar — ``tcp`` on the vector engine ≥1.5× faster than the
   same spec on the scalar lazy engine at the 120-authority point (also
   numpy-gated; measured ~2.1× on the reference machine).  Unlike the
@@ -57,29 +38,22 @@ Six acceptance bars are asserted:
   assertion now pins the direction and a conservative margin at the
   largest N, where the remaining coupling cost is widest.
 
-A further assertion is the *non-transport floor tripwire*: format-5 cells
-carry exclusive phase buckets (``repro.utils.phases``), and the summed
+A further assertion is the *non-transport floor tripwire*: cells carry
+exclusive phase buckets (``repro.utils.phases``), and the summed
 non-transport time of the lazy ``fair`` cell at the stretch point must
 stay under a generous budget (measured ~0.7 s after the batched-dispatch
 PR, asserted <2.5 s) — it catches per-recipient serialization or dispatch
 overhead creeping back in without failing on machine noise.
 
 The sweep's numbers are written to ``BENCH_scaling.json`` next to this
-run's working directory (a committed format-6 snapshot from the reference
-machine lives at the repo root; format 6 adds tcp cells on the vector
-engine up to 120 authorities and the ``speedup_tcp_lazy_to_vector``
-table, on top of format 5's per-cell ``phases`` buckets and
-``non_transport_floor_fair`` table, format 4's parallel cells at 120 and
-300 authorities, per-cell effective ``workers`` count, and
-vector→parallel table, and format 3's 300-authority cells, per-cell
-``peak_rss_mb`` high-water mark, and lazy→vector table).
+run's working directory (a committed snapshot from the reference machine
+lives at the repo root; ``scaling_sweep.BENCH_FORMAT_VERSION`` documents the
+payload).
 """
 
 import pytest
 
 from repro.experiments.scaling_sweep import (
-    engine_speedup_at,
-    parallel_speedup_at,
     render_scaling,
     run_scaling_sweep,
     speedup_at,
@@ -87,9 +61,6 @@ from repro.experiments.scaling_sweep import (
     write_bench_json,
 )
 from repro.simnet.vector_sched import vector_available
-
-#: The headline grid point: 10× the paper's nine authorities.
-TEN_X_PAPER = 90
 
 #: The stretch grid point the lazy engine made affordable.
 STRETCH = 120
@@ -111,13 +82,6 @@ def test_bench_scaling_sweep(benchmark, tmp_path):
     assert out.exists()
 
     assert all(cell.success for cell in cells), "every scaling cell must reach consensus"
-    engine_speedup = engine_speedup_at(cells, TEN_X_PAPER)
-    assert engine_speedup is not None
-    # The lazy-advance acceptance bar: the heap-driven shared scheduler must
-    # beat the legacy global-recompute loop >=3x on the same fair spec.
-    assert engine_speedup >= 3.0, (
-        "lazy-engine fair speedup at N=%d was %.2fx" % (TEN_X_PAPER, engine_speedup)
-    )
     if vector_available():
         vector_speedup = vector_speedup_at(cells, STRETCH)
         assert vector_speedup is not None
@@ -128,33 +92,13 @@ def test_bench_scaling_sweep(benchmark, tmp_path):
         assert vector_speedup >= 1.1, (
             "vector-engine fair speedup at N=%d was %.2fx" % (STRETCH, vector_speedup)
         )
-        # The 300-authority cells exist and succeeded on the vector and
-        # parallel engines.
+        # The 300-authority fair cell exists (and succeeded) on the vector
+        # engine only.
         extreme = [
             cell for cell in cells
             if cell.authority_count == EXTREME and cell.transport == "fair"
         ]
-        engines = sorted(cell.engine for cell in extreme)
-        assert engines == ["parallel", "vector"], engines
-        parallel_cells = [
-            cell for cell in cells
-            if cell.engine == "parallel" and cell.transport == "fair"
-        ]
-        assert sorted(cell.authority_count for cell in parallel_cells) == [
-            STRETCH, EXTREME,
-        ]
-        # The effective fan-out is recorded per cell (1 on a 1-core box).
-        assert all(cell.workers >= 1 for cell in parallel_cells)
-        # The partition-parallel parity tripwire (see module docstring: the
-        # honest measurement on the 1-core reference container is ~1.0x
-        # vector, not the issue's 2x target; the wide 0.5x floor catches
-        # sharding bookkeeping regressing into real cost).
-        parallel_speedup = parallel_speedup_at(cells, EXTREME)
-        assert parallel_speedup is not None
-        assert parallel_speedup >= 0.5, (
-            "parallel-engine fair ratio at N=%d was %.2fx vector"
-            % (EXTREME, parallel_speedup)
-        )
+        assert [cell.engine for cell in extreme] == ["vector"]
         # The tcp-vector bar (see module docstring): cohort ack ticks must
         # beat the scalar one-event-per-flow-per-round loop where broadcast
         # waves are widest (measured ~1.8-2.1x on the reference machine).

@@ -11,40 +11,29 @@ measures both:
   stated cost of losing congestion (the mechanism behind the paper's DDoS
   results).  It is the fast model for large-N protocol-behaviour studies,
   not for bandwidth-sensitive figures.
-* **Scheduler engine.**  The paper-faithful shared models run on four
+* **Scheduler engine.**  The paper-faithful shared models run on two
   engines: the default lazy-advance heap-driven scheduler
-  (:mod:`repro.simnet.shared_sched`, O(touched flows) per event), the
-  pre-lazy global-recompute loop surviving as ``legacy``, the vectorized
-  structure-of-arrays scheduler (:mod:`repro.simnet.vector_sched`,
+  (:mod:`repro.simnet.shared_sched`, O(touched flows) per event) and the
+  vectorized structure-of-arrays scheduler (:mod:`repro.simnet.vector_sched`,
   batch rate recompute over numpy slot arrays — requires the ``[perf]``
-  extra, silently downgrading to lazy without it), and the
-  partition-parallel conservative-PDES scheduler
-  (:mod:`repro.simnet.parallel_sched`, region-sharded slot arrays with
-  partition-gated scans; same numpy requirement and downgrade).  The sweep
-  times ``fair`` under all four, so the committed ``BENCH_scaling.json``
-  carries the legacy→lazy, lazy→vector, and vector→parallel speedup tables
-  that ``benchmarks/test_bench_scaling.py`` asserts against.
+  extra, silently downgrading to lazy without it).  The sweep times ``fair``
+  and ``tcp`` under both, so the committed ``BENCH_scaling.json`` carries
+  the lazy→vector speedup tables that ``benchmarks/test_bench_scaling.py``
+  asserts against.
 
 The grid runs the same consensus spec at growing authority counts — up to
 300, beyond 33× the paper's nine — under ``fair``, ``latency-only``, and
 ``tcp``.  ``latency-only`` (engine-independent) and ``fair`` on the vector
-engine run at every count; ``fair`` on the lazy engine stops at 120, on
-the legacy engine at 90, the counts where each scalar loop is still
-affordable — the 300-authority shared-transport cells exist *because* the
-vector engine makes them tractable — and on the parallel engine runs at
-the two largest counts (120, 300), where sharding has links to gate.
-``tcp`` runs at :data:`DEFAULT_TCP_COUNTS` on the lazy engine *and* (numpy
-present) the vector engine, pricing per-flow congestion control against
-the memoryless ``fair`` model and the scalar ack-tick loop against the
-vector policy's cohort ticks.  Cells run serially and in-process (never through a result
+engine run at every count; ``fair`` on the lazy engine stops at 120, where
+the scalar loop is still affordable — the 300-authority shared-transport
+cell exists *because* the vector engine makes it tractable.  ``tcp`` runs at
+:data:`DEFAULT_TCP_COUNTS` on the lazy engine *and* (numpy present) the
+vector engine, pricing per-flow congestion control against the memoryless
+``fair`` model and the scalar ack-tick loop against the vector policy's
+cohort ticks.  Cells run serially and in-process (never through a result
 cache) so the timings measure simulation cost, not cache or pool behaviour.
-:func:`write_bench_json` emits the numbers (format 6: tcp vector cells up
-to 120 authorities and the ``speedup_tcp_lazy_to_vector`` table, on top of
-format 5's per-cell ``phases`` wall-clock buckets and
-``non_transport_floor_fair``, format 4's parallel cells with per-cell
-``workers`` and ``speedup_fair_vector_to_parallel``, format 3's
-300-authority cells, per-cell ``engine`` and ``peak_rss_mb``, and
-``speedup_fair_lazy_to_vector``).
+:func:`write_bench_json` emits the numbers (see
+:data:`BENCH_FORMAT_VERSION` for what the payload holds).
 """
 
 from __future__ import annotations
@@ -72,14 +61,8 @@ DEFAULT_AUTHORITY_COUNTS = (9, 30, 90, 120, 300)
 
 #: Transport models compared by default: the fair shared model the figures
 #: use, the sharing-free fast model, and the congestion-controlled ``tcp``
-#: model (lazy engine only, at :data:`DEFAULT_TCP_COUNTS`).
+#: model (at :data:`DEFAULT_TCP_COUNTS`).
 DEFAULT_TRANSPORTS = ("fair", "latency-only", "tcp")
-
-#: Counts at which ``fair`` is additionally timed on the legacy engine for
-#: the old-vs-new speedup table.  120+ is deliberately absent: the legacy
-#: loop's whole-run cost grows roughly quadratically with concurrency and
-#: the point of the table is made at 90.
-DEFAULT_LEGACY_FAIR_COUNTS = (9, 30, 90)
 
 #: Counts at which ``fair`` runs on the lazy engine.  300 is deliberately
 #: absent from the default: the scalar per-touched-flow loop takes minutes
@@ -94,34 +77,18 @@ DEFAULT_LAZY_FAIR_COUNTS = (9, 30, 90, 120)
 #: asserts.  The CI perf-smoke budget asserts the tcp@30 cells.
 DEFAULT_TCP_COUNTS = (9, 30, 120)
 
-#: Counts at which ``fair`` additionally runs on the partition-parallel
-#: engine.  Small counts are deliberately absent: sharding pays a constant
-#: coordination cost per event instant, which only amortises where the
-#: per-instant touched sets are large.
-DEFAULT_PARALLEL_FAIR_COUNTS = (120, 300)
-
-#: Format version of the ``BENCH_scaling.json`` payload.  Version 2: cells
-#: carry the scheduler ``engine`` ("lazy"/"legacy"), the default grid
-#: reaches 120 authorities, and ``speedup_fair_legacy_to_lazy`` reports the
-#: old-engine→new-engine wall-clock ratio per authority count.  Version 3:
-#: the grid reaches 300 authorities (``fair`` there on the vector engine
-#: only), cells carry ``peak_rss_mb``, and ``speedup_fair_lazy_to_vector``
-#: reports the scalar→vectorized wall-clock ratio per authority count.
-#: Version 4: ``fair`` additionally runs on the partition-parallel engine
-#: at :data:`DEFAULT_PARALLEL_FAIR_COUNTS`, cells carry ``workers`` (the
-#: effective partition-worker count, 1 for every in-process engine), and
-#: ``speedup_fair_vector_to_parallel`` reports the vector→parallel
-#: wall-clock ratio per authority count.  Version 5: cells carry ``phases``
-#: (exclusive wall-clock buckets — transport / protocol / crypto /
-#: client_wave / other — from :mod:`repro.utils.phases`; the attribution
-#: adds ~1–2 % overhead, paid by every cell so the buckets always sum to
-#: the recorded wall clock) and ``non_transport_floor_fair`` reports each
-#: fair cell's non-transport bucket total per ``engine@N`` — the floor the
-#: batched-dispatch work shrinks and the tripwire tests pin.  Version 6:
-#: ``tcp`` grew a vector policy — tcp cells run on the lazy *and* vector
-#: engines up to 120 authorities and ``speedup_tcp_lazy_to_vector``
-#: reports the scalar-ack-tick→cohort-tick wall-clock ratio per count.
-BENCH_FORMAT_VERSION = 6
+#: Format version of the ``BENCH_scaling.json`` payload.  Version 7 holds:
+#: ``cells`` — one per (protocol, transport, authority count, engine), each
+#: with the ``engine`` that actually ran (``lazy``/``vector``), wall clock,
+#: virtual end time, message count, ``peak_rss_mb`` and ``phases`` (exclusive
+#: wall-clock buckets — transport / protocol / crypto / client_wave / other —
+#: from :mod:`repro.utils.phases`; the attribution adds ~1–2 % overhead, paid
+#: by every cell so the buckets always sum to the recorded wall clock); the
+#: ratio tables ``speedup_fair_to_latency_only``,
+#: ``speedup_fair_lazy_to_vector`` and ``speedup_tcp_lazy_to_vector`` per
+#: ``protocol@N``; and ``non_transport_floor_fair``, each fair cell's
+#: non-transport bucket total per ``engine@N``.
+BENCH_FORMAT_VERSION = 7
 
 
 def _peak_rss_mb() -> float:
@@ -149,9 +116,8 @@ class ScalingCell:
     messages_sent: int
     engine: str = "lazy"
     peak_rss_mb: float = 0.0
-    workers: int = 1
     #: Exclusive wall-clock buckets (transport / protocol / crypto /
-    #: client_wave / other) from :mod:`repro.utils.phases`; format 5.
+    #: client_wave / other) from :mod:`repro.utils.phases`.
     phases: Dict[str, float] = field(default_factory=dict)
 
     @property
@@ -190,17 +156,12 @@ def scaling_specs(
 
 def _timed_cell(spec: RunSpec, engine: str) -> ScalingCell:
     from repro.protocols.runner import execute_spec
-    from repro.simnet.partition import effective_worker_count
 
     with use_shared_engine(engine):
         # Record what actually ran: a vector request on a numpy-less install
-        # — or for a transport without a vector policy (tcp) — executes
-        # (and must be labelled as) the lazy engine.
-        effective = effective_shared_engine(transport=spec.transport)
-        # The effective partition-worker fan-out: capped by cores and the
-        # partition count, so a 4-worker request on a 1-core container is
-        # honestly recorded (and labelled by --progress) as 1.
-        workers = effective_worker_count() if effective == "parallel" else 1
+        # — or for a transport the switch does not apply to (latency-only) —
+        # executes (and must be labelled as) the default.
+        effective = effective_shared_engine(spec.transport)
         result, buckets, elapsed = phase_timers.profile(execute_spec, spec)
     return ScalingCell(
         protocol=spec.protocol,
@@ -213,7 +174,6 @@ def _timed_cell(spec: RunSpec, engine: str) -> ScalingCell:
         messages_sent=result.stats.messages_sent,
         engine=effective,
         peak_rss_mb=_peak_rss_mb(),
-        workers=workers,
         # Rounded to the microsecond: the JSON is committed, and sub-µs
         # noise would churn every regeneration diff.
         phases={name: round(value, 6) for name, value in buckets.items()},
@@ -228,25 +188,20 @@ def run_scaling_sweep(
     bandwidth_mbps: float = 250.0,
     seed: int = 7,
     max_time: float = 600.0,
-    legacy_fair_counts: Sequence[int] = DEFAULT_LEGACY_FAIR_COUNTS,
     lazy_fair_counts: Optional[Sequence[int]] = None,
     tcp_counts: Sequence[int] = DEFAULT_TCP_COUNTS,
-    parallel_fair_counts: Sequence[int] = DEFAULT_PARALLEL_FAIR_COUNTS,
     progress: Optional[Callable[[ScalingCell], None]] = None,
 ) -> List[ScalingCell]:
     """Execute the scaling grid serially, timing each cell's wall clock.
 
     ``latency-only`` cells (engine-independent) run on the default lazy
     engine at every count.  ``fair`` cells run per engine schedule: lazy at
-    ``lazy_fair_counts`` (default: every requested count ≤ 120), legacy at
-    ``legacy_fair_counts``, vector at *every* count — the vector engine
-    is what makes the largest shared-transport cells affordable at all —
-    and parallel at ``parallel_fair_counts`` (default: the two largest
-    grid points).
-    On a numpy-less install the vector and parallel cells are *skipped*,
-    not downgraded:
-    a downgraded cell would be a duplicate lazy run, and at 300 authorities
-    minutes of scalar loop for no information.
+    ``lazy_fair_counts`` (default: every requested count ≤ 120) and vector
+    at *every* count — the vector engine is what makes the largest
+    shared-transport cell affordable at all.  On a numpy-less install the
+    vector cells are *skipped*, not downgraded: a downgraded cell would be a
+    duplicate lazy run, and at 300 authorities minutes of scalar loop for no
+    information.
     ``tcp`` cells run on the lazy engine and (numpy present) the vector
     engine, only at ``tcp_counts`` — counts outside it are skipped, so
     small custom grids stay tcp-free unless asked.
@@ -286,12 +241,8 @@ def run_scaling_sweep(
             continue
         if spec.authority_count in lazy_fair_counts:
             _run(spec, "lazy")
-        if spec.authority_count in legacy_fair_counts:
-            _run(spec, "legacy")
         if vector_available():
             _run(spec, "vector")
-            if spec.authority_count in parallel_fair_counts:
-                _run(spec, "parallel")
     return cells
 
 
@@ -324,21 +275,6 @@ def speedup_at(
     return baseline_cell.wall_clock_s / fast_cell.wall_clock_s
 
 
-def engine_speedup_at(
-    cells: Sequence[ScalingCell],
-    authority_count: int,
-    protocol: str = "current",
-    transport: str = "fair",
-) -> Optional[float]:
-    """Legacy-engine → lazy-engine wall-clock speedup at one grid point."""
-    by_key = _cell_lookup(cells, authority_count, protocol)
-    legacy = by_key.get((transport, "legacy"))
-    lazy = by_key.get((transport, "lazy"))
-    if legacy is None or lazy is None or lazy.wall_clock_s <= 0:
-        return None
-    return legacy.wall_clock_s / lazy.wall_clock_s
-
-
 def headline_speedups(
     cells: Sequence[ScalingCell],
 ) -> List[Tuple[str, int, float]]:
@@ -347,19 +283,6 @@ def headline_speedups(
     for authority_count in sorted({cell.authority_count for cell in cells}):
         for protocol in sorted({cell.protocol for cell in cells}):
             speedup = speedup_at(cells, authority_count, protocol)
-            if speedup is not None:
-                results.append((protocol, authority_count, speedup))
-    return results
-
-
-def engine_speedups(
-    cells: Sequence[ScalingCell],
-) -> List[Tuple[str, int, float]]:
-    """Every grid point's legacy→lazy fair speedup as (protocol, N, speedup)."""
-    results: List[Tuple[str, int, float]] = []
-    for authority_count in sorted({cell.authority_count for cell in cells}):
-        for protocol in sorted({cell.protocol for cell in cells}):
-            speedup = engine_speedup_at(cells, authority_count, protocol)
             if speedup is not None:
                 results.append((protocol, authority_count, speedup))
     return results
@@ -418,38 +341,6 @@ def tcp_vector_speedups(
     return results
 
 
-def parallel_speedup_at(
-    cells: Sequence[ScalingCell],
-    authority_count: int,
-    protocol: str = "current",
-    transport: str = "fair",
-) -> Optional[float]:
-    """Vector-engine → parallel-engine wall-clock speedup at one grid point.
-
-    None where either engine's cell is absent — including numpy-less runs
-    (both engines skipped) and counts outside the parallel schedule.
-    """
-    by_key = _cell_lookup(cells, authority_count, protocol)
-    vector = by_key.get((transport, "vector"))
-    parallel = by_key.get((transport, "parallel"))
-    if vector is None or parallel is None or parallel.wall_clock_s <= 0:
-        return None
-    return vector.wall_clock_s / parallel.wall_clock_s
-
-
-def parallel_speedups(
-    cells: Sequence[ScalingCell],
-) -> List[Tuple[str, int, float]]:
-    """Every grid point's vector→parallel fair speedup as (protocol, N, speedup)."""
-    results: List[Tuple[str, int, float]] = []
-    for authority_count in sorted({cell.authority_count for cell in cells}):
-        for protocol in sorted({cell.protocol for cell in cells}):
-            speedup = parallel_speedup_at(cells, authority_count, protocol)
-            if speedup is not None:
-                results.append((protocol, authority_count, speedup))
-    return results
-
-
 def render_scaling(cells: Sequence[ScalingCell]) -> str:
     """Render the sweep as a table with per-N speedup annotations."""
     rows = []
@@ -486,11 +377,6 @@ def render_scaling(cells: Sequence[ScalingCell]) -> str:
         for protocol, authority_count, speedup in headline_speedups(cells)
     ]
     notes.extend(
-        "N=%d %s: lazy fair engine is %.1fx faster than legacy"
-        % (authority_count, protocol, speedup)
-        for protocol, authority_count, speedup in engine_speedups(cells)
-    )
-    notes.extend(
         "N=%d %s: vector fair engine is %.1fx faster than lazy"
         % (authority_count, protocol, speedup)
         for protocol, authority_count, speedup in vector_speedups(cells)
@@ -499,11 +385,6 @@ def render_scaling(cells: Sequence[ScalingCell]) -> str:
         "N=%d %s: vector tcp engine is %.1fx faster than lazy"
         % (authority_count, protocol, speedup)
         for protocol, authority_count, speedup in tcp_vector_speedups(cells)
-    )
-    notes.extend(
-        "N=%d %s: parallel fair engine is %.2fx the vector engine"
-        % (authority_count, protocol, speedup)
-        for protocol, authority_count, speedup in parallel_speedups(cells)
     )
     return table + ("\n" + "\n".join(notes) if notes else "")
 
@@ -517,10 +398,6 @@ def write_bench_json(
         "%s@%d" % (protocol, authority_count): speedup
         for protocol, authority_count, speedup in headline_speedups(cells)
     }
-    legacy_to_lazy = {
-        "%s@%d" % (protocol, authority_count): speedup
-        for protocol, authority_count, speedup in engine_speedups(cells)
-    }
     lazy_to_vector = {
         "%s@%d" % (protocol, authority_count): speedup
         for protocol, authority_count, speedup in vector_speedups(cells)
@@ -529,13 +406,8 @@ def write_bench_json(
         "%s@%d" % (protocol, authority_count): speedup
         for protocol, authority_count, speedup in tcp_vector_speedups(cells)
     }
-    vector_to_parallel = {
-        "%s@%d" % (protocol, authority_count): speedup
-        for protocol, authority_count, speedup in parallel_speedups(cells)
-    }
     # The non-transport floor per fair cell, keyed engine@N: the seconds a
-    # faster flow scheduler cannot remove.  Format 5's headline table — the
-    # batched-dispatch work is judged by this shrinking across snapshots.
+    # faster flow scheduler cannot remove.
     floor_fair = {
         "%s@%d" % (cell.engine, cell.authority_count): round(
             cell.non_transport_floor_s, 6
@@ -548,10 +420,8 @@ def write_bench_json(
         "paper_authority_count": PAPER_AUTHORITY_COUNT,
         "cells": [asdict(cell) for cell in cells],
         "speedup_fair_to_latency_only": transport_speedups,
-        "speedup_fair_legacy_to_lazy": legacy_to_lazy,
         "speedup_fair_lazy_to_vector": lazy_to_vector,
         "speedup_tcp_lazy_to_vector": tcp_lazy_to_vector,
-        "speedup_fair_vector_to_parallel": vector_to_parallel,
         "non_transport_floor_fair": floor_fair,
     }
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -568,30 +438,24 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--quick",
         action="store_true",
         help="small-N smoke (9, 18, and 30 authorities; lazy + vector "
-        "fair cells, no legacy; tcp at 9 and 30) for CI wall-clock budgets",
+        "fair cells; tcp at 9 and 30) for CI wall-clock budgets",
     )
     args = parser.parse_args(argv)
 
     def progress(cell: ScalingCell) -> None:
-        # Parallel cells carry their effective fan-out: a 4-worker request
-        # on a 1-core machine honestly reads "workers=1".
-        label = " workers=%d" % cell.workers if cell.engine == "parallel" else ""
         print(
-            "cell done: %s@%d transport=%s engine=%s%s — %.2f s wall"
+            "cell done: %s@%d transport=%s engine=%s — %.2f s wall"
             % (
                 cell.protocol,
                 cell.authority_count,
                 cell.transport,
                 cell.engine,
-                label,
                 cell.wall_clock_s,
             )
         )
 
     if args.quick:
-        cells = run_scaling_sweep(
-            authority_counts=(9, 18, 30), legacy_fair_counts=(), progress=progress
-        )
+        cells = run_scaling_sweep(authority_counts=(9, 18, 30), progress=progress)
     else:
         cells = run_scaling_sweep(progress=progress)
     print(render_scaling(cells))

@@ -25,19 +25,11 @@ of worker count.  Each draw is *derived*, not streamed: it is a pure
 function of the seed material plus a per-``(kind, sender, destination)``
 sequence number, never of the global order in which the simulation happens
 to reach the draw sites.  That makes fault randomness stable across
-transport engines (the lazy shared scheduler reorders same-instant
-completions relative to the legacy loop at float-rounding level), which the
-old-vs-new conformance properties rely on; a shared stream would smear one
-reordered delivery into every subsequent draw of the run.
-
-The same property is what makes draws *partition-schedule-independent* for
-the partition-parallel engine (``REPRO_SHARED_ENGINE=parallel``, see
-``DESIGN-parallel.md``): a ``(kind, sender, destination)`` stream is
-advanced only by that ordered pair's own traffic, and a pair's messages are
-serialized by the event loop regardless of which partition its endpoints'
-flows were sharded into — so changing ``REPRO_PARALLEL_PARTITIONS`` can
-never shift a fault draw, and serial == parallel conformance holds under
-random fault plans without any per-partition RNG surgery.
+transport engines (the lazy and vector shared schedulers and the test-side
+reference model order same-instant completions differently, at
+float-rounding level), which the cross-engine conformance properties rely
+on; a shared stream would smear one reordered delivery into every subsequent
+draw of the run.
 
 :meth:`FaultInjector.install` wires the injector into a network and uses
 :meth:`~repro.simnet.engine.Simulator.schedule_window` to put fault-window

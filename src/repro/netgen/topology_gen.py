@@ -44,36 +44,6 @@ class AuthorityTopology:
         key = (min(a, b), max(a, b))
         return self.latency_seconds[key]
 
-    def region_of(self, authority_id: int, region_count: int) -> int:
-        """The authority's region under a ``region_count``-way partitioning.
-
-        Regions model the geographic clusters the live authorities sit in
-        (Europe / North America) and are what the partition-parallel
-        transport engine partitions by: the rule is the stable round-robin
-        ``authority_id mod region_count``, which
-        :func:`repro.simnet.partition.region_of_name` reproduces from node
-        names alone — the two layers agree on regions without the transport
-        ever seeing a topology object.
-        """
-        ensure(region_count >= 1, "region count must be at least 1")
-        return authority_id % region_count
-
-    def min_cross_region_latency(self, region_count: int) -> float:
-        """Minimum pairwise latency between authorities in different regions.
-
-        The conservative lookahead of the partition-parallel engine's
-        boundary channels; ``inf`` when every authority shares one region.
-        """
-        bound = float("inf")
-        ids = [auth.authority_id for auth in self.authorities]
-        for i, a in enumerate(ids):
-            for b in ids[i + 1 :]:
-                if self.region_of(a, region_count) != self.region_of(b, region_count):
-                    latency = self.latency_between(a, b)
-                    if latency < bound:
-                        bound = latency
-        return bound
-
     def with_uniform_bandwidth(self, mbps: float) -> "AuthorityTopology":
         """Return a copy where every authority has the same link capacity."""
         ensure(mbps >= 0, "bandwidth must be non-negative")

@@ -54,29 +54,19 @@ class ResultCache:
         """The file that does/would hold ``spec``'s cached summary.
 
         The shared-scheduler engine is an execution flag, not a spec field,
-        but fair/fifo summaries differ between engines at float-rounding
-        level — so the non-default engine stores under a suffixed name.
-        Runs under ``REPRO_SHARED_ENGINE=legacy`` (the conformance knob)
-        therefore never hit entries produced by default runs, or vice versa.
-        The *effective* engine is what matters: a ``vector`` request on a
-        numpy-less install — or for a shared model without a vector policy
-        (third-party models; fair/fifo/tcp all ship one) — runs the lazy
-        engine and must hit lazy entries, while a tcp vector run stores
-        under the ``.vector`` suffix like any other vectorized model.  The
-        partition-parallel engine additionally keys on its partition count:
-        trajectories agree across partition counts only to float rounding,
-        so a 2-partition run must never hit a 4-partition entry (and the
-        1-partition configuration *is* the lazy engine, which
-        ``effective_shared_engine`` already reports as ``"lazy"``).
+        but summaries differ between engines at float-rounding level — so a
+        run on the vector engine stores under a ``.vector`` suffix and never
+        hits (or feeds) entries produced by default runs.  What counts is
+        the engine that runs, not the one requested:
+        :func:`~repro.simnet.flows.effective_shared_engine` is the same rule
+        the scheduler factory applies, so a ``vector`` request that
+        downgrades (no numpy, no vector policy) or does not apply at all (a
+        model that is not shared) addresses the default entry.
         """
         from repro.simnet.flows import effective_shared_engine
 
         digest = spec.spec_hash()
-        engine = effective_shared_engine(transport=spec.transport)
-        if engine == "parallel":
-            from repro.simnet.partition import resolve_partition_count
-
-            engine = "parallel%d" % resolve_partition_count()
+        engine = effective_shared_engine(spec.transport)
         suffix = "" if engine == "lazy" else ".%s" % engine
         return self.root / digest[:2] / ("%s%s.json" % (digest, suffix))
 

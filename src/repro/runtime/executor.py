@@ -21,7 +21,6 @@ every position that requested them.
 from __future__ import annotations
 
 import multiprocessing
-import os
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from repro.runtime.cache import ResultCache
@@ -57,35 +56,6 @@ def _pool_context() -> multiprocessing.context.BaseContext:
         return multiprocessing.get_context()
 
 
-def cap_partition_workers() -> None:
-    """Pin the parallel engine to in-process mode inside a sweep worker.
-
-    A sweep already fans runs out across ``SweepExecutor.workers`` processes;
-    if each run then spawned its own ``REPRO_PARALLEL_WORKERS`` partition
-    workers, a 4×4 configuration would contend 16 processes for the machine
-    (nested pool explosion).  Sweep workers therefore run the parallel
-    engine in-process — but with the *same partition count* the parent
-    would have used: ``REPRO_PARALLEL_WORKERS`` doubles as the default
-    partition count, so capping it alone would silently change partition
-    trajectories and cache keys between serial and parallel sweeps.  The
-    resolved count is pinned explicitly before the worker cap is applied.
-
-    Runs as a pool initializer (once per worker process); safe to call
-    in-process too, where it is a deliberate no-op unless a parallel worker
-    pool was actually requested.
-    """
-    from repro.simnet.partition import (
-        PARTITION_ENV,
-        WORKERS_ENV,
-        resolve_partition_count,
-    )
-
-    if os.environ.get(WORKERS_ENV) is None:
-        return  # nothing requested: nothing to cap, and no env to distort
-    os.environ[PARTITION_ENV] = str(resolve_partition_count())
-    os.environ[WORKERS_ENV] = "1"
-
-
 def clear_process_caches() -> None:
     """Drop every process-global cache that outlives a run.
 
@@ -106,14 +76,12 @@ def clear_process_caches() -> None:
 def sweep_worker_setup() -> None:
     """Pool initializer run once in every sweep worker process.
 
-    Beyond capping nested parallelism (:func:`cap_partition_workers`), drops
-    the process-global caches a ``fork`` worker inherits from the parent
-    (:func:`clear_process_caches`) — the aggregation relay-map memo and the
-    shared scenario ingredients, whose entries the parent built for *its*
-    runs and which the child would otherwise keep alive (and un-share,
+    Drops the process-global caches a ``fork`` worker inherits from the
+    parent (:func:`clear_process_caches`) — the aggregation relay-map memo
+    and the shared scenario ingredients, whose entries the parent built for
+    *its* runs and which the child would otherwise keep alive (and un-share,
     copy-on-write) for the whole sweep.
     """
-    cap_partition_workers()
     clear_process_caches()
 
 

@@ -17,8 +17,9 @@ model), propagation latency, protocol timers, and per-connection timeouts.
 * :class:`~repro.simnet.flows.FlowScheduler` — flow lifecycle and
   completion-time maintenance; shared models default to the lazy-advance
   heap-driven engine (:mod:`repro.simnet.shared_sched`, O(touched flows)
-  per event), with the legacy global-recompute loop selectable via
-  ``REPRO_SHARED_ENGINE=legacy`` as a conformance anchor;
+  per event), with the numpy structure-of-arrays engine
+  (:mod:`repro.simnet.vector_sched`) selectable via
+  ``REPRO_SHARED_ENGINE=vector``;
 * :class:`SimNetwork` — topology, fault seams, accounting, and the wiring
   that composes the above;
 * :class:`ProtocolNode` — the base class all protocol state machines extend

@@ -5,31 +5,22 @@ This is the middle layer of the transport pipeline.  A
 :class:`Flow` objects and hands them to a scheduler; the scheduler advances
 flow progress, asks the run's :class:`~repro.simnet.linkmodel.LinkModel` for
 instantaneous rates, and fires the network's completion/timeout callbacks at
-the right virtual instants.  Two schedulers cover the two coupling regimes a
-link model can declare:
+the right virtual instants.  The schedulers cover the two coupling regimes a
+link model can declare — two engines for the shared regime, one for the
+independent one; :func:`effective_shared_engine` is the one rule that picks
+between them:
 
 :class:`~repro.simnet.shared_sched.LazySharedLinkScheduler` (``LinkModel.shared``)
     The default engine for models where flow rates couple through link
-    occupancy (``fair``, ``fifo``): lazy per-flow progress and one pending
-    heap event per flow, re-pushed only when the flow's rate actually
-    changes — O(touched flows × log F) per event.  See
+    occupancy (``fair``, ``fifo``, ``tcp``): lazy per-flow progress and one
+    pending heap event per flow, re-pushed only when the flow's rate
+    actually changes — O(touched flows × log F) per event.  See
     :mod:`repro.simnet.shared_sched`.
 
-:class:`SharedLinkScheduler` (legacy engine, ``REPRO_SHARED_ENGINE=legacy``)
-    The pre-lazy shared-regime loop, kept selectable for conformance testing
-    and for shared models without a lazy rater.  Progress is advanced for
-    every active flow at each transport event and a single recompute event
-    is kept at the earliest next instant anything can change — exactly the
-    pre-refactor float trajectory, which the ``*_legacy`` golden transport
-    traces pin byte-for-byte.  What *is* incremental is the expensive part:
-    rate assignment is scoped to the uplink/downlink sets an event actually
-    touches (for models that opt in via ``scopes_to_touched_links``),
-    per-link occupancy is maintained as flows start and finish instead of
-    being rebuilt per event, and per-link breakpoint candidates are computed
-    once per active link rather than once per flow.  An unaffected flow's
-    rate is a pure function of unchanged inputs — its link occupancies and
-    current link rates — so skipping its reassignment is bit-identical to
-    recomputing it.
+:class:`~repro.simnet.vector_sched.VectorSharedLinkScheduler` (``REPRO_SHARED_ENGINE=vector``)
+    The opt-in numpy structure-of-arrays engine for the same models: per-flow
+    state in slot arrays, one batched rate pass and one wake event per
+    instant.  See :mod:`repro.simnet.vector_sched`.
 
 :class:`IndependentFlowScheduler` (``not LinkModel.shared``)
     For models where a flow's rate depends on its own two links only
@@ -49,10 +40,10 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Mapping, Optional, Set
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Mapping, Optional, Union
 
 from repro.simnet.engine import EventHandle, Simulator
-from repro.simnet.linkmodel import LinkModel
+from repro.simnet.linkmodel import LinkModel, get_link_model
 from repro.simnet.message import Message
 from repro.utils.validation import ValidationError
 
@@ -80,22 +71,19 @@ def batch_dispatch_enabled() -> bool:
 
 
 #: Environment variable selecting the shared-regime engine for networks that
-#: do not pass one explicitly (values: "lazy", "legacy" or "vector").
+#: do not pass one explicitly (values: "lazy" or "vector").
 SHARED_ENGINE_ENV = "REPRO_SHARED_ENGINE"
 
 #: The shared-regime engines :func:`make_flow_scheduler` knows how to build.
-SHARED_ENGINES = ("lazy", "legacy", "vector", "parallel")
+SHARED_ENGINES = ("lazy", "vector")
 
 
 def resolve_shared_engine(explicit: Optional[str] = None) -> str:
-    """The shared-regime engine to use: explicit argument, else environment.
+    """The shared-regime engine *requested*: explicit argument, else the
+    ``REPRO_SHARED_ENGINE`` environment variable, else ``"lazy"``.
 
-    The flag exists for the conformance gate of the lazy-advance scheduler:
-    the legacy loop stays selectable so old-engine-vs-new-engine equivalence
-    properties (and the byte-pinned ``*_legacy`` golden traces) can run both
-    inside one process, and ``"vector"`` opts in to the numpy
-    structure-of-arrays engine (:mod:`repro.simnet.vector_sched`).
-    Production entry points always use the default.
+    A request is not yet a selection — :func:`effective_shared_engine` turns
+    it into the engine that runs.
     """
     engine = explicit if explicit is not None else os.environ.get(SHARED_ENGINE_ENV, "lazy")
     if engine not in SHARED_ENGINES:
@@ -106,52 +94,41 @@ def resolve_shared_engine(explicit: Optional[str] = None) -> str:
 
 
 def effective_shared_engine(
-    explicit: Optional[str] = None, transport: Optional[str] = None
+    transport: Union[str, LinkModel], requested: Optional[str] = None
 ) -> str:
-    """The engine that would actually run: ``"vector"`` downgrades to
-    ``"lazy"`` when numpy is not installed, so callers that key behaviour on
-    the engine (the result cache) agree with :func:`make_flow_scheduler`.
+    """The shared-regime engine a run over ``transport`` executes.
 
-    When ``transport`` is given, the downgrade also accounts for shared
-    models without a vector policy: a vector request for such a model runs —
-    and is cache-keyed as — the lazy engine.  Every shipped shared model
-    (``fair``, ``fifo``, ``tcp``) now has a vector policy, so this branch
-    only guards third-party models.
+    This is the one engine-selection rule: :func:`make_flow_scheduler` builds
+    what it returns and :class:`~repro.runtime.cache.ResultCache` keys on it,
+    so the scheduler that runs and the label a result is stored or reported
+    under cannot disagree.
 
-    ``"parallel"`` downgrades to ``"lazy"`` on a numpy-less install and in
-    the degenerate single-partition configuration, where the
-    partition-parallel engine *is* the serial lazy engine by definition
-    (which is what makes the 1-partition conformance case byte-identical).
-    For shared models without a partitioned policy (``fifo``, ``tcp`` —
-    their serialising dynamics defeat partition-local batching, see
-    :data:`repro.simnet.parallel_sched.PARALLEL_MODELS`) a parallel request
-    falls back to the *vector* engine instead: the next-best batched engine,
-    resolved by the vector rules above rather than straight to lazy.
+    * A model that is not ``shared`` runs the independent scheduler whatever
+      was requested; it reports the default, ``"lazy"``, so its results are
+      keyed and labelled as default runs.
+    * ``"vector"`` is honoured when numpy is importable and the model has a
+      policy in :data:`repro.simnet.vector_sched.VECTOR_POLICIES`; otherwise
+      the request downgrades to ``"lazy"``.
+    * ``"lazy"`` needs a rater in
+      :data:`repro.simnet.shared_sched.LAZY_RATERS`; a shared model without
+      one is refused by name rather than run on some slower fallback.
     """
-    engine = resolve_shared_engine(explicit)
-    if engine == "parallel":
-        from repro.simnet.parallel_sched import PARALLEL_MODELS, parallel_available
-        from repro.simnet.partition import resolve_partition_count
+    engine = resolve_shared_engine(requested)
+    model = transport if isinstance(transport, LinkModel) else get_link_model(transport)
+    if not model.shared:
+        return "lazy"
+    from repro.simnet.shared_sched import LAZY_RATERS
 
-        if not parallel_available() or resolve_partition_count() == 1:
-            return "lazy"
-        if transport is not None:
-            from repro.simnet.linkmodel import get_link_model
-
-            model = get_link_model(transport)
-            if model.shared and model.name not in PARALLEL_MODELS:
-                engine = "vector"  # fall through to the vector resolution
+    if model.name not in LAZY_RATERS:
+        raise ValidationError(
+            "shared link model %r has no lazy rater; register one in "
+            "repro.simnet.shared_sched.LAZY_RATERS" % model.name
+        )
     if engine == "vector":
         from repro.simnet.vector_sched import VECTOR_POLICIES, vector_available
 
-        if not vector_available():
+        if not (vector_available() and model.name in VECTOR_POLICIES):
             return "lazy"
-        if transport is not None:
-            from repro.simnet.linkmodel import get_link_model
-
-            model = get_link_model(transport)
-            if model.shared and model.name not in VECTOR_POLICIES:
-                return "lazy"
     return engine
 
 
@@ -367,12 +344,12 @@ class FlowScheduler:
         """Register a same-instant batch of flows (a broadcast burst).
 
         The default is the sequential loop — exactly ``start_flow`` per flow
-        — which is right for the legacy engine (whose conformance contract is
-        the per-start trajectory).  Occupancy-coupled engines override this:
-        a burst of B flows from one sender re-rates the sender's growing
-        uplink set per start, O(B²) flow touches, where one rate pass over
-        the final occupancy does the same work in O(B).  The independent
-        scheduler overrides it to share heap events across the burst.
+        — which is right for the vector engine (its ``start_flow`` only
+        buffers the admission).  The lazy engine overrides this: a burst of
+        B flows from one sender re-rates the sender's growing uplink set per
+        start, O(B²) flow touches, where one rate pass over the final
+        occupancy does the same work in O(B).  The independent scheduler
+        overrides it to share heap events across the burst.
         """
         for flow in flows:
             self.start_flow(flow, now)
@@ -380,153 +357,6 @@ class FlowScheduler:
     def on_link_replaced(self, name: str, now: float) -> None:
         """React to ``links[name]`` having been swapped mid-run."""
         raise NotImplementedError
-
-
-class SharedLinkScheduler(FlowScheduler):
-    """Legacy scheduler for link models with occupancy-coupled rates.
-
-    Kept behind ``REPRO_SHARED_ENGINE=legacy`` (and as the fallback for
-    shared models without a lazy rater) as the conformance anchor for
-    :class:`~repro.simnet.shared_sched.LazySharedLinkScheduler`: its float
-    trajectory is the pre-lazy one, pinned byte-for-byte by the
-    ``golden_transport_{fair,fifo}_legacy.json`` traces.
-    """
-
-    def __init__(self, model, simulator, links, complete, expire) -> None:
-        super().__init__(model, simulator, links, complete, expire)
-        self._last_update = 0.0
-        self._pending_recompute: Optional[EventHandle] = None
-        self._scoped = model.scopes_to_touched_links()
-        # Link rates as of the last rate assignment; a changed value means a
-        # bandwidth-schedule breakpoint (or a link replacement) crossed and
-        # the link's flows must be re-rated.
-        self._up_rates: Dict[str, float] = {}
-        self._down_rates: Dict[str, float] = {}
-
-    # -- interface ---------------------------------------------------------
-    def start_flow(self, flow: Flow, now: float) -> None:
-        self._advance_progress(now)
-        self._add(flow)
-        self._recompute(now, touched_srcs={flow.src}, touched_dsts={flow.dst})
-
-    def on_link_replaced(self, name: str, now: float) -> None:
-        # Deliberately *only* reschedules the next recompute (matching the
-        # pre-refactor transport): rates change at the recompute instant, not
-        # at the replacement instant, and the rate cache flags the new link's
-        # changed capacity then.
-        self._schedule_recompute(now)
-
-    # -- machinery ---------------------------------------------------------
-    def _advance_progress(self, now: float) -> None:
-        elapsed = now - self._last_update
-        if elapsed > 0:
-            for flow in self._flows.values():
-                flow.remaining = max(0.0, flow.remaining - flow.rate * elapsed)
-        self._last_update = now
-
-    def _recompute(
-        self,
-        now: Optional[float] = None,
-        touched_srcs: Optional[Set[str]] = None,
-        touched_dsts: Optional[Set[str]] = None,
-    ) -> None:
-        now = self.simulator.now if now is None else now
-        self._advance_progress(now)
-        touched_srcs = set() if touched_srcs is None else touched_srcs
-        touched_dsts = set() if touched_dsts is None else touched_dsts
-
-        # Completions.
-        completed = [f for f in self._flows.values() if self._is_complete(f, now)]
-        for flow in completed:
-            self._remove(flow)
-            touched_srcs.add(flow.src)
-            touched_dsts.add(flow.dst)
-            self._clamp_residual(flow)
-            self._complete(flow)
-
-        # Timeouts.
-        expired = [
-            f
-            for f in self._flows.values()
-            if f.deadline is not None and now >= f.deadline - _TIME_EPSILON
-        ]
-        for flow in expired:
-            self._remove(flow)
-            touched_srcs.add(flow.src)
-            touched_dsts.add(flow.dst)
-            self._expire(flow)
-
-        # New rates — scoped to the links this event touched — and the next
-        # instant at which anything can change.
-        self._assign_rates(now, touched_srcs, touched_dsts)
-        self._schedule_recompute(now)
-
-    def _assign_rates(self, now: float, touched_srcs: Set[str], touched_dsts: Set[str]) -> None:
-        if not self._flows:
-            self._up_rates.clear()
-            self._down_rates.clear()
-            return
-        if not self._scoped:
-            self.model.assign_rates(self._flows, self._links, now)
-            return
-
-        # A link whose capacity value moved since the last assignment (a
-        # schedule breakpoint crossed, or set_link swapped the config) is as
-        # touched as one whose occupancy changed.
-        for name in self._by_src:
-            rate = self._links[name].uplink.rate_at(now)
-            if self._up_rates.get(name) != rate:
-                self._up_rates[name] = rate
-                touched_srcs.add(name)
-        for name in self._by_dst:
-            rate = self._links[name].downlink.rate_at(now)
-            if self._down_rates.get(name) != rate:
-                self._down_rates[name] = rate
-                touched_dsts.add(name)
-        for cache, index in ((self._up_rates, self._by_src), (self._down_rates, self._by_dst)):
-            for name in [cached for cached in cache if cached not in index]:
-                del cache[name]
-
-        affected: Dict[int, Flow] = {}
-        for name in touched_srcs:
-            affected.update(self._by_src.get(name, {}))
-        for name in touched_dsts:
-            affected.update(self._by_dst.get(name, {}))
-        if not affected:
-            return
-        self.model.assign_rates(
-            self._flows,
-            self._links,
-            now,
-            affected=affected.values(),
-            up_counts=self._src_weight,
-            down_counts=self._dst_weight,
-        )
-
-    def _schedule_recompute(self, now: float) -> None:
-        if self._pending_recompute is not None:
-            self._pending_recompute.cancel()
-            self._pending_recompute = None
-        if not self._flows:
-            return
-        candidates = []
-        for flow in self._flows.values():
-            if flow.rate > 0:
-                candidates.append(now + flow.remaining / flow.rate)
-            if flow.deadline is not None:
-                candidates.append(flow.deadline)
-        for index, side in ((self._by_src, "uplink"), (self._by_dst, "downlink")):
-            for name in index:
-                change = getattr(self._links[name], side).next_change_after(now)
-                if change is not None:
-                    candidates.append(change)
-        model_next = self.model.next_event_time(self._flows, now)
-        if model_next is not None:
-            candidates.append(model_next)
-        if not candidates:
-            return
-        next_time = max(min(candidates), now)
-        self._pending_recompute = self.simulator.schedule(next_time, self._recompute)
 
 
 class _Wave:
@@ -660,61 +490,20 @@ def make_flow_scheduler(
     complete: Callable[[Flow], None],
     expire: Callable[[Flow], None],
     shared_engine: Optional[str] = None,
-    latency_fn: Optional[Callable[[str, str], float]] = None,
 ) -> FlowScheduler:
     """Build the scheduler matching ``model``'s coupling regime.
 
-    For shared models, ``shared_engine`` (default: the
-    ``REPRO_SHARED_ENGINE`` environment variable, else ``"lazy"``) selects
-    between the lazy-advance engine, the numpy structure-of-arrays engine
-    (``"vector"``; requires the ``[perf]`` extra and a registered vector
-    policy, otherwise it silently falls back to lazy), the partition-parallel
-    engine (``"parallel"``; same numpy requirement, with one partition *is*
-    the lazy engine, and for models without a partitioned policy falls back
-    to the vector engine rather than straight to lazy), and the legacy
-    global-recompute loop.  Shared models without a registered lazy rater
-    always get the legacy scheduler — it handles any ``assign_rates``
-    implementation.  ``latency_fn`` (the network's pairwise latency lookup)
-    prices the parallel engine's boundary channels; other engines ignore it.
+    Uncoupled models get the independent scheduler.  For shared models
+    :func:`effective_shared_engine` decides between the lazy-advance engine
+    and the numpy structure-of-arrays engine from ``shared_engine`` (default:
+    the ``REPRO_SHARED_ENGINE`` environment variable, else ``"lazy"``).
     """
     if not model.shared:
         return IndependentFlowScheduler(model, simulator, links, complete, expire)
-    from repro.simnet.shared_sched import LAZY_RATERS, LazySharedLinkScheduler
+    if effective_shared_engine(model, shared_engine) == "vector":
+        from repro.simnet.vector_sched import VectorSharedLinkScheduler
 
-    engine = resolve_shared_engine(shared_engine)
-    if engine == "parallel":
-        from repro.simnet.parallel_sched import (
-            PARALLEL_MODELS,
-            ParallelSharedLinkScheduler,
-            parallel_available,
-        )
-        from repro.simnet.partition import resolve_partition_count
+        return VectorSharedLinkScheduler(model, simulator, links, complete, expire)
+    from repro.simnet.shared_sched import LazySharedLinkScheduler
 
-        partitions = resolve_partition_count()
-        if parallel_available() and partitions > 1:
-            if model.name in PARALLEL_MODELS:
-                return ParallelSharedLinkScheduler(
-                    model,
-                    simulator,
-                    links,
-                    complete,
-                    expire,
-                    partitions=partitions,
-                    latency_fn=latency_fn,
-                )
-            engine = "vector"  # unsupported model: next-best batched engine
-        else:
-            engine = "lazy"  # pure-Python install or 1 partition
-    if engine == "vector":
-        from repro.simnet.vector_sched import (
-            VECTOR_POLICIES,
-            VectorSharedLinkScheduler,
-            vector_available,
-        )
-
-        if vector_available() and model.name in VECTOR_POLICIES:
-            return VectorSharedLinkScheduler(model, simulator, links, complete, expire)
-        engine = "lazy"  # pure-Python install or unvectorized model
-    if engine == "lazy" and model.name in LAZY_RATERS:
-        return LazySharedLinkScheduler(model, simulator, links, complete, expire)
-    return SharedLinkScheduler(model, simulator, links, complete, expire)
+    return LazySharedLinkScheduler(model, simulator, links, complete, expire)

@@ -23,11 +23,9 @@ Four models ship in the registry:
     downlink is shared fairly among the flows currently being served into
     it.  An ablation of the link model.  Eligibility changes cascade one hop
     (a finishing flow promotes the next queued flow, changing its downlink's
-    occupancy): under the legacy engine fifo conservatively re-rates the
-    full flow set per event, while the default lazy engine maintains the
-    arrival queues and serving counts incrementally
-    (:class:`repro.simnet.shared_sched.FifoLazyRater`) and touches only the
-    promoted flow and the two affected downlinks.
+    occupancy); the lazy engine maintains the arrival queues and serving
+    counts incrementally (:class:`repro.simnet.shared_sched.FifoLazyRater`)
+    and touches only the promoted flow and the two affected downlinks.
 
 ``"tcp"``
     Per-flow Reno-style congestion control on top of weighted fair link
@@ -52,16 +50,20 @@ Four models ship in the registry:
 
 Models register by name via :func:`register_link_model`; the name travels on
 :class:`~repro.runtime.spec.RunSpec` (field ``transport``) and therefore
-joins the spec hash and result-cache key.  Shared models additionally get
-lazy scheduling when a :class:`~repro.simnet.shared_sched.LazyRater` is
-registered for their name in :data:`repro.simnet.shared_sched.LAZY_RATERS`
-(``fair`` and ``fifo`` ship one); without a rater they run on the legacy
-global-recompute scheduler, which handles any ``assign_rates``.
+joins the spec hash and result-cache key.  The rate arithmetic of a shared
+model lives with the engine that evaluates it: a
+:class:`~repro.simnet.shared_sched.LazyRater` registered under the model's
+name in :data:`repro.simnet.shared_sched.LAZY_RATERS` (required — a shared
+model without one is refused at network construction) and, optionally, a
+vector policy in :data:`repro.simnet.vector_sched.VECTOR_POLICIES`.
+``fair``, ``fifo`` and ``tcp`` ship both.  The from-scratch statement of the
+same arithmetic is the test-side reference model,
+``tests/simnet/reference_sched.py``.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Tuple, Type
+from typing import TYPE_CHECKING, Dict, Mapping, Optional, Tuple, Type
 
 from repro.utils.validation import ValidationError
 
@@ -78,10 +80,10 @@ class LinkModel:
     * **Flow weight.**  A flow of weight ``w`` (see
       :class:`~repro.simnet.flows.Flow`) occupies ``w`` shares of every
       shared link and is entitled to ``w`` units of rate — the aggregate
-      stand-in for ``w`` identical unit transfers.  ``up_counts`` /
-      ``down_counts`` are therefore *weighted* occupancies (sums of flow
-      weights, integer-valued), which collapse to plain flow counts when
-      every weight is 1 — the arithmetic is bit-identical in that case.
+      stand-in for ``w`` identical unit transfers.  Link occupancies are
+      therefore *weighted* (sums of flow weights, integer-valued), which
+      collapse to plain flow counts when every weight is 1 — the arithmetic
+      is bit-identical in that case.
     * **Aggregate endpoints.**  A link flagged
       :attr:`~repro.simnet.network.LinkConfig.aggregate` carries *per-client*
       capacity: it stands in for ``N`` independent physical access links
@@ -96,37 +98,13 @@ class LinkModel:
         Registry name; what ``RunSpec.transport`` carries.
     shared:
         True when flow rates couple through link occupancy, so flow events
-        require re-rating neighbours (the shared-link scheduler).  False when
+        require re-rating neighbours (a shared-regime scheduler).  False when
         a flow's rate depends on its own two links only (the independent
         scheduler: per-flow completion events, no recompute).
     """
 
     name: str = ""
     shared: bool = True
-
-    # -- shared-model interface (used by SharedLinkScheduler) ---------------
-    def assign_rates(
-        self,
-        flows: Mapping[int, "Flow"],
-        links: Mapping[str, "LinkConfig"],
-        now: float,
-        affected: Optional[Iterable["Flow"]] = None,
-        up_counts: Optional[Mapping[str, int]] = None,
-        down_counts: Optional[Mapping[str, int]] = None,
-    ) -> None:
-        """Assign ``flow.rate`` for the current instant.
-
-        ``affected`` (with the maintained per-link ``up_counts`` /
-        ``down_counts``) narrows the assignment to flows whose rate can have
-        changed; models that cannot scope safely ignore it and re-rate the
-        full ``flows`` mapping.  Scoped and full assignment must agree
-        bit-for-bit — the golden transport traces pin this.
-        """
-        raise NotImplementedError
-
-    def scopes_to_touched_links(self) -> bool:
-        """True when :meth:`assign_rates` honours the ``affected`` subset."""
-        return False
 
     def attach(self, network) -> None:
         """Bind the model to its owning :class:`~repro.simnet.network.SimNetwork`.
@@ -135,16 +113,6 @@ class LinkModel:
         of flows and links and ignore it; stateful models (``tcp``) use it to
         reach propagation latencies and the fault injector.
         """
-
-    def next_event_time(self, flows: Mapping[int, "Flow"], now: float) -> Optional[float]:
-        """Earliest future instant at which the model itself changes rates.
-
-        The shared schedulers fold this into their recompute candidates so
-        models with internal dynamics (``tcp`` ack ticks) are advanced on
-        time.  Memoryless models return ``None`` (the default): their rates
-        only change when flows or link capacities do.
-        """
-        return None
 
     # -- independent-model interface (used by IndependentFlowScheduler) -----
     def flow_rate(self, flow: "Flow", links: Mapping[str, "LinkConfig"], now: float) -> float:
@@ -158,92 +126,12 @@ class FairShareLinkModel(LinkModel):
     name = "fair"
     shared = True
 
-    def scopes_to_touched_links(self) -> bool:
-        return True
-
-    def assign_rates(self, flows, links, now, affected=None, up_counts=None, down_counts=None):
-        if affected is None or up_counts is None or down_counts is None:
-            affected = list(flows.values())
-            up_counts = {}
-            down_counts = {}
-            for flow in affected:
-                up_counts[flow.src] = up_counts.get(flow.src, 0) + flow.weight
-                down_counts[flow.dst] = down_counts.get(flow.dst, 0) + flow.weight
-        for flow in affected:
-            up_link = links[flow.src]
-            down_link = links[flow.dst]
-            up_rate = up_link.uplink.rate_at(now)
-            down_rate = down_link.downlink.rate_at(now)
-            weight = flow.weight
-            up_share = (
-                up_rate * weight
-                if up_link.aggregate
-                else up_rate * weight / up_counts[flow.src]
-            )
-            down_share = (
-                down_rate * weight
-                if down_link.aggregate
-                else down_rate * weight / down_counts[flow.dst]
-            )
-            flow.rate = min(up_share, down_share)
-
 
 class FifoLinkModel(LinkModel):
     """Strict arrival-order uplinks; fair sharing on the downlink."""
 
     name = "fifo"
     shared = True
-
-    def assign_rates(self, flows, links, now, affected=None, up_counts=None, down_counts=None):
-        # Eligibility (which flow each uplink currently serves) can shift one
-        # hop per event, so fifo always re-rates the full flow set; the
-        # `affected` hint is deliberately ignored.
-        if not flows:
-            return
-        uplink_users: Dict[str, List["Flow"]] = {}
-        eligible: List["Flow"] = []
-        for flow in flows.values():
-            if links[flow.src].aggregate:
-                # An aggregate uplink stands in for one access link per
-                # client: its flows never queue behind each other.
-                eligible.append(flow)
-            else:
-                uplink_users.setdefault(flow.src, []).append(flow)
-
-        for queue in uplink_users.values():
-            # Service order is the scheduler-stamped arrival sequence, not the
-            # flow id: ids happen to be assigned in arrival order today, but
-            # FIFO semantics must not depend on that.
-            queue.sort(key=lambda f: f.arrival_seq)
-            eligible.append(queue[0])
-
-        eligible_ids = {flow.flow_id for flow in eligible}
-        # A served flow from a queued (non-aggregate) uplink is one transfer
-        # at a time regardless of weight — serial service — while flows from
-        # aggregate uplinks stand for `weight` parallel per-client transfers.
-        serving_down: Dict[str, int] = {}
-        for flow in eligible:
-            concurrency = flow.weight if links[flow.src].aggregate else 1
-            serving_down[flow.dst] = serving_down.get(flow.dst, 0) + concurrency
-
-        for flow in flows.values():
-            if flow.flow_id not in eligible_ids:
-                flow.rate = 0.0
-                continue
-            up_link = links[flow.src]
-            down_link = links[flow.dst]
-            up_rate = up_link.uplink.rate_at(now)
-            down_rate = down_link.downlink.rate_at(now)
-            # One invariant: share = rate × concurrency (÷ the downlink's
-            # weighted serving set when it is shared).
-            concurrency = flow.weight if up_link.aggregate else 1
-            up_share = up_rate * concurrency
-            down_share = (
-                down_rate * concurrency
-                if down_link.aggregate
-                else down_rate * concurrency / serving_down[flow.dst]
-            )
-            flow.rate = min(up_share, down_share)
 
 
 #: TCP segment size used to translate congestion windows into rates (bytes).
@@ -260,8 +148,8 @@ TCP_DUPACK_THRESHOLD = 3
 TCP_MIN_RTT_S = 1e-3
 
 #: Round-trip time assumed when the model runs detached from a network
-#: (direct ``assign_rates`` calls in tests): twice the default 50 ms
-#: propagation latency.
+#: (schedulers built directly in tests): twice the default 50 ms propagation
+#: latency.
 TCP_DEFAULT_RTT_S = 0.1
 
 #: RTO clamp, RFC 6298-style.
@@ -303,11 +191,9 @@ class TcpLinkModel(LinkModel):
     congestion state.  The model keeps the ``fair`` share as the capacity
     constraint and caps it by the window-limited rate ``cwnd × MSS / estRTT``;
     the congestion state advances at *ack ticks* (one per estimated RTT),
-    which the flow schedulers drive through :meth:`next_event_time` (legacy
-    engine), per-flow simulator events
-    (:class:`repro.simnet.shared_sched.TcpLazyRater`), or the vector
-    engine's single wake scan
-    (:class:`repro.simnet.vector_sched._TcpVectorPolicy`).
+    which the flow schedulers drive through per-flow simulator events
+    (:class:`repro.simnet.shared_sched.TcpLazyRater`) or the vector engine's
+    single wake scan (:class:`repro.simnet.vector_sched._TcpVectorPolicy`).
 
     At each tick the flow's granted rate since the previous tick plays the
     role of the ack stream:
@@ -390,10 +276,11 @@ class TcpLinkModel(LinkModel):
         ``granted`` is the rate the transport actually assigned over the
         round (default: ``flow.rate``, which the scalar engines keep
         current; the vector engine passes its slot-array rate instead).
-        This is the **one** Reno state machine — legacy ``assign_rates``,
-        :class:`repro.simnet.shared_sched.TcpLazyRater` ticks, and the
-        vector engine's ``_TcpVectorPolicy`` all drive transitions through
-        this method, so the three engines cannot drift apart.
+        This is the **one** Reno state machine —
+        :class:`repro.simnet.shared_sched.TcpLazyRater` ticks, the vector
+        engine's ``_TcpVectorPolicy`` and the test-side reference scheduler
+        all drive transitions through this method, so they cannot drift
+        apart.
         """
         if granted is None:
             granted = flow.rate
@@ -439,55 +326,6 @@ class TcpLinkModel(LinkModel):
         else:
             state.cwnd += 1.0
         state.next_tick = now + state.srtt
-
-    # -- shared-model interface --------------------------------------------
-    def assign_rates(self, flows, links, now, affected=None, up_counts=None, down_counts=None):
-        # Stateful dynamics cannot scope to touched links (an ack tick can be
-        # due on an untouched flow), so tcp re-rates the full flow set and
-        # ignores the `affected` hint — exactly like fifo.
-        if not flows:
-            self._states.clear()
-            return
-        if len(self._states) > len(flows):
-            for flow_id in [fid for fid in self._states if fid not in flows]:
-                del self._states[flow_id]
-
-        up_counts = {}
-        down_counts = {}
-        for flow in flows.values():
-            up_counts[flow.src] = up_counts.get(flow.src, 0) + flow.weight
-            down_counts[flow.dst] = down_counts.get(flow.dst, 0) + flow.weight
-
-        for flow in flows.values():
-            state = self.state_of(flow, now)
-            if state.next_tick <= now + _TICK_EPSILON:
-                self.advance_flow(flow, state, now)
-            up_link = links[flow.src]
-            down_link = links[flow.dst]
-            up_rate = up_link.uplink.rate_at(now)
-            down_rate = down_link.downlink.rate_at(now)
-            weight = flow.weight
-            up_share = (
-                up_rate * weight
-                if up_link.aggregate
-                else up_rate * weight / up_counts[flow.src]
-            )
-            down_share = (
-                down_rate * weight
-                if down_link.aggregate
-                else down_rate * weight / down_counts[flow.dst]
-            )
-            flow.rate = min(up_share, down_share, state.window_rate(weight))
-
-    def next_event_time(self, flows, now):
-        best = None
-        for flow in flows.values():
-            state = self._states.get(flow.flow_id)
-            if state is None:
-                continue
-            if best is None or state.next_tick < best:
-                best = state.next_tick
-        return best
 
 
 class LatencyOnlyLinkModel(LinkModel):

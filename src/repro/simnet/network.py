@@ -163,9 +163,9 @@ class SimNetwork:
         ``"fifo"``, ``"latency-only"``) or a :class:`LinkModel` instance for
         unregistered experiments.  ``scheduling`` is the deprecated pre-v3
         name for the same argument.  ``shared_engine`` selects the
-        shared-regime scheduler engine (``"lazy"`` or ``"legacy"``; default
+        shared-regime scheduler engine (``"lazy"`` or ``"vector"``; default
         from ``REPRO_SHARED_ENGINE``, else lazy) — see
-        :mod:`repro.simnet.shared_sched`.
+        :func:`repro.simnet.flows.effective_shared_engine`.
         """
         if transport is None:
             transport = "fair" if scheduling is None else scheduling
@@ -191,10 +191,6 @@ class SimNetwork:
             self._complete_flow,
             self._expire_flow,
             shared_engine=shared_engine,
-            # The partition-parallel engine prices its boundary channels
-            # (cross-partition lookahead) off the pairwise latency table;
-            # every other engine ignores the hook.
-            latency_fn=self.latency,
         )
         self._fault_injector = None
         # Resolved once per network so a run's dispatch mode is fixed at

@@ -1,11 +1,10 @@
 """Lazy-advance scheduling for shared link models (fair, fifo, tcp).
 
-The legacy :class:`~repro.simnet.flows.SharedLinkScheduler` keeps one global
+The plainest correct scheduler for occupancy-coupled rates keeps one global
 recompute event and, when it fires, advances *every* active flow and scans
 *every* completion/deadline/breakpoint candidate to find the next recompute
-instant — O(all active flows) per transport event, which is what capped the
-shared models near paper scale (see ``BENCH_scaling.json``).
-
+instant — O(all active flows) per transport event.  That loop is the
+test-side reference model (``tests/simnet/reference_sched.py``);
 :class:`LazySharedLinkScheduler` replaces both global passes:
 
 * **Lazy progress.**  Each flow carries ``(last_update, rate)`` and its
@@ -40,26 +39,21 @@ changed, which each link model knows how to enumerate through its
   re-aims only that flow, so window dynamics ride on the fair rater's
   touched sets unchanged.
 
-Models without a rater (third-party shared models) keep the legacy
-scheduler automatically; the legacy engine also remains selectable via
-``REPRO_SHARED_ENGINE=legacy`` (or ``SimNetwork(shared_engine="legacy")``)
-and is pinned byte-for-byte by the ``*_legacy`` golden transport traces.
+A shared model without a rater in :data:`LAZY_RATERS` cannot run: engine
+selection (:func:`repro.simnet.flows.effective_shared_engine`) refuses it by
+name.
 
 Float semantics, stated plainly: lazy accumulation changes chip
 segmentation (``remaining -= rate * elapsed`` does not distribute over a
-split of ``elapsed``), so trajectories agree with the legacy engine only to
-rounding, not bit-for-bit.  The golden transport traces were regenerated
-(GOLDEN format 2 / SPEC v4 / CACHE v4) and the two engines are held to
-summary-level equivalence — identical success flags, message and round
-counts, dropped-by-cause accounting, latencies within 1e-6 relative — by
-hypothesis conformance properties over seeded random specs including fault
-plans (``tests/simnet/test_shared_sched.py``).  One deliberate semantic
-change rides along: a mid-run ``set_link`` re-rates the replaced link's
-flows at the replacement instant, not at the next pre-existing transport
-event (the legacy engine's behaviour, an artifact of its single recompute
-loop).  Spec-driven runs bake attack schedules into breakpoints and never
-call ``set_link`` mid-run, so this is only observable to direct
-``SimNetwork`` users.
+split of ``elapsed``), so trajectories agree with the reference model only
+to rounding, not bit-for-bit.  The lazy engine's own trajectory is pinned
+byte-for-byte by the golden transport traces, and it is held to
+summary-level equivalence with the reference — identical success flags,
+message and round counts, dropped-by-cause accounting, latencies within 1e-6
+relative — by hypothesis conformance properties over seeded random specs
+including fault plans (``tests/simnet/test_shared_sched.py``) and, at the
+flow-scheduler level, by the stateful comparison in
+``tests/simnet/test_flow_scheduler_reference.py``.
 """
 
 from __future__ import annotations
@@ -281,7 +275,7 @@ class FairLazyRater(LazyRater):
 class FifoLazyRater(LazyRater):
     """Strict arrival-order uplinks with fair downlink sharing, incrementally.
 
-    The legacy model re-rates the whole flow set per event because a
+    The reference model re-rates the whole flow set per event because a
     finishing flow promotes the next queued flow, whose destination's
     serving count then changes one hop away.  Maintained incrementally the
     cascade is tiny: per uplink an arrival-order queue (a min-heap over the
@@ -430,11 +424,10 @@ class TcpLazyRater(FairLazyRater):
     perf-smoke ``tcp@30`` budget in CI pins.
 
     Unlike fair/fifo, tcp makes no cross-engine trajectory claim: the lazy
-    engine advances windows at exact tick instants, the legacy engine folds
-    due ticks into its recompute events, and the vector engine
+    engine advances windows at exact tick instants and the vector engine
     (:class:`repro.simnet.vector_sched._TcpVectorPolicy`) advances whole due
-    cohorts per wake — so each of the three engines is pinned by its own
-    golden trace.  The Reno state machine itself lives in one place:
+    cohorts per wake — so each engine is pinned by its own golden trace.
+    The Reno state machine itself lives in one place:
     :meth:`repro.simnet.linkmodel.TcpLinkModel.advance_flow`.
     """
 
@@ -503,7 +496,7 @@ class TcpLazyRater(FairLazyRater):
 
 
 #: LinkModel name -> rater class; the lazy scheduler applies to models
-#: listed here, everything else keeps the legacy scheduler.
+#: listed here; engine selection refuses a shared model that is not.
 LAZY_RATERS = {
     "fair": FairLazyRater,
     "fifo": FifoLazyRater,
@@ -601,9 +594,7 @@ class LazySharedLinkScheduler(FlowScheduler):
         # The replaced schedule applies immediately: drop both watchers (they
         # track the old schedule's breakpoints), refresh the capacity caches,
         # re-rate every flow on the link, and re-arm watchers against the new
-        # schedule.  (The legacy engine instead lets the new capacity take
-        # effect at the next pre-existing transport event — an artifact of
-        # its single recompute loop; see the module docstring.)
+        # schedule.
         for side, cap, index in (
             ("uplink", self._up_cap, self._by_src),
             ("downlink", self._down_cap, self._by_dst),
@@ -660,7 +651,7 @@ class LazySharedLinkScheduler(FlowScheduler):
         if not candidates:
             # Starved with no deadline: the link watcher revives it if the
             # capacity ever comes back; until then there is nothing to wait
-            # for (exactly the legacy scheduler's behaviour).
+            # for.
             if flow.pending is not None:
                 flow.pending.cancel()
                 flow.pending = None

@@ -32,8 +32,8 @@ loops into array expressions:
 
 Float semantics: progress chips happen at recompute instants, which coalesce
 differently from the lazy engine's per-touch chips, so trajectories agree
-with the scalar engines only to rounding — the same contract as lazy vs
-legacy.  Conformance is pinned at summary level (counts exact, floats within
+with the scalar engine only to rounding — the same contract as lazy vs
+the reference model.  Conformance is pinned at summary level (counts exact, floats within
 1e-6 relative) by ``tests/simnet/test_vector_sched.py``.  Same-instant event
 *ordering* also differs (the single wake settles completions in flow-id
 order where the lazy engine interleaves per-flow events), so golden
@@ -128,10 +128,9 @@ class _VectorPolicy:
     def next_event_time(self) -> float:
         """Earliest future instant at which the policy itself changes rates.
 
-        The scheduler folds this into its wake aim, the array twin of
-        :meth:`repro.simnet.linkmodel.LinkModel.next_event_time`.  Memoryless
-        policies (fair, fifo) return ``inf``: their rates only change when
-        flows or link capacities do.
+        The scheduler folds this into its wake aim.  Memoryless policies
+        (fair, fifo) return ``inf``: their rates only change when flows or
+        link capacities do.
         """
         return float("inf")
 
@@ -182,7 +181,7 @@ class _FairVectorPolicy(_VectorPolicy):
         return touched
 
     def rates(self, slots):
-        # Elementwise twin of FairShareLinkModel.assign_rates — same
+        # Elementwise twin of FairLazyRater.rate_of — same
         # expression shapes ((cap·w)/occ), so values match the scalar models
         # to float rounding.  The shared-occupancy divisors are ≥ 1 for every
         # alive slot (the slot's own weight counts), so the eagerly evaluated
@@ -369,8 +368,8 @@ class _TcpVectorPolicy(_FairVectorPolicy):
 
     State *transitions* are never reimplemented here: each due slot is
     advanced through :meth:`repro.simnet.linkmodel.TcpLinkModel.advance_flow`
-    (fed the slot array's granted rate), the same Reno machine the legacy
-    hooks and :class:`repro.simnet.shared_sched.TcpLazyRater` drive — loss
+    (fed the slot array's granted rate), the same Reno machine
+    :class:`repro.simnet.shared_sched.TcpLazyRater` drives — loss
     draws included, which keeps the per-pair ``tcp_loss_event`` streams and
     their consumption order (flow-id order within an instant, matching
     ``_settle_due``) deterministic.  Like the scalar engines, tcp makes no
@@ -459,13 +458,13 @@ class _TcpVectorPolicy(_FairVectorPolicy):
         return True
 
     def rates(self, slots):
-        # The elementwise twin of TcpLinkModel.assign_rates' rate line:
+        # The elementwise twin of TcpLazyRater.rate_of:
         # min(fair up/down share, window-limited rate), one array pass.
         return _np.minimum(super().rates(slots), self._wrate[slots])
 
 
 #: LinkModel name -> vector policy class; the vector engine applies to
-#: models listed here, everything else falls back to the lazy/legacy chain.
+#: models listed here, everything else falls back to the lazy engine.
 VECTOR_POLICIES = {
     "fair": _FairVectorPolicy,
     "fifo": _FifoVectorPolicy,
@@ -536,9 +535,9 @@ class VectorSharedLinkScheduler(FlowScheduler):
             self._wake = self.simulator.schedule(now, self._on_wake)
 
     def on_link_replaced(self, name: str, now: float) -> None:
-        # Like the lazy engine (and unlike legacy), the replacement applies
-        # immediately: refresh caps, re-arm watchers against the new
-        # schedule, re-rate the link's flows at this instant.
+        # Like the lazy engine, the replacement applies immediately:
+        # refresh caps, re-arm watchers against the new schedule, re-rate
+        # the link's flows at this instant.
         lid = self._lids.get(name)
         if lid is None:
             return  # never carried a flow; interning seeds fresh state later

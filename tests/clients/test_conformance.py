@@ -32,6 +32,8 @@ from repro.protocols.runner import execute_spec
 from repro.runtime.spec import RunSpec
 from repro.simnet.flows import use_shared_engine
 
+from tests.simnet.reference_sched import use_engine
+
 #: Float tolerance for time metrics: weighted aggregation reorders float
 #: arithmetic (``(w·s)/(c·w/W)`` vs ``s/(c/W)``) without changing values
 #: beyond rounding.
@@ -88,7 +90,7 @@ def deterministic_workloads(draw):
 @given(
     workload=deterministic_workloads(),
     transport=st.sampled_from(("fair", "fifo", "latency-only")),
-    engine=st.sampled_from(("lazy", "legacy", "vector")),
+    engine=st.sampled_from(("lazy", "reference", "vector")),
     seed=st.integers(min_value=0, max_value=2**16),
 )
 def test_cohorts_match_individual_clients_exactly_under_deterministic_arrivals(
@@ -103,7 +105,7 @@ def test_cohorts_match_individual_clients_exactly_under_deterministic_arrivals(
         max_time=800.0,
         client_workload=workload,
     )
-    with use_shared_engine(engine):
+    with use_engine(engine):
         cohorted = run_client_metrics(spec)
         individual = run_client_metrics(
             spec.derive(client_workload=workload.individualized())
@@ -173,7 +175,7 @@ def test_poisson_runs_are_deterministic_per_seed_and_vary_across_seeds():
 
 
 def test_client_runs_agree_across_shared_engines():
-    # The lazy/legacy/vector equivalence contract of the shared transport
+    # The lazy/reference/vector equivalence contract of the shared transport
     # extends to weighted client flows: identical integer accounting, float
     # metrics to rounding.
     workload = ClientWorkload(
@@ -192,8 +194,8 @@ def test_client_runs_agree_across_shared_engines():
     )
     with use_shared_engine("lazy"):
         lazy = run_client_metrics(spec)
-    for engine in ("legacy", "vector"):
-        with use_shared_engine(engine):
+    for engine in ("reference", "vector"):
+        with use_engine(engine):
             other = run_client_metrics(spec)
         for key in EXACT_METRIC_KEYS:
             assert other[key] == lazy[key], (engine, key)

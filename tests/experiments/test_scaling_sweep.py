@@ -4,10 +4,7 @@ import json
 
 from repro.experiments.scaling_sweep import (
     ScalingCell,
-    engine_speedup_at,
-    engine_speedups,
-    parallel_speedup_at,
-    parallel_speedups,
+    _timed_cell,
     render_scaling,
     run_scaling_sweep,
     scaling_specs,
@@ -38,9 +35,7 @@ def synthetic_cells():
         cell("fair", 9, 0.2),
         cell("latency-only", 9, 0.1),
         cell("fair", 90, 10.0),
-        cell("fair", 90, 40.0, engine="legacy"),
         cell("fair", 90, 2.5, engine="vector"),
-        cell("fair", 90, 1.25, engine="parallel"),
         cell("latency-only", 90, 5.0),
         cell("tcp", 90, 8.0),
         cell("tcp", 90, 4.0, engine="vector"),
@@ -63,17 +58,14 @@ def test_small_scaling_sweep_runs_and_reports(tmp_path):
         authority_counts=(5,),
         relay_count=30,
         max_time=600.0,
-        legacy_fair_counts=(5,),
-        parallel_fair_counts=(5,),
         tcp_counts=(5,),
     )
     # fair on every available engine, latency-only on the lazy engine
     # only, tcp on lazy and (numpy present) vector.  Numpy-less installs
-    # skip (not downgrade) the vector and parallel cells.
-    expected = [("fair", "lazy"), ("fair", "legacy")]
+    # skip (not downgrade) the vector cells.
+    expected = [("fair", "lazy")]
     if vector_available():
         expected.append(("fair", "vector"))
-        expected.append(("fair", "parallel"))
     expected.append(("latency-only", "lazy"))
     expected.append(("tcp", "lazy"))
     if vector_available():
@@ -87,21 +79,18 @@ def test_small_scaling_sweep_runs_and_reports(tmp_path):
     assert len({c.messages_sent for c in cells if c.transport != "tcp"}) == 1
 
     text = render_scaling(cells)
-    assert "latency-only" in text and "fair" in text and "legacy" in text
+    assert "latency-only" in text and "fair" in text
 
     out = write_bench_json(cells, tmp_path / "BENCH_scaling.json")
     payload = json.loads(out.read_text())
-    assert payload["format"] == 6
-    assert len(payload["cells"]) == (7 if vector_available() else 4)
+    assert payload["format"] == 7
+    assert len(payload["cells"]) == (5 if vector_available() else 3)
     assert "current@5" in payload["speedup_fair_to_latency_only"]
-    assert "current@5" in payload["speedup_fair_legacy_to_lazy"]
     if vector_available():
         assert "current@5" in payload["speedup_fair_lazy_to_vector"]
-        assert "current@5" in payload["speedup_fair_vector_to_parallel"]
         assert "current@5" in payload["speedup_tcp_lazy_to_vector"]
     assert all(cell["peak_rss_mb"] > 0 for cell in payload["cells"])
-    assert all(cell["workers"] >= 1 for cell in payload["cells"])
-    # Format 5: per-cell phase buckets and the fair-cell floor table.
+    # Per-cell phase buckets and the fair-cell floor table.
     assert all("phases" in cell for cell in payload["cells"])
     assert all(
         cell["phases"].get("transport", 0.0) > 0.0
@@ -122,11 +111,11 @@ def test_speedup_at_reads_the_grid_point():
     assert speedup_at(cells, 90, protocol="ours") is None
 
 
-def test_engine_speedup_compares_legacy_to_lazy_fair_cells():
-    cells = synthetic_cells()
-    assert engine_speedup_at(cells, 90) == 4.0
-    assert engine_speedup_at(cells, 9) is None  # no legacy cell at N=9
-    assert engine_speedups(cells) == [("current", 90, 4.0)]
+def test_cell_reports_the_default_engine_when_the_switch_does_not_apply():
+    # latency-only runs the independent scheduler: a cell timed under a
+    # vector request must not label an engine that never ran.
+    spec = scaling_specs(authority_counts=(5,), transports=("latency-only",), relay_count=30)[0]
+    assert _timed_cell(spec, "vector").engine == "lazy"
 
 
 def test_vector_speedup_compares_lazy_to_vector_fair_cells():
@@ -134,13 +123,6 @@ def test_vector_speedup_compares_lazy_to_vector_fair_cells():
     assert vector_speedup_at(cells, 90) == 4.0
     assert vector_speedup_at(cells, 9) is None  # no vector cell at N=9
     assert vector_speedups(cells) == [("current", 90, 4.0)]
-
-
-def test_parallel_speedup_compares_vector_to_parallel_fair_cells():
-    cells = synthetic_cells()
-    assert parallel_speedup_at(cells, 90) == 2.0
-    assert parallel_speedup_at(cells, 9) is None  # no parallel cell at N=9
-    assert parallel_speedups(cells) == [("current", 90, 2.0)]
 
 
 def test_tcp_vector_speedup_compares_tcp_engine_cells():
@@ -153,7 +135,5 @@ def test_tcp_vector_speedup_compares_tcp_engine_cells():
 def test_render_scaling_annotates_speedups():
     text = render_scaling(synthetic_cells())
     assert "N=90 current: latency-only is 2.0x faster than fair" in text
-    assert "N=90 current: lazy fair engine is 4.0x faster than legacy" in text
     assert "N=90 current: vector fair engine is 4.0x faster than lazy" in text
-    assert "N=90 current: parallel fair engine is 2.00x the vector engine" in text
     assert "N=90 current: vector tcp engine is 2.0x faster than lazy" in text

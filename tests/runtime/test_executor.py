@@ -3,9 +3,8 @@
 import pytest
 
 from repro.runtime.cache import ResultCache
-from repro.runtime.executor import SweepExecutor, cap_partition_workers
+from repro.runtime.executor import SweepExecutor
 from repro.runtime.spec import RunSpec, SweepSpec
-from repro.simnet.partition import PARTITION_ENV, WORKERS_ENV
 
 # Small, fast grid: tiny relay counts at generous bandwidth.
 GRID = SweepSpec.grid(
@@ -76,56 +75,6 @@ def test_run_one_full_keeps_the_trace_and_feeds_the_cache(tmp_path):
     assert compact.success == full.success
     assert compact.latency == full.latency
     assert len(compact.trace) == 0
-
-
-class TestCapPartitionWorkers:
-    """The sweep-worker × partition-worker oversubscription guard.
-
-    ``cap_partition_workers`` runs as the pool initializer in every sweep
-    worker: a run inside a sweep must not spawn its own partition-worker
-    pool (nested pool explosion), but must keep the partition *count* the
-    parent environment implied, or partition trajectories and cache keys
-    would differ between serial and pooled sweeps.
-    """
-
-    def test_noop_when_no_parallel_workers_requested(self, monkeypatch):
-        monkeypatch.delenv(WORKERS_ENV, raising=False)
-        monkeypatch.delenv(PARTITION_ENV, raising=False)
-        cap_partition_workers()
-        import os
-
-        assert WORKERS_ENV not in os.environ
-        assert PARTITION_ENV not in os.environ
-
-    def test_caps_workers_and_pins_implied_partition_count(self, monkeypatch):
-        # REPRO_PARALLEL_WORKERS doubles as the default partition count:
-        # capping workers alone would silently change the partitioning.
-        monkeypatch.setenv(WORKERS_ENV, "4")
-        monkeypatch.delenv(PARTITION_ENV, raising=False)
-        cap_partition_workers()
-        import os
-
-        assert os.environ[WORKERS_ENV] == "1"
-        assert os.environ[PARTITION_ENV] == "4"
-
-    def test_explicit_partition_count_is_preserved(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV, "4")
-        monkeypatch.setenv(PARTITION_ENV, "2")
-        cap_partition_workers()
-        import os
-
-        assert os.environ[WORKERS_ENV] == "1"
-        assert os.environ[PARTITION_ENV] == "2"
-
-    def test_pooled_sweep_under_parallel_workers_matches_serial(self, monkeypatch):
-        # End to end: a 2-worker sweep with partition workers requested in
-        # the environment must equal the serial run (the initializer caps
-        # each worker to in-process partitions, never a nested pool).
-        monkeypatch.setenv(WORKERS_ENV, "2")
-        specs = list(GRID)[:2]
-        serial = SweepExecutor(workers=1).run_summaries(specs)
-        pooled = SweepExecutor(workers=2).run_summaries(specs)
-        assert pooled == serial
 
 
 def test_invalid_worker_count_rejected():

@@ -11,7 +11,7 @@ same-instant deliveries) is checked against it at two levels:
   everything integer (success, digests, signature counts, message counts,
   byte accounting) must agree **exactly**, and derived times to 1-ulp-level
   float tolerance.  Hypothesis drives seeds and sizes across all three
-  protocols and the shared engines.
+  protocols, the shared engines and the flow-scheduler reference model.
 * **Mechanism units.**  ``Simulator.schedule_batch`` drains in append order
   and survives re-entrant appends; ``start_flows`` on the lazy engine
   allocates the same flow ids and lands the same final rates as the
@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 
 from repro.runtime.spec import RunSpec
 from repro.simnet.engine import Simulator
-from repro.simnet.flows import Flow, make_flow_scheduler, use_shared_engine
+from repro.simnet.flows import Flow, make_flow_scheduler
 from repro.simnet.linkmodel import FairShareLinkModel
 from repro.simnet.message import Message, SharedPayload
 from repro.simnet.network import (
@@ -38,6 +38,8 @@ from repro.simnet.network import (
 )
 from repro.simnet.node import ProtocolNode
 from repro.utils import phases
+
+from tests.simnet.reference_sched import use_engine
 
 #: Tolerance for derived time metrics: the batched path re-bases residual
 #: arithmetic differently from stale-event re-aims (algebraically equal,
@@ -105,7 +107,7 @@ def assert_summaries_conformant(batched: dict, reference: dict) -> None:
     protocol=st.sampled_from(("current", "ours", "synchronous")),
     authorities=st.sampled_from((5, 9, 13)),
     transport=st.sampled_from(("fair", "fifo", "latency-only")),
-    engine=st.sampled_from(("lazy", "legacy", "vector")),
+    engine=st.sampled_from(("lazy", "reference", "vector")),
     seed=st.integers(min_value=0, max_value=2**16),
 )
 def test_batched_dispatch_summary_conformance(
@@ -119,10 +121,10 @@ def test_batched_dispatch_summary_conformance(
         transport=transport,
         max_time=600.0,
     )
-    with use_shared_engine(engine):
+    with use_engine(engine):
         batched = run_summary(spec, "on")
-        reference = run_summary(spec, "off")
-    assert_summaries_conformant(batched, reference)
+        unbatched = run_summary(spec, "off")
+    assert_summaries_conformant(batched, unbatched)
 
 
 def test_batch_dispatch_env_resolution():

@@ -1,0 +1,182 @@
+"""The shared-regime flow schedulers against the executable reference model.
+
+``ReferenceFlowScheduler`` (``reference_sched.py``) advances every flow and
+rates every flow from a fresh occupancy recount at every event.  The stateful
+test drives it, the lazy engine and (numpy present) the vector engine with
+the same random sequence of same-instant admission bursts (weights 1–3,
+aggregate endpoints, deadlines), link replacements (constant rates, outages,
+schedules with a future breakpoint) and clock advances (to the reference's
+next event, or by a fixed step), on ``fair`` and on ``fifo``, and after every
+step requires of each production engine:
+
+* the same flows settled, each the same way (completed / expired) and at the
+  same instant within 1e-6 relative, in time order.  Flows settling within
+  that tolerance of one instant have no defined order across engines (lazy
+  finishes them in discovery order, vector in flow-id order), and a flow
+  settling within it of the current clock may be counted by one side only;
+* while the settled sets agree, the same rate on every in-flight flow (lazy
+  only — the vector engine keeps rates in its slot arrays);
+* every admitted flow exactly one of completed, expired or in flight — so
+  bytes completed + expired + in flight = bytes admitted — with every
+  residual inside ``[0, size]``;
+* ``_src_weight`` / ``_dst_weight`` equal to a from-scratch recount.
+"""
+
+import math
+
+import hypothesis.strategies as st
+from hypothesis import settings
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
+
+from repro.simnet.bandwidth import BandwidthSchedule
+from repro.simnet.engine import Simulator
+from repro.simnet.flows import Flow, make_flow_scheduler
+from repro.simnet.linkmodel import get_link_model
+from repro.simnet.message import Message
+from repro.simnet.network import LinkConfig
+from repro.simnet.vector_sched import vector_available
+
+from tests.simnet.reference_sched import ReferenceFlowScheduler, occupancy
+
+REL_TOLERANCE = 1e-6
+
+NODES = ("a", "b", "c", "agg")
+RATES = st.sampled_from([0.0, 1e5, 2.5e5, 1e6])  # bytes/s; 0.0 is an outage
+PAIRS = st.tuples(st.sampled_from(NODES), st.sampled_from(NODES)).filter(lambda p: p[0] != p[1])
+# Repeated sizes and round rates make same-instant completions common;
+# timeouts that are no multiple of a size/rate quotient keep an expiry from
+# landing exactly on a completion, where rounding alone picks the winner.
+TRANSFERS = st.tuples(
+    PAIRS,
+    st.sampled_from([40_000, 100_000, 100_000, 250_000, 1_000_000]),
+    st.integers(1, 3),
+    st.sampled_from([None, None, 0.37, 1.9, 11.3]),
+)
+
+
+def close(a, b):
+    return math.isclose(a, b, rel_tol=REL_TOLERANCE, abs_tol=1e-9)
+
+
+class _Side:
+    """One scheduler on its own simulator and link table, with its settle log."""
+
+    def __init__(self, engine, transport):
+        self.engine, self.simulator, self.links = engine, Simulator(), {}
+        for name in NODES:
+            self.links[name] = LinkConfig(
+                BandwidthSchedule.constant(1e6), BandwidthSchedule.constant(1e6), name == "agg"
+            )
+        self.log, self.settled, self.admitted = [], {}, {}
+        callbacks = (lambda flow: self.settle("done", flow), lambda flow: self.settle("late", flow))
+        model = get_link_model(transport)
+        self.scheduler = (
+            ReferenceFlowScheduler(model, self.simulator, self.links, *callbacks)
+            if engine == "reference"
+            else make_flow_scheduler(
+                model, self.simulator, self.links, *callbacks, shared_engine=engine
+            )
+        )
+
+    def settle(self, kind, flow):
+        assert flow.flow_id not in self.settled
+        self.settled[flow.flow_id] = (kind, self.simulator.now)
+        self.log.append(self.simulator.now)
+
+    def admit(self, transfers, first_id, now):
+        flows = []
+        for offset, ((src, dst), size, weight, timeout) in enumerate(transfers):
+            message = Message(msg_type="DOC", size_bytes=size)
+            deadline = None if timeout is None else now + timeout
+            flows.append(
+                Flow(first_id + offset, src, dst, message, now, deadline, None, None, weight)
+            )
+            self.admitted[first_id + offset] = size
+        self.scheduler.start_flows(flows, now)
+
+    def replace_link(self, name, schedule, now):
+        self.links[name] = LinkConfig(schedule, schedule, name == "agg")
+        self.scheduler.on_link_replaced(name, now)
+
+
+class FlowSchedulersAgainstReference(RuleBasedStateMachine):
+    @initialize(transport=st.sampled_from(["fair", "fifo"]))
+    def build(self, transport):
+        engines = ["reference", "lazy"] + (["vector"] if vector_available() else [])
+        self.reference, *self.engines = [_Side(engine, transport) for engine in engines]
+        self.now, self.next_id = 0.0, 1
+
+    def everywhere(self, call):
+        """Apply ``call`` to every side, then drain the events due at ``now``."""
+        for side in (self.reference, *self.engines):
+            call(side)
+            side.simulator.run(until=self.now)
+
+    @rule(transfers=st.lists(TRANSFERS, min_size=1, max_size=4))
+    def admit(self, transfers):
+        self.everywhere(lambda side: side.admit(transfers, self.next_id, self.now))
+        self.next_id += len(transfers)
+
+    @rule(name=st.sampled_from(NODES), rate=RATES)
+    def set_link_rate(self, name, rate):
+        schedule = BandwidthSchedule.constant(rate)
+        self.everywhere(lambda side: side.replace_link(name, schedule, self.now))
+
+    @rule(
+        name=st.sampled_from(NODES),
+        before=RATES,
+        after=RATES,
+        delay=st.sampled_from([0.25, 1.0, 4.0]),
+    )
+    def set_link_breakpoint(self, name, before, after, delay):
+        schedule = BandwidthSchedule([0.0, self.now + delay], [before, after])
+        self.everywhere(lambda side: side.replace_link(name, schedule, self.now))
+
+    @rule()
+    def run_to_next_event(self):
+        pending = self.reference.scheduler._event
+        if pending is not None:
+            self.now = max(self.now, pending.time)
+            self.everywhere(lambda side: None)
+
+    @rule(step=st.sampled_from([0.1, 0.5, 3.0]))
+    def run_for(self, step):
+        self.now += step
+        self.everywhere(lambda side: None)
+
+    @invariant()
+    def engines_match_the_reference(self):
+        reference = self.reference
+        for side in self.engines:
+            assert side.log == sorted(side.log), side.engine
+            for flow_id in reference.settled.keys() | side.settled.keys():
+                expected, got = reference.settled.get(flow_id), side.settled.get(flow_id)
+                if expected is None or got is None:
+                    lone_time = (expected or got)[1]
+                    assert close(lone_time, self.now), (side.engine, flow_id, expected, got)
+                else:
+                    assert expected[0] == got[0] and close(expected[1], got[1]), (
+                        side.engine, flow_id, expected, got,
+                    )
+            if side.engine == "lazy" and side.settled.keys() == reference.settled.keys():
+                for flow_id, flow in reference.scheduler._flows.items():
+                    assert close(flow.rate, side.scheduler._flows[flow_id].rate), (flow_id,)
+
+    @invariant()
+    def bytes_and_occupancy_are_conserved(self):
+        for side in (self.reference, *self.engines):
+            in_flight = side.scheduler._flows
+            assert side.settled.keys() | in_flight.keys() == side.admitted.keys(), side.engine
+            assert not side.settled.keys() & in_flight.keys(), side.engine
+            for flow_id, flow in in_flight.items():
+                assert 0.0 <= flow.remaining <= side.admitted[flow_id], (side.engine, flow_id)
+        for side in self.engines:
+            up, down = occupancy(side.scheduler._flows.values())
+            assert side.scheduler._src_weight == up, side.engine
+            assert side.scheduler._dst_weight == down, side.engine
+
+
+FlowSchedulersAgainstReference.TestCase.settings = settings(
+    max_examples=120, stateful_step_count=30, deadline=None
+)
+TestFlowSchedulersAgainstReference = FlowSchedulersAgainstReference.TestCase

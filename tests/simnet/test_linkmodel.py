@@ -1,12 +1,18 @@
-"""Link-model layer tests: registry, rate policies, scheduler selection."""
+"""Link-model layer tests: registry, rate policies, scheduler selection.
+
+The shared models' rate arithmetic is stated once, from scratch, by the
+reference model's rate functions (``tests/simnet/reference_sched.py``); the
+rate-policy tests below pin those, and the stateful comparison in
+``test_flow_scheduler_reference.py`` holds the production raters to them.
+"""
 
 import pytest
 
 from repro.simnet.flows import (
     Flow,
     IndependentFlowScheduler,
-    SharedLinkScheduler,
     make_flow_scheduler,
+    use_shared_engine,
 )
 from repro.simnet.linkmodel import (
     FairShareLinkModel,
@@ -21,6 +27,8 @@ from repro.simnet.linkmodel import (
 from repro.simnet.message import Message
 from repro.simnet.network import LinkConfig, SimNetwork
 from repro.utils.validation import ValidationError
+
+from tests.simnet.reference_sched import fair_rates, fifo_rates, occupancy, use_engine
 
 
 def make_flow(flow_id, src, dst, size=1_000_000):
@@ -98,38 +106,38 @@ def test_nameless_models_are_rejected():
 
 def test_scheduler_selection_follows_the_coupling_flag_and_engine():
     from repro.simnet.shared_sched import LazySharedLinkScheduler
+    from repro.simnet.vector_sched import VectorSharedLinkScheduler, vector_available
 
     links = {}
-    # Shared models with a lazy rater default to the lazy engine...
-    for name in ("fair", "fifo"):
+    # Shared models default to the lazy engine...
+    for name in ("fair", "fifo", "tcp"):
         sched = make_flow_scheduler(get_link_model(name), None, links, None, None)
         assert isinstance(sched, LazySharedLinkScheduler)
-    # ...the legacy engine stays selectable (flag and environment)...
+    # ...the vector engine is selectable (flag and environment), downgrading
+    # to lazy without numpy...
+    expected = VectorSharedLinkScheduler if vector_available() else LazySharedLinkScheduler
     sched = make_flow_scheduler(
-        get_link_model("fair"), None, links, None, None, shared_engine="legacy"
+        get_link_model("fair"), None, links, None, None, shared_engine="vector"
     )
-    assert isinstance(sched, SharedLinkScheduler)
-    from repro.simnet.flows import use_shared_engine
-
-    with use_shared_engine("legacy"):
+    assert isinstance(sched, expected)
+    with use_shared_engine("vector"):
         sched = make_flow_scheduler(get_link_model("fair"), None, links, None, None)
-        assert isinstance(sched, SharedLinkScheduler)
-    # ...and uncoupled models keep per-flow scheduling.
+        assert isinstance(sched, expected)
+        # ...and uncoupled models keep per-flow scheduling whatever is asked.
+        sched = make_flow_scheduler(get_link_model("latency-only"), None, links, None, None)
+        assert isinstance(sched, IndependentFlowScheduler)
     sched = make_flow_scheduler(get_link_model("latency-only"), None, links, None, None)
     assert isinstance(sched, IndependentFlowScheduler)
 
 
-def test_shared_models_without_a_lazy_rater_fall_back_to_the_legacy_engine():
+def test_shared_models_without_a_lazy_rater_are_refused_by_name():
     class OpaqueShared(LinkModel):
         name = "test-opaque-shared"
         shared = True
 
-        def assign_rates(self, flows, links, now, affected=None, up_counts=None, down_counts=None):
-            for flow in flows.values():
-                flow.rate = 1.0
-
-    sched = make_flow_scheduler(OpaqueShared(), None, {}, None, None)
-    assert isinstance(sched, SharedLinkScheduler)
+    with pytest.raises(ValidationError) as excinfo:
+        make_flow_scheduler(OpaqueShared(), None, {}, None, None)
+    assert "test-opaque-shared" in str(excinfo.value)
 
 
 def test_unknown_shared_engine_is_rejected():
@@ -142,59 +150,38 @@ def test_unknown_shared_engine_is_rejected():
 # -- rate policies -------------------------------------------------------------
 
 def test_fair_model_splits_each_link_equally():
-    model = FairShareLinkModel()
     links = links_for({"a": 8.0, "b": 8.0, "c": 8.0})  # 1 MB/s each
-    flows = {1: make_flow(1, "a", "b"), 2: make_flow(2, "a", "c")}
-    model.assign_rates(flows, links, now=0.0)
+    rates = fair_rates([make_flow(1, "a", "b"), make_flow(2, "a", "c")], links, now=0.0)
     # Two flows share a's uplink: 500 kB/s each; downlinks are uncontended.
-    assert flows[1].rate == pytest.approx(500_000.0)
-    assert flows[2].rate == pytest.approx(500_000.0)
+    assert rates[1] == pytest.approx(500_000.0)
+    assert rates[2] == pytest.approx(500_000.0)
 
 
-def test_fair_model_scoped_assignment_matches_full_recompute():
-    model = FairShareLinkModel()
+def test_fair_model_rates_each_flow_from_the_weighted_recount_of_its_two_links():
     links = links_for({"a": 8.0, "b": 8.0, "c": 4.0, "d": 2.0})
-    flows = {
-        1: make_flow(1, "a", "b"),
-        2: make_flow(2, "a", "c"),
-        3: make_flow(3, "d", "b"),
-        4: make_flow(4, "c", "d"),
-    }
-    model.assign_rates(flows, links, now=0.0)
-    full = {fid: flow.rate for fid, flow in flows.items()}
-
-    by_src, by_dst = {}, {}
-    for flow in flows.values():
-        by_src.setdefault(flow.src, {})[flow.flow_id] = flow
-        by_dst.setdefault(flow.dst, {})[flow.flow_id] = flow
-
-    class Counts:
-        def __init__(self, index):
-            self.index = index
-
-        def __getitem__(self, name):
-            return len(self.index[name])
-
-    for flow in flows.values():
-        flow.rate = -1.0
-    model.assign_rates(
-        flows,
-        links,
-        now=0.0,
-        affected=list(flows.values()),
-        up_counts=Counts(by_src),
-        down_counts=Counts(by_dst),
-    )
-    assert {fid: flow.rate for fid, flow in flows.items()} == full
+    flows = [
+        make_flow(1, "a", "b"),
+        make_flow(2, "a", "c"),
+        make_flow(3, "d", "b"),
+        make_flow(4, "c", "d"),
+    ]
+    flows[1].weight = 3
+    up, down = occupancy(flows)
+    assert up == {"a": 4, "d": 1, "c": 1} and down == {"b": 2, "c": 3, "d": 1}
+    rates = fair_rates(flows, links, now=0.0)
+    # Flow 2 holds 3 of a's 4 uplink shares (750 kB/s) but c's 500 kB/s
+    # downlink, which it has to itself, is the tighter of the two.
+    assert rates[2] == pytest.approx(500_000.0)
+    assert rates[1] == pytest.approx(250_000.0)  # the other share of a's uplink
+    assert rates[3] == pytest.approx(250_000.0)  # all of d's 2 Mbit/s uplink
+    assert rates[4] == pytest.approx(250_000.0)  # all of d's 2 Mbit/s downlink
 
 
 def test_fifo_model_serves_one_flow_per_uplink():
-    model = FifoLinkModel()
     links = links_for({"a": 8.0, "b": 8.0, "c": 8.0})
-    flows = {1: make_flow(1, "a", "b"), 2: make_flow(2, "a", "c")}
-    model.assign_rates(flows, links, now=0.0)
-    assert flows[1].rate == pytest.approx(1_000_000.0)  # oldest gets full rate
-    assert flows[2].rate == 0.0  # queued behind it
+    rates = fifo_rates([make_flow(1, "a", "b"), make_flow(2, "a", "c")], links, now=0.0)
+    assert rates[1] == pytest.approx(1_000_000.0)  # oldest gets full rate
+    assert rates[2] == 0.0  # queued behind it
 
 
 def test_fifo_model_orders_by_arrival_seq_not_flow_id():
@@ -202,19 +189,18 @@ def test_fifo_model_orders_by_arrival_seq_not_flow_id():
     # behind the earlier arrival: FIFO service is defined over the
     # scheduler-stamped arrival_seq, never over how ids happen to be
     # assigned.
-    model = FifoLinkModel()
     links = links_for({"a": 8.0, "b": 8.0, "c": 8.0})
     first = make_flow(90, "a", "b")
     second = make_flow(10, "a", "c")
     first.arrival_seq = 0
     second.arrival_seq = 1
-    model.assign_rates({90: first, 10: second}, links, now=0.0)
-    assert first.rate == pytest.approx(1_000_000.0)
-    assert second.rate == 0.0
+    rates = fifo_rates([second, first], links, now=0.0)
+    assert rates[90] == pytest.approx(1_000_000.0)
+    assert rates[10] == 0.0
 
 
 def _fifo_network_engines():
-    engines = ["lazy", "legacy"]
+    engines = ["lazy", "reference"]
     from repro.simnet.vector_sched import vector_available
 
     if vector_available():
@@ -235,7 +221,8 @@ def test_fifo_scheduler_serves_flows_started_out_of_id_order(engine):
         def on_message(self, message, now):
             deliveries.append((message.msg_type, now))
 
-    network = SimNetwork(transport="fifo", default_latency_s=0.0, shared_engine=engine)
+    with use_engine(engine):
+        network = SimNetwork(transport="fifo", default_latency_s=0.0)
     for name in ("a", "b", "c"):
         network.add_node(Sink(name), LinkConfig.symmetric_mbps(8.0))  # 1 MB/s
     scheduler = network._scheduler

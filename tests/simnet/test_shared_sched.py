@@ -1,13 +1,14 @@
-"""Lazy shared scheduler: old-vs-new conformance and edge-case regressions.
+"""Lazy shared scheduler: reference conformance and edge-case regressions.
 
-The lazy-advance engine (:mod:`repro.simnet.shared_sched`) deliberately
-changes the shared models' float *rounding* — progress is chipped at rate
-changes only, not at every global event — so byte-identity with the legacy
-engine is not the contract.  The contract, enforced here, is **summary-level
-equivalence**: identical success flags, message/round counts and
-dropped-by-cause accounting, with latencies (and every other float) within
-1e-6 relative.  Hypothesis drives it across seeded random specs *including
-random fault plans*, for every protocol and both shared transports.
+The lazy-advance engine (:mod:`repro.simnet.shared_sched`) chips progress at
+rate changes only, not at every global event like the reference model
+(``tests/simnet/reference_sched.py``), so its float *rounding* differs and
+byte-identity with the reference is not the contract.  The contract,
+enforced here, is **summary-level equivalence**: identical success flags,
+message/round counts and dropped-by-cause accounting, with latencies (and
+every other float) within 1e-6 relative.  Hypothesis drives it across seeded
+random specs *including random fault plans*, for every protocol and both
+shared transports.
 
 The edge cases pin the failure modes a heap of per-flow estimates invites:
 
@@ -34,11 +35,12 @@ from repro.simnet.network import LinkConfig, SimNetwork
 from repro.simnet.node import ProtocolNode
 
 from tests.faults.test_conformance import random_fault_plan
+from tests.simnet.reference_sched import use_reference_scheduler
 from tests.simnet.test_transport_golden import run_transport_workload
 
 SHARED_TRANSPORTS = ("fair", "fifo")
 
-#: Relative tolerance of the old-vs-new equivalence gate.
+#: Relative tolerance of the reference-vs-lazy equivalence gate.
 REL_TOLERANCE = 1e-6
 
 
@@ -67,15 +69,15 @@ def assert_equivalent(old, new, path="summary"):
         raise AssertionError("%s: %r vs %r" % (path, old, new))
 
 
-def run_both_engines(spec: RunSpec):
-    with use_shared_engine("legacy"):
-        legacy = execute_spec(spec).summary()
+def run_reference_and_lazy(spec: RunSpec):
+    with use_reference_scheduler():
+        reference = execute_spec(spec).summary()
     with use_shared_engine("lazy"):
         lazy = execute_spec(spec).summary()
-    return legacy, lazy
+    return reference, lazy
 
 
-# -- conformance: old engine vs new engine -------------------------------------
+# -- conformance: reference model vs lazy engine -------------------------------
 
 @settings(max_examples=5, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
@@ -83,7 +85,7 @@ def run_both_engines(spec: RunSpec):
     protocol=st.sampled_from(PROTOCOL_NAMES),
     transport=st.sampled_from(SHARED_TRANSPORTS),
 )
-def test_lazy_engine_is_summary_equivalent_to_legacy_under_random_fault_plans(
+def test_lazy_engine_is_summary_equivalent_to_reference_under_random_fault_plans(
     seed, protocol, transport
 ):
     spec = RunSpec(
@@ -95,31 +97,31 @@ def test_lazy_engine_is_summary_equivalent_to_legacy_under_random_fault_plans(
         transport=transport,
         fault_plan=random_fault_plan(seed),
     )
-    legacy, lazy = run_both_engines(spec)
-    assert legacy["success"] == lazy["success"]
-    assert legacy["stats"]["messages_sent"] == lazy["stats"]["messages_sent"]
-    assert legacy["stats"]["messages_delivered"] == lazy["stats"]["messages_delivered"]
-    assert legacy["stats"]["messages_timed_out"] == lazy["stats"]["messages_timed_out"]
-    assert legacy["stats"]["messages_dropped"] == lazy["stats"]["messages_dropped"]
-    if legacy["faults"]:
-        assert legacy["faults"]["drops_by_cause"] == lazy["faults"]["drops_by_cause"]
-    assert_equivalent(legacy, lazy)
+    reference, lazy = run_reference_and_lazy(spec)
+    assert reference["success"] == lazy["success"]
+    assert reference["stats"]["messages_sent"] == lazy["stats"]["messages_sent"]
+    assert reference["stats"]["messages_delivered"] == lazy["stats"]["messages_delivered"]
+    assert reference["stats"]["messages_timed_out"] == lazy["stats"]["messages_timed_out"]
+    assert reference["stats"]["messages_dropped"] == lazy["stats"]["messages_dropped"]
+    if reference["faults"]:
+        assert reference["faults"]["drops_by_cause"] == lazy["faults"]["drops_by_cause"]
+    assert_equivalent(reference, lazy)
 
 
 @pytest.mark.parametrize("transport", SHARED_TRANSPORTS)
-def test_lazy_engine_matches_legacy_on_the_golden_workload(transport):
+def test_lazy_engine_matches_reference_on_the_golden_workload(transport):
     # The canonical mixed workload (bursts, throttling window, mid-run
     # set_link, timeouts): every delivery/timeout must agree in kind, pair,
     # size and order, with timestamps within the float-rounding tolerance.
-    with use_shared_engine("legacy"):
-        legacy = run_transport_workload(transport)
+    with use_reference_scheduler():
+        reference = run_transport_workload(transport)
     with use_shared_engine("lazy"):
         lazy = run_transport_workload(transport)
-    assert legacy["stats"] == lazy["stats"]
-    assert len(legacy["events"]) == len(lazy["events"])
-    for old, new in zip(legacy["events"], lazy["events"]):
-        assert old[:5] == new[:5]
-        assert math.isclose(old[5], new[5], rel_tol=REL_TOLERANCE, abs_tol=1e-9)
+    assert reference["stats"] == lazy["stats"]
+    assert len(reference["events"]) == len(lazy["events"])
+    for expected, got in zip(reference["events"], lazy["events"]):
+        assert expected[:5] == got[:5]
+        assert math.isclose(expected[5], got[5], rel_tol=REL_TOLERANCE, abs_tol=1e-9)
 
 
 # -- edge cases ----------------------------------------------------------------
@@ -156,7 +158,7 @@ def test_rate_dropping_to_zero_forever_strands_the_flow_without_completing_it(tr
     network.simulator.run_until_idle(max_events=1_000)
     assert deliveries == []
     assert timeouts == []
-    assert network.active_flow_count() == 1  # stranded, exactly like legacy
+    assert network.active_flow_count() == 1  # stranded
 
 
 @pytest.mark.parametrize("transport", SHARED_TRANSPORTS)

@@ -17,12 +17,12 @@ The model's contract has four faces, each pinned here:
   dup-acks halve the window and stay in congestion avoidance) from timeout
   (cwnd back to 1, RTO doubling) — unit-pinned and hypothesis-driven over
   scripted loss/ack sequences.
-* **Engine wiring.**  ``transport="tcp"`` runs end-to-end on the legacy,
-  lazy, and vector engines (each pinned by its own golden trace — the
-  trajectories differ by design, see ``test_transport_golden.py``); vector
-  requests keep the vector engine when numpy is present and the result
-  cache suffixes their entries accordingly, downgrading to lazy only on
-  pure-Python installs.
+* **Engine wiring.**  ``transport="tcp"`` runs end-to-end on the lazy and
+  vector engines (each pinned by its own golden trace — the trajectories
+  differ by design, see ``test_transport_golden.py``) and on the reference
+  model; vector requests keep the vector engine when numpy is present and
+  the result cache suffixes their entries accordingly, downgrading to lazy
+  only on pure-Python installs.
 """
 
 import math
@@ -49,6 +49,7 @@ from repro.simnet.message import Message
 from repro.simnet.network import LinkConfig, SimNetwork
 from repro.simnet.node import ProtocolNode
 
+from tests.simnet.reference_sched import tcp_rates, use_engine, use_reference_scheduler
 from tests.simnet.test_transport_golden import run_transport_workload
 
 REL_TOLERANCE = 1e-6
@@ -117,12 +118,13 @@ def test_tcp_throughput_converges_to_the_fair_share_on_loss_free_links(
         )
 
 
-@pytest.mark.parametrize("engine", ["lazy", "legacy"])
+@pytest.mark.parametrize("engine", ["lazy", "reference"])
 def test_tcp_slow_start_delays_but_does_not_change_delivery(engine):
     # One unconstrained transfer: tcp must deliver the same bytes as fair,
-    # strictly later (the window ramp costs time), on both engines.
+    # strictly later (the window ramp costs time), on the lazy engine and
+    # the reference model alike.
     def completion(transport):
-        with use_shared_engine(engine):
+        with use_engine(engine):
             deliveries = []
             network = SimNetwork(transport=transport, default_latency_s=0.02)
             network.add_node(_Sink("a", deliveries), LinkConfig.symmetric_mbps(8.0))
@@ -141,20 +143,21 @@ def test_tcp_slow_start_delays_but_does_not_change_delivery(engine):
 
 # -- cross-engine agreement ----------------------------------------------------
 
-def test_legacy_and_lazy_engines_agree_on_the_tcp_golden_workload():
-    # tcp makes no byte-identity claim across engines (ack ticks land on
-    # different instants), but on the canonical workload the two must agree
-    # on every event's kind, pair, size and order, with timestamps within
-    # the conformance tolerance.
-    with use_shared_engine("legacy"):
-        legacy = run_transport_workload("tcp")
+def test_reference_and_lazy_engine_agree_on_the_tcp_golden_workload():
+    # tcp makes no byte-identity claim across schedulers (the reference
+    # folds due ack ticks into its recompute events, the lazy engine fires
+    # them at exact instants), but on the canonical workload the two must
+    # agree on every event's kind, pair, size and order, with timestamps
+    # within the conformance tolerance.
+    with use_reference_scheduler():
+        reference = run_transport_workload("tcp")
     with use_shared_engine("lazy"):
         lazy = run_transport_workload("tcp")
-    assert legacy["stats"] == lazy["stats"]
-    assert len(legacy["events"]) == len(lazy["events"])
-    for old, new in zip(legacy["events"], lazy["events"]):
-        assert old[:5] == new[:5]
-        assert math.isclose(old[5], new[5], rel_tol=REL_TOLERANCE, abs_tol=1e-9)
+    assert reference["stats"] == lazy["stats"]
+    assert len(reference["events"]) == len(lazy["events"])
+    for expected, got in zip(reference["events"], lazy["events"]):
+        assert expected[:5] == got[:5]
+        assert math.isclose(expected[5], got[5], rel_tol=REL_TOLERANCE, abs_tol=1e-9)
 
 
 # -- loss coupling -------------------------------------------------------------
@@ -223,7 +226,7 @@ def test_tcp_loss_event_draws_only_under_active_loss_faults():
 
 # -- engine wiring -------------------------------------------------------------
 
-@pytest.mark.parametrize("engine", ["lazy", "legacy", "vector"])
+@pytest.mark.parametrize("engine", ["lazy", "reference", "vector"])
 def test_tcp_spec_runs_end_to_end_on_every_engine_request(engine):
     spec = RunSpec(
         protocol="current",
@@ -233,7 +236,7 @@ def test_tcp_spec_runs_end_to_end_on_every_engine_request(engine):
         max_time=700.0,
         transport="tcp",
     )
-    with use_shared_engine(engine):
+    with use_engine(engine):
         summary = execute_spec(spec).summary()
     assert summary["success"] is True
     assert summary["stats"]["messages_delivered"] > 0
@@ -247,10 +250,10 @@ def test_vector_requests_keep_the_vector_engine_for_tcp():
 
     expected = "vector" if vector_available() else "lazy"
     with use_shared_engine("vector"):
-        assert effective_shared_engine(transport="tcp") == expected
-        assert effective_shared_engine(transport="fair") == expected
+        assert effective_shared_engine("tcp") == expected
+        assert effective_shared_engine("fair") == expected
     # Default requests still resolve to lazy.
-    assert effective_shared_engine(transport="tcp") == "lazy"
+    assert effective_shared_engine("tcp") == "lazy"
 
 
 def test_result_cache_keys_tcp_vector_requests_under_the_vector_suffix(tmp_path):
@@ -393,15 +396,14 @@ def test_reno_state_machine_invariants_hold_over_any_loss_sequence(script):
 
 
 def test_tcp_model_runs_detached_from_a_network():
-    # Direct assign_rates calls (no SimNetwork, no injector) must work for
-    # unit tests and third-party schedulers: default RTT, no loss events.
+    # The Reno machine with no SimNetwork and no injector behind it (unit
+    # tests, schedulers built directly): default RTT, no loss events.
     from tests.simnet.test_linkmodel import links_for, make_flow
 
     model = TcpLinkModel()
-    flows = {1: make_flow(1, "a", "b", 1_000_000)}
+    flow = make_flow(1, "a", "b", 1_000_000)
     links = links_for({"a": 8.0, "b": 8.0})
-    model.assign_rates(flows, links, 0.0)
-    assert flows[1].rate > 0.0
-    state = model.state_of(flows[1], 0.0)
+    assert tcp_rates([flow], links, 0.0, model)[1] > 0.0
+    state = model.state_of(flow, 0.0)
     assert state.cwnd >= 1.0
     assert state.ssthresh == TCP_INITIAL_SSTHRESH

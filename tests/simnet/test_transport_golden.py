@@ -5,44 +5,32 @@ zero-size control messages, a throttling window, a mid-run link replacement,
 and transfers that time out — is driven through :class:`SimNetwork` and every
 externally observable transport event (delivery, timeout) is recorded with
 its full-precision virtual timestamp.  The resulting event streams are
-committed under ``tests/data/`` and must reproduce *byte-identically*, once
-per shared-scheduler engine:
+committed under ``tests/data/`` and must reproduce *byte-identically*:
 
 * ``golden_transport_{fair,fifo,tcp}.json`` — the default **lazy** engine
   (GOLDEN format 2, the lazy-advance scheduler of
   :mod:`repro.simnet.shared_sched`);
-* ``golden_transport_{fair,fifo,tcp}_legacy.json`` — the **legacy**
-  global-recompute engine.  The fair/fifo files are the *original pre-lazy
-  goldens*, unchanged since the models were extracted from the monolith:
-  they prove the legacy loop still produces the historical trajectory,
-  which is what makes it a valid conformance anchor for the lazy engine.
-  The tcp files pin each engine independently — tcp's window dynamics
-  advance at exact ack-tick instants on the lazy engine but fold into
-  recompute events on the legacy one, so the two trajectories differ by
-  design and each needs its own anchor.
 * ``golden_transport_tcp_vector.json`` — the **vector** engine's tcp
   trajectory (numpy-gated).  The vector engine advances whole due cohorts
   per wake, which lands ack ticks on slightly different instants than the
-  lazy engine's per-flow events, so tcp's third engine also needs its own
+  lazy engine's per-flow events, so tcp's second engine needs its own
   anchor.  fair/fifo need no vector golden: their vector trajectories are
   conformance-checked against lazy in ``test_vector_sched.py`` instead.
 
-GOLDEN version history: format 1 (implicit, no marker) pinned the legacy
-engine's trajectory as the default; format 2 pins the lazy engine's (the
-rebaseline is deliberate — lazy progress accumulation chips ``remaining``
-at rate changes only, which shifts float rounding; old-vs-new equivalence
-is enforced separately by ``tests/simnet/test_shared_sched.py``).
+The goldens pin each engine's own float trajectory; that the trajectory is
+the *right* one is the reference model's job
+(``tests/simnet/reference_sched.py``, compared against on this same workload
+in ``test_shared_sched.py`` and ``test_tcp_transport.py``).
 
-A protocol-level golden (one full ``fifo`` consensus run summary, one file
-per engine) rides along so the fifo model is pinned end-to-end, not just at
-transport level.
+A protocol-level golden (one full ``fifo`` consensus run summary) rides
+along so the fifo model is pinned end-to-end, not just at transport level.
 
 To intentionally re-baseline after a *deliberate* semantic change:
 
     PYTHONPATH=src python tests/simnet/test_transport_golden.py regenerate
 
-(regenerates the lazy *and* legacy files — say so loudly in the PR and bump
-GOLDEN_FORMAT if the lazy trajectory moved on purpose).
+(say so loudly in the PR and bump GOLDEN_FORMAT if the lazy trajectory moved
+on purpose).
 """
 
 import json
@@ -60,15 +48,15 @@ from repro.simnet.node import ProtocolNode
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 GOLDEN_TRANSPORTS = ("fair", "fifo", "tcp")
-GOLDEN_ENGINES = ("lazy", "legacy")
 
-#: (transport, engine) pairs pinned beyond the lazy/legacy grid: tcp's
-#: vector-engine trajectory differs by design (cohort ack ticks) and gets
-#: its own numpy-gated anchor.
+#: Engines whose trajectory is byte-pinned for every golden transport.
+GOLDEN_ENGINES = ("lazy",)
+
+#: Transports pinned on the vector engine too: tcp's vector trajectory
+#: differs by design (cohort ack ticks) and gets its own numpy-gated anchor.
 VECTOR_GOLDEN_TRANSPORTS = ("tcp",)
 
-#: Format of the lazy-engine golden records ("golden_format" key); the
-#: legacy files predate the marker and are pinned without one.
+#: Format of the golden records ("golden_format" key).
 GOLDEN_FORMAT = 2
 
 #: Per-node symmetric link capacities for the workload (Mbit/s).
@@ -94,7 +82,7 @@ def golden_path(transport: str, engine: str) -> Path:
 
 
 def fifo_run_path(engine: str) -> Path:
-    suffix = "" if engine == "lazy" else "_legacy"
+    suffix = "" if engine == "lazy" else "_%s" % engine
     return DATA_DIR / ("golden_fifo_run%s.json" % suffix)
 
 
@@ -166,8 +154,7 @@ def run_transport_workload(transport: str) -> dict:
 def _record_for(transport: str, engine: str) -> dict:
     with use_shared_engine(engine):
         record = run_transport_workload(transport)
-    if engine != "legacy":  # the legacy files predate the format marker
-        record["golden_format"] = GOLDEN_FORMAT
+    record["golden_format"] = GOLDEN_FORMAT
     return record
 
 
@@ -219,18 +206,14 @@ def regenerate() -> None:  # pragma: no cover - maintenance entry point
 
     from repro.simnet.vector_sched import vector_available
 
-    for engine in GOLDEN_ENGINES:
-        for transport in GOLDEN_TRANSPORTS:
-            record = _record_for(transport, engine)
-            path = golden_path(transport, engine)
-            path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
-            print("rebaselined", path)
+    pairs = [(t, engine) for engine in GOLDEN_ENGINES for t in GOLDEN_TRANSPORTS]
     if vector_available():
-        for transport in VECTOR_GOLDEN_TRANSPORTS:
-            record = _record_for(transport, "vector")
-            path = golden_path(transport, "vector")
-            path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
-            print("rebaselined", path)
+        pairs += [(transport, "vector") for transport in VECTOR_GOLDEN_TRANSPORTS]
+    for transport, engine in pairs:
+        record = _record_for(transport, engine)
+        path = golden_path(transport, engine)
+        path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+        print("rebaselined", path)
     for engine in GOLDEN_ENGINES:
         spec = _fifo_run_spec()
         with use_shared_engine(engine):

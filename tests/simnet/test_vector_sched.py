@@ -5,7 +5,7 @@ coalesces same-instant work and recomputes rates over numpy slot arrays, so
 it does *not* reproduce the lazy engine's event order or float rounding —
 flows chip progress at recompute instants rather than per flow event, and
 same-instant completions settle in flow-id batches.  Its contract is
-therefore pinned one level up, exactly where the lazy/legacy contract
+therefore pinned one level up, exactly where the lazy/reference contract
 lives: **summary equivalence** — integer accounting (deliveries, timeouts,
 drops, per-phase message counts) equal exactly, continuous values (bytes,
 timestamps, latencies) within ``REL_TOLERANCE`` — plus the canonical
@@ -39,6 +39,7 @@ from repro.simnet.node import ProtocolNode
 from repro.simnet.shared_sched import LazySharedLinkScheduler
 from repro.simnet.vector_sched import VectorSharedLinkScheduler, vector_available
 from tests.faults.test_conformance import random_fault_plan
+from tests.simnet.reference_sched import ReferenceFlowScheduler, use_reference_scheduler
 from tests.simnet.test_shared_sched import (
     REL_TOLERANCE,
     SHARED_TRANSPORTS,
@@ -58,7 +59,7 @@ def test_vector_request_selects_vector_or_falls_back_to_lazy():
     # vector engine yields the vectorized scheduler when numpy is importable
     # and silently downgrades to the (golden-pinned) lazy engine otherwise.
     with use_shared_engine("vector"):
-        assert effective_shared_engine() == (
+        assert effective_shared_engine("fair") == (
             "vector" if vector_available() else "lazy"
         )
         scheduler = make_flow_scheduler(
@@ -73,9 +74,12 @@ def test_vector_request_selects_vector_or_falls_back_to_lazy():
 
 
 def test_non_vector_engines_are_unaffected_by_numpy_availability():
-    for engine in ("lazy", "legacy"):
-        with use_shared_engine(engine):
-            assert effective_shared_engine() == engine
+    with use_shared_engine("lazy"):
+        assert effective_shared_engine("fair") == "lazy"
+    # The reference model is not an engine request: it stands in whatever
+    # the switch says.
+    with use_shared_engine("vector"), use_reference_scheduler():
+        assert type(SimNetwork(transport="fair")._scheduler) is ReferenceFlowScheduler
 
 
 # -- conformance: vector engine vs lazy engine ---------------------------------

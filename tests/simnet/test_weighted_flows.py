@@ -4,24 +4,25 @@ The consensus-distribution layer's correctness rests on one transport
 property: a flow of weight ``w`` carrying ``w × size`` bytes behaves exactly
 like ``w`` unit flows of ``size`` bytes started at the same instant.  These
 tests pin that equivalence directly on :class:`SimNetwork` — no protocol or
-client code — across the shared models on both engines and the independent
-model, plus the aggregate-endpoint semantics (per-client capacity, no
+client code — across the shared models on the lazy engine, the reference
+model and the vector engine, and the independent model, plus the aggregate-endpoint semantics (per-client capacity, no
 sharing) and the weighted message accounting.
 """
 
 import pytest
 
 from repro.simnet.bandwidth import BandwidthSchedule
-from repro.simnet.flows import use_shared_engine
 from repro.simnet.message import Message
 from repro.simnet.network import LinkConfig, SimNetwork
 from repro.simnet.node import ProtocolNode
 
-ENGINES = ("lazy", "legacy")
+from tests.simnet.reference_sched import use_engine
+
+ENGINES = ("lazy", "reference")
 
 #: Every engine behind the seam.  "vector" downgrades to lazy on numpy-less
 #: installs, so these parametrizations stay meaningful (if redundant) there.
-ALL_ENGINES = ("lazy", "legacy", "vector")
+ALL_ENGINES = ("lazy", "reference", "vector")
 
 #: An aggregate cohort the size of the extreme Figure-13 rows: one flow
 #: standing in for ten million clients.
@@ -39,7 +40,8 @@ class Recorder(ProtocolNode):
 
 def build_network(transport, engine, receiver_aggregate=False, receiver_mbps=80.0):
     log = []
-    network = SimNetwork(transport=transport, shared_engine=engine, default_latency_s=0.0)
+    with use_engine(engine):
+        network = SimNetwork(transport=transport, default_latency_s=0.0)
     network.add_node(
         Recorder("server", log), LinkConfig.symmetric(BandwidthSchedule.constant_mbps(100.0))
     )
