@@ -6,11 +6,13 @@ reports.  The benchmark suite under ``benchmarks/`` calls these functions so
 that ``pytest benchmarks/ --benchmark-only`` regenerates every artefact; the
 examples under ``examples/`` reuse them for human-readable walkthroughs.
 
-Every module that executes protocol runs (Figures 1/7/10/11, Table 1, the
-ablations) describes them as :class:`~repro.runtime.spec.RunSpec` grids and
-routes them through a :class:`~repro.runtime.executor.SweepExecutor`; pass
-``executor=`` (or ``workers=`` / ``cache=`` where exposed) to parallelise
-grids across processes and reuse cached cells between artefacts.
+Every module that executes protocol runs (Figures 1/7/10/11/12/13, Table 1,
+the ablations) describes them as :class:`~repro.runtime.spec.RunSpec` grids
+and routes them through a :class:`~repro.runtime.executor.SweepExecutor`;
+pass ``executor=`` (or ``workers=`` / ``cache=`` where exposed) to
+parallelise grids across processes and reuse cached cells between artefacts.
+Host time and memory are not measured here: ``perfbench/`` is the one
+instrument for those.
 
 Index (design notes live in the DESIGN-*.md files at the repo root:
 DESIGN-transport.md, DESIGN-faults.md, DESIGN-clients.md,
@@ -31,7 +33,6 @@ Figure 12 Recovery latency under declarative fault mixes          figure12_fault
 Table 1   Design comparison and communication complexity          table1_complexity
 Table 2   Round complexity of the sub-protocols                   table2_rounds
 (extra)   Ablations: transport link model, agreement engine       ablations
-(extra)   Scaling sweep: transport wall-clock at 10×-paper N      scaling_sweep
 Figure 13 Client recovery under the DDoS, 10k–10M dir-clients    figure13_clients
 ========  =====================================================  =========================
 """
@@ -59,15 +60,6 @@ from repro.experiments.table1_complexity import run_table1, render_table1
 from repro.experiments.table2_rounds import run_table2, render_table2
 from repro.experiments.cost_table import run_cost_analysis, render_cost_analysis
 from repro.experiments.ablations import run_scheduling_ablation, run_engine_ablation
-from repro.experiments.scaling_sweep import (
-    ScalingCell,
-    headline_speedups,
-    render_scaling,
-    run_scaling_sweep,
-    scaling_specs,
-    speedup_at,
-    write_bench_json,
-)
 
 __all__ = [
     "AttackDemoResult",
@@ -99,11 +91,4 @@ __all__ = [
     "render_cost_analysis",
     "run_scheduling_ablation",
     "run_engine_ablation",
-    "ScalingCell",
-    "headline_speedups",
-    "scaling_specs",
-    "run_scaling_sweep",
-    "render_scaling",
-    "speedup_at",
-    "write_bench_json",
 ]

@@ -18,14 +18,15 @@ Populations sweep 10k → 10M modeled clients across the three protocols,
 plus an *extreme* row at 100M clients in 1000 cohorts — and the whole
 standard grid repeats under ``transport="tcp"`` on the vector engine, so
 the committed recovery curve also exists under real congestion control
-(slow start, fast recovery) rather than the idealized ``fair`` split.  Cohort aggregation
-(32 cohorts for the standard rows; see ``DESIGN-clients.md``) keeps the
-10M-client cells at thousands of simulator events, so the whole
-three-protocol 10M row regenerates in seconds — and the extreme row leans
-on the vectorized core (batched wave draws + the vector transport engine)
-to fit the same 60 s three-protocol budget at 10× the population and 31×
-the cohort grid.  ``benchmarks/test_bench_clients.py`` asserts both budgets
-and commits the numbers as ``BENCH_clients.json``.
+(slow start, fast recovery) rather than the idealized ``fair`` split.
+Cohort aggregation (32 cohorts for the standard rows; see
+``DESIGN-clients.md``) keeps the 10M-client cells at thousands of simulator
+events, and the extreme row runs on the vectorized core (batched wave draws
++ the vector transport engine).
+The full grid is committed as ``BENCH_clients.json``: every field is a
+simulated quantity, so ``python -m repro.experiments.figure13_clients``
+regenerates the file byte for byte, and ``benchmarks/test_bench_clients.py``
+asserts its claims and re-runs two of its cells.
 
 The extreme row is also where the mirror tier's *capacity* becomes the
 story: 256 mirrors serving 100M clients cannot push everyone a consensus
@@ -33,25 +34,24 @@ within the run window, so even the partial-synchrony protocol leaves most
 clients stale at t=1800 — the recovering fraction, not recovery of
 everyone, is the signal.
 
-Cells run serially and in-process (never through a result cache) because the
-committed payload carries wall-clock timings, exactly like the scaling
-sweep.
+The grid routes through :class:`~repro.runtime.executor.SweepExecutor` like
+Figures 10–12: pass ``executor=`` to fan the cells out over a process pool
+and/or skip cells whose results are already in its cache.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import resource
-import time
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro.analysis.reporting import format_table
 from repro.attack.ddos import majority_attack_plan
 from repro.clients.workload import ClientWorkload
+from repro.runtime.executor import SweepExecutor
 from repro.runtime.spec import PROTOCOL_NAMES, RunSpec
 from repro.simnet.flows import effective_shared_engine, use_shared_engine
 from repro.utils.validation import ensure
@@ -74,17 +74,6 @@ EXTREME_COHORT_COUNT = 1_000
 #: populations swept here).
 DEFAULT_MIRROR_COUNT = 256
 
-#: Format version of the ``BENCH_clients.json`` payload.  Version 2: the
-#: grid gains the 100M-client/1000-cohort extreme row, and cells carry the
-#: scheduler ``engine`` and ``peak_rss_mb`` (process high-water mark at
-#: cell end, cheapest cells first — growth is attributable to scale).
-#: Version 3: cells carry ``transport`` and the committed payload gains a
-#: full ``transport="tcp"`` grid on the vector engine — the realistic
-#: congestion-controlled recovery curve the tcp vector policy makes
-#: affordable at the 10M-client row.
-BENCH_FORMAT_VERSION = 3
-
-
 def cohort_count_for(population: int) -> int:
     """The default cohort grid for ``population`` (extreme rows get 1000)."""
     return EXTREME_COHORT_COUNT if population >= EXTREME_POPULATION else DEFAULT_COHORT_COUNT
@@ -92,7 +81,7 @@ def cohort_count_for(population: int) -> int:
 
 @dataclass(frozen=True)
 class Figure13Cell:
-    """One timed (protocol × population) run of the client-recovery grid."""
+    """One (protocol × population) run of the client-recovery grid."""
 
     protocol: str
     population: int
@@ -106,10 +95,8 @@ class Figure13Cell:
     mean_staleness_s: float
     first_publish_time_s: Optional[float]
     fetch_attempts: int
-    wall_clock_s: float
     virtual_end_s: float
     engine: str = "lazy"
-    peak_rss_mb: float = 0.0
     transport: str = "fair"
 
 
@@ -193,67 +180,66 @@ def run_figure13(
     max_time: float = 1800.0,
     engine: Optional[str] = None,
     transport: str = "fair",
-    progress: Optional[Callable[[Figure13Cell], None]] = None,
+    executor: Optional[SweepExecutor] = None,
 ) -> List[Figure13Cell]:
-    """Execute the grid serially, timing each cell's wall clock.
+    """Run the (population × protocol) grid through the sweep executor.
 
     ``cohort_count`` of None applies the per-population default
     (:func:`cohort_count_for`: 32, or 1000 at the extreme population).
     ``engine`` of None runs the ambient shared engine; the extreme row is
     normally run with ``engine="vector"`` (downgrading to lazy without
-    numpy).  ``transport`` selects the link model — ``"tcp"`` runs the
-    recovery curve under real congestion control, affordable at the large
-    populations because tcp now has a vector policy.  ``progress`` (if
-    given) fires after each cell — a 12-cell grid with 10M clients is not
-    instant, and silence reads as a hang.
+    numpy).  The request is scoped with
+    :func:`~repro.simnet.flows.use_shared_engine` around the whole sweep, so
+    the executor's ``fork`` workers and its cache key both see it.
+    ``transport`` selects the link model — ``"tcp"`` runs the recovery curve
+    under real congestion control.
     """
-    from repro.protocols.runner import execute_spec
-
     ensure(len(populations) > 0, "need at least one population")
     ensure(len(protocols) > 0, "need at least one protocol")
-    cells: List[Figure13Cell] = []
-    for population in populations:
-        cell_cohorts = cohort_count if cohort_count is not None else cohort_count_for(population)
-        for protocol in protocols:
-            spec = figure13_spec(
-                protocol,
-                population,
-                cohort_count=cell_cohorts,
-                mirror_count=mirror_count,
-                relay_count=relay_count,
-                seed=seed,
-                max_time=max_time,
-                transport=transport,
-            )
-            with use_shared_engine(engine) if engine is not None else nullcontext():
-                effective = effective_shared_engine(transport=transport)
-                started = time.perf_counter()
-                result = execute_spec(spec)
-                elapsed = time.perf_counter() - started
-            clients = result.client_summary
-            cell = Figure13Cell(
-                protocol=protocol,
-                population=population,
-                cohort_count=cell_cohorts,
-                mirror_count=mirror_count,
-                run_success=result.success,
-                fresh_fraction=clients["fresh_fraction"],
-                fetch_success_rate=clients["fetch_success_rate"],
-                time_to_fresh_p50_s=clients["time_to_fresh_p50_s"],
-                time_to_fresh_p99_s=clients["time_to_fresh_p99_s"],
-                mean_staleness_s=clients["mean_staleness_s"],
-                first_publish_time_s=clients["first_publish_time_s"],
-                fetch_attempts=clients["fetch_attempts"],
-                wall_clock_s=elapsed,
-                virtual_end_s=result.end_time,
-                engine=effective,
-                peak_rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
-                transport=transport,
-            )
-            cells.append(cell)
-            if progress is not None:
-                progress(cell)
-    return cells
+    executor = executor or SweepExecutor()
+    specs = [
+        figure13_spec(
+            protocol,
+            population,
+            cohort_count=(
+                cohort_count if cohort_count is not None else cohort_count_for(population)
+            ),
+            mirror_count=mirror_count,
+            relay_count=relay_count,
+            seed=seed,
+            max_time=max_time,
+            transport=transport,
+        )
+        for population in populations
+        for protocol in protocols
+    ]
+    with use_shared_engine(engine) if engine is not None else nullcontext():
+        effective = effective_shared_engine(transport)
+        summaries = executor.run_summaries(specs)
+    return [_cell(spec, summary, effective) for spec, summary in zip(specs, summaries)]
+
+
+def _cell(spec: RunSpec, summary: Dict[str, Any], engine: str) -> Figure13Cell:
+    """One grid cell from a run's spec, its summary and the engine that ran."""
+    workload = spec.client_workload
+    clients = summary["clients"]
+    return Figure13Cell(
+        protocol=spec.protocol,
+        population=workload.population,
+        cohort_count=workload.cohort_count,
+        mirror_count=workload.mirror_count,
+        run_success=summary["success"],
+        fresh_fraction=clients["fresh_fraction"],
+        fetch_success_rate=clients["fetch_success_rate"],
+        time_to_fresh_p50_s=clients["time_to_fresh_p50_s"],
+        time_to_fresh_p99_s=clients["time_to_fresh_p99_s"],
+        mean_staleness_s=clients["mean_staleness_s"],
+        first_publish_time_s=clients["first_publish_time_s"],
+        fetch_attempts=clients["fetch_attempts"],
+        virtual_end_s=summary["end_time"],
+        engine=engine,
+        transport=spec.transport,
+    )
 
 
 def render_figure13(cells: Sequence[Figure13Cell]) -> str:
@@ -277,7 +263,6 @@ def render_figure13(cells: Sequence[Figure13Cell]) -> str:
                 "%.1f%%" % (100.0 * cell.fetch_success_rate)
                 if cell.fetch_success_rate is not None
                 else "n/a",
-                "%.1f s" % cell.wall_clock_s,
             )
         )
     return format_table(
@@ -291,7 +276,6 @@ def render_figure13(cells: Sequence[Figure13Cell]) -> str:
             "p99 fresh",
             "Staleness",
             "Fetch ok",
-            "Wall clock",
         ],
         rows,
         title="Figure 13: client recovery under the 5-minute DDoS on 5 authorities",
@@ -301,12 +285,9 @@ def render_figure13(cells: Sequence[Figure13Cell]) -> str:
 def write_bench_json(
     cells: Sequence[Figure13Cell], path: Union[str, Path] = "BENCH_clients.json"
 ) -> Path:
-    """Write the grid's cells (metrics + wall clocks) to ``path``."""
+    """Write the grid's cells to ``path`` (simulated fields only)."""
     path = Path(path)
-    payload = {
-        "format": BENCH_FORMAT_VERSION,
-        "cells": [asdict(cell) for cell in cells],
-    }
+    payload = {"cells": [asdict(cell) for cell in cells]}
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return path
 
@@ -316,12 +297,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--out", default="BENCH_clients.json", help="output path for the JSON payload"
-    )
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="single-population smoke (1M clients, 32 cohorts, all three "
-        "protocols) for CI wall-clock budgets",
     )
     parser.add_argument(
         "--populations",
@@ -346,33 +321,33 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.populations is not None:
         populations: Sequence[int] = tuple(args.populations)
         extreme = False
-    elif args.quick:
-        populations = (1_000_000,)
-        extreme = False
     else:
         populations = DEFAULT_POPULATIONS
 
-    def progress(cell: Figure13Cell) -> None:
+    def progress(index: int, spec: RunSpec, summary: Dict[str, Any], cached: bool) -> None:
+        # A 12-cell grid with 10M clients is not instant, and silence reads
+        # as a hang.
         print(
-            "cell done: %s @ %s clients transport=%s — fresh %.1f%%, %.1f s wall"
+            "cell done: %s @ %s clients transport=%s — fresh %.1f%%"
             % (
-                cell.protocol,
-                "{:,}".format(cell.population),
-                cell.transport,
-                100.0 * cell.fresh_fraction,
-                cell.wall_clock_s,
+                spec.protocol,
+                "{:,}".format(spec.client_workload.population),
+                spec.transport,
+                100.0 * summary["clients"]["fresh_fraction"],
             )
         )
+
+    executor = SweepExecutor(on_result=progress)
 
     from repro.simnet.vector_sched import vector_available
 
     if args.transport is not None:
         cells = run_figure13(
-            populations=populations, transport=args.transport, progress=progress
+            populations=populations, transport=args.transport, executor=executor
         )
         extreme = False
     else:
-        cells = run_figure13(populations=populations, progress=progress)
+        cells = run_figure13(populations=populations, executor=executor)
         # The realistic-transport grid: the same populations under tcp
         # congestion control, on the vector engine (downgrading to lazy
         # without numpy) — the curve DESIGN-transport.md documents.
@@ -380,7 +355,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             populations=populations,
             engine="vector",
             transport="tcp",
-            progress=progress,
+            executor=executor,
         )
     if extreme and not vector_available():
         print("skipping the 100M-client row: the vector engine needs numpy "
@@ -390,7 +365,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # The vectorized-core showcase row: 100M clients, 1000 cohorts, on
         # the vector engine.
         cells += run_figure13(
-            populations=(EXTREME_POPULATION,), engine="vector", progress=progress
+            populations=(EXTREME_POPULATION,), engine="vector", executor=executor
         )
     print(render_figure13(cells))
     out = write_bench_json(cells, args.out)

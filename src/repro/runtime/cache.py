@@ -23,22 +23,11 @@ from typing import Any, Dict, Iterator, Optional, Union
 from repro.runtime.spec import RunSpec
 from repro.utils.validation import ensure
 
-#: On-disk entry format version; bump when the summary layout changes.
-#: Version 2: summaries carry fault accounting (``stats.messages_dropped``
-#: and the ``faults`` block) and specs serialize their fault plan.
-#: Version 3: specs serialize the transport model (``transport`` replaces
-#: ``scheduling``, spec format v3); older entries read as misses.
-#: Version 4: the lazy-advance shared transport became the default engine
-#: (spec format v4) — summaries for equal fair/fifo specs differ from v3
-#: builds at float-rounding level, so v3 entries must read as misses
-#: rather than mis-hit with stale trajectories.
-#: Version 5: specs may carry a ``client_workload`` (spec format v5) and
-#: summaries a ``clients`` block (result summary v3); older entries read
-#: as misses.
-#: Version 6: tcp grew Reno fast retransmit/recovery (every lossy tcp
-#: trajectory differs from the Tahoe-era v5 build) and a vector policy —
-#: v5 vector-request entries were keyed as lazy under the old downgrade,
-#: so *all* v5 entries must read as misses rather than mis-hit tcp runs.
+#: On-disk entry format version; bump when the summary layout changes or
+#: when equal specs stop producing equal summaries (a transport-trajectory
+#: change), so that older entries read as misses instead of mis-hitting.
+#: An entry holds the spec (spec format 5) and its result summary (summary
+#: version 3, with the ``faults`` and ``clients`` blocks).
 CACHE_FORMAT_VERSION = 6
 
 

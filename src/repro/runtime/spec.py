@@ -47,19 +47,12 @@ PROTOCOL_NAMES = ("current", "synchronous", "ours")
 #: Default cap on how many relays are materialised per vote in large sweeps.
 DEFAULT_CONTENT_RELAY_CAP = 120
 
-#: Serialization format version written by :meth:`RunSpec.to_dict`.
-#: Version 2 added the declarative ``fault_plan``.  Version 3 renamed the
-#: ``scheduling`` field to ``transport`` (validated against the link-model
-#: registry); :meth:`RunSpec.from_dict` still reads v2 dicts.  Version 4
-#: has the *same field layout* as v3 — the bump marks the lazy-advance
-#: shared transport becoming the default engine, after which equal specs
-#: produce float trajectories that differ from v3 builds at rounding level
-#: (summary-level equivalence is pinned by the old-vs-new conformance
-#: properties; golden traces were regenerated, GOLDEN format 2).
-#: Version 5 added the optional ``client_workload`` (the consensus-
-#: distribution layer).  The workload joins :meth:`RunSpec.key` only when
-#: present, so specs *without* one hash exactly as they did under v4.
-#: :meth:`RunSpec.from_dict` reads v2 through v4 dicts unchanged.
+#: Serialization format version written by :meth:`RunSpec.to_dict`.  The
+#: format holds every :class:`RunSpec` field by name — ``transport`` is a
+#: link-model registry name, ``fault_plan`` the declarative fault layer — and
+#: ``client_workload`` only when the spec has one, so a client-free spec
+#: serializes (and, through :meth:`RunSpec.key`, hashes) as it did before
+#: the distribution layer existed.
 SPEC_FORMAT_VERSION = 5
 
 
@@ -222,21 +215,9 @@ class RunSpec:
 
         return DirectoryProtocolConfig(**dict(self.config_overrides))
 
-    # -- deprecated aliases ------------------------------------------------
-    @property
-    def scheduling(self) -> str:
-        """Deprecated pre-v3 name of :attr:`transport` (kept for callers)."""
-        return self.transport
-
     # -- spec derivation ---------------------------------------------------
     def derive(self, **changes: Any) -> "RunSpec":
-        """Return a copy with the given fields replaced (validated anew).
-
-        Accepts the deprecated ``scheduling`` keyword as an alias for
-        ``transport``.
-        """
-        if "scheduling" in changes:
-            changes["transport"] = changes.pop("scheduling")
+        """Return a copy with the given fields replaced (validated anew)."""
         return replace(self, **changes)
 
     def with_config(self, config: Any) -> "RunSpec":
@@ -336,8 +317,7 @@ class RunSpec:
             bandwidth_mbps=float(data["bandwidth_mbps"]),
             seed=int(data["seed"]),
             engine=data["engine"],
-            # v2 dicts (and the committed golden specs) carry "scheduling".
-            transport=data.get("transport", data.get("scheduling", "fair")),
+            transport=data["transport"],
             authority_count=int(data["authority_count"]),
             content_relay_cap=int(data["content_relay_cap"]),
             max_time=float(data["max_time"]),

@@ -46,7 +46,7 @@ Four models ship in the registry:
     capacity regardless of concurrency.  Flows never interact, which lets
     the scheduler maintain one O(1) completion event per flow instead of any
     global recompute — the model to reach node counts far beyond paper scale
-    (see ``experiments/scaling_sweep.py``).
+    (``perfbench``'s ``event_floor`` workload runs it at 200 authorities).
 
 Models register by name via :func:`register_link_model`; the name travels on
 :class:`~repro.runtime.spec.RunSpec` (field ``transport``) and therefore

@@ -151,26 +151,20 @@ class SimNetwork:
     def __init__(
         self,
         simulator: Optional[Simulator] = None,
-        scheduling: Optional[str] = None,
         default_latency_s: float = 0.05,
         trace: Optional[TraceLog] = None,
-        transport: Union[str, LinkModel, None] = None,
+        transport: Union[str, LinkModel] = "fair",
         shared_engine: Optional[str] = None,
     ) -> None:
         """Build a network.
 
         ``transport`` selects the link model — a registry name (``"fair"``,
-        ``"fifo"``, ``"latency-only"``) or a :class:`LinkModel` instance for
-        unregistered experiments.  ``scheduling`` is the deprecated pre-v3
-        name for the same argument.  ``shared_engine`` selects the
+        ``"fifo"``, ``"tcp"``, ``"latency-only"``) or a :class:`LinkModel`
+        instance for unregistered experiments.  ``shared_engine`` selects the
         shared-regime scheduler engine (``"lazy"`` or ``"vector"``; default
         from ``REPRO_SHARED_ENGINE``, else lazy) — see
         :func:`repro.simnet.flows.effective_shared_engine`.
         """
-        if transport is None:
-            transport = "fair" if scheduling is None else scheduling
-        elif scheduling is not None:
-            raise ValidationError("pass either transport or scheduling, not both")
         model = transport if isinstance(transport, LinkModel) else get_link_model(transport)
         ensure(default_latency_s >= 0, "default latency must be non-negative")
         self.simulator = simulator or Simulator()

@@ -420,8 +420,8 @@ class TcpLazyRater(FairLazyRater):
 
     Ticks fire once per estimated RTT, and the queue-delay RTT sample
     inflates ``estRTT`` as the window grows — so per-flow tick frequency is
-    self-limiting (roughly ``sqrt`` of transfer progress), which is what the
-    perf-smoke ``tcp@30`` budget in CI pins.
+    self-limiting (roughly ``sqrt`` of transfer progress); the per-message
+    tick count is pinned in ``tests/simnet/test_flow_waves.py``.
 
     Unlike fair/fifo, tcp makes no cross-engine trajectory claim: the lazy
     engine advances windows at exact tick instants and the vector engine

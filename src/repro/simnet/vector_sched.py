@@ -5,7 +5,9 @@ work to *touched* flows, but it still executes that work one flow at a time
 in Python — a dict lookup, a few float multiplies, a heap push per flow.  At
 paper scale (120 authorities broadcasting votes) a single transport event
 touches an entire link occupancy set of ~100 flows, and the per-flow
-interpreter overhead dominates the run (see ``BENCH_scaling.json``).
+interpreter overhead dominates the run (DESIGN-transport.md has the last
+lazy-vs-vector timings; ``benchmarks/profile_scaling.py --compare`` takes
+new ones).
 
 :class:`VectorSharedLinkScheduler` keeps per-flow state in parallel numpy
 arrays instead — residual bytes, rate, last-update instant, weight, interned

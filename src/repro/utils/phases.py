@@ -1,13 +1,13 @@
 """Phase-attributed wall-clock accounting for the simulation hot path.
 
-``BENCH_scaling.json`` answers "how fast is the run"; this module answers
-"*where did the wall clock go*".  A run's time is split into named buckets —
+``perfbench/`` answers "how fast is the run"; this module answers "*where
+did the wall clock go*", and is what ``perfbench`` builds its per-layer
+``trace.*`` metrics on.  A run's time is split into named buckets —
 ``transport`` (event loop, flow scheduling, rate maintenance), ``protocol``
 (node timer bodies and message handlers), ``crypto`` (HMAC signing and
 verification), and ``client_wave`` (cohort wave ticks) — so a regression can
 be attributed to a layer instead of re-profiled from scratch
-(``benchmarks/profile_scaling.py --phases`` prints the table; the scaling
-sweep records it per cell in format 5).
+(``benchmarks/profile_scaling.py --phases`` prints the table).
 
 Accounting is **exclusive** (self-time): entering a nested bucket stops the
 clock of the enclosing one, so the buckets sum to the instrumented span and
@@ -20,8 +20,8 @@ Cost discipline: instrumentation sites guard with ``if phases.ENABLED:``
 (a module-global bool read), so the disabled path costs one attribute load
 per site — unmeasurable against the work it wraps.  Enabled, each
 enter/leave pair is two ``perf_counter`` calls and a few dict/list
-operations (~1–2 % on protocol-heavy cells), which is why the scaling
-sweep's phase collection is opt-in per cell rather than always-on.
+operations (~1–2 % on protocol-heavy cells), which is why collection is
+opt-in per run rather than always-on.
 
 Not thread-safe and not re-entrant across simulators: one process measures
 one run at a time (sweep workers each own a process, so this holds in

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.clients.workload import ClientWorkload
+from repro.experiments.figure13_clients import figure13_spec
 from repro.protocols.runner import execute_spec
 from repro.runtime.spec import BandwidthOverride, RunSpec
 
@@ -118,3 +119,18 @@ def test_weighted_fetches_join_transfer_accounting():
     # must account many more messages than its client-free twin.
     extra = result.stats.messages_sent - baseline.stats.messages_sent
     assert extra >= result.client_summary["fetch_attempts"]
+
+
+def test_heap_events_do_not_grow_with_the_population():
+    # Cohort aggregation: cost tracks cohorts × waves, never clients.  On 4
+    # cohorts / 16 mirrors under the Figure-1 attack, ``current`` executes
+    # 28,937 heap events with 10k clients, 32,913 with 1M and 35,567 with
+    # 100M, while the clients' fetch attempts grow 10,000-fold; an event per
+    # client (or per fetch) would grow by that factor too.
+    small, large = (
+        execute_spec(figure13_spec("current", population, cohort_count=4, mirror_count=16))
+        for population in (10_000, 100_000_000)
+    )
+    attempts = [run.client_summary["fetch_attempts"] for run in (small, large)]
+    assert attempts[1] > 1000 * attempts[0]
+    assert large.engine_counters["executed"] <= 2 * small.engine_counters["executed"]

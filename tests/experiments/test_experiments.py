@@ -20,6 +20,8 @@ from repro.experiments import (
     run_table2,
 )
 from repro.experiments.ablations import render_ablation, run_engine_ablation, run_scheduling_ablation
+from repro.experiments.figure13_clients import render_figure13, run_figure13, write_bench_json
+from repro.runtime import ResultCache, SweepExecutor
 
 
 def test_figure1_attack_demo_breaks_consensus_and_logs_like_the_paper():
@@ -74,6 +76,34 @@ def test_figure11_recovery_and_rendering():
     assert not result.synchronous_success
     text = render_figure11(results)
     assert "2100 s fallback" in text
+
+
+#: One small Figure 13 cell: 10k clients on 4 cohorts / 16 mirrors.
+FIGURE13_QUICK = dict(populations=(10_000,), protocols=("ours",), cohort_count=4, mirror_count=16)
+
+
+def test_figure13_warm_cache_rerun_executes_nothing(tmp_path):
+    cache = ResultCache(tmp_path / "cache")
+    cold = SweepExecutor(cache=cache)
+    cells = run_figure13(executor=cold, **FIGURE13_QUICK)
+    assert cold.executed_runs == 1
+    assert cells[0].run_success and cells[0].fresh_fraction > 0.9
+    assert "ours" in render_figure13(cells)
+
+    warm = SweepExecutor(cache=cache)
+    again = run_figure13(executor=warm, **FIGURE13_QUICK)
+    assert (warm.executed_runs, warm.cache_hits) == (0, 1)
+    assert again == cells
+    # The payload holds simulated fields only, so it is the same file.
+    first = write_bench_json(cells, tmp_path / "first.json").read_bytes()
+    assert write_bench_json(again, tmp_path / "again.json").read_bytes() == first
+
+
+def test_figure13_cell_labels_the_engine_that_ran():
+    # latency-only runs the independent scheduler: a cell run under a vector
+    # request must not label an engine that never ran.
+    cells = run_figure13(engine="vector", transport="latency-only", **FIGURE13_QUICK)
+    assert [cell.engine for cell in cells] == ["lazy"]
 
 
 def test_table1_rows_and_rendering():

@@ -159,22 +159,6 @@ def test_transport_round_trips_and_differentiates_the_hash():
     assert rebuilt.transport == "latency-only"
 
 
-def test_v2_dicts_with_the_scheduling_key_still_deserialize():
-    spec = RunSpec(protocol="current", relay_count=10, transport="fifo")
-    legacy = spec.to_dict()
-    legacy["format"] = 2
-    legacy["scheduling"] = legacy.pop("transport")
-    rebuilt = RunSpec.from_dict(legacy)
-    assert rebuilt == spec
-    assert rebuilt.spec_hash() == spec.spec_hash()
-
-
-def test_scheduling_survives_as_a_deprecated_alias():
-    spec = RunSpec(protocol="current", relay_count=10, transport="fifo")
-    assert spec.scheduling == "fifo"
-    assert spec.derive(scheduling="fair").transport == "fair"
-
-
 # -- fault plans on specs (PR 2) ----------------------------------------------
 
 def test_fault_plan_participates_in_spec_hash_and_serialization():

@@ -144,11 +144,7 @@ def test_errors_for_bad_usage():
     with pytest.raises(ValidationError):
         network.add_node(Recorder("a"), LinkConfig.symmetric_mbps(1))
     with pytest.raises(ValidationError):
-        SimNetwork(scheduling="weighted")
-    with pytest.raises(ValidationError):
         SimNetwork(transport="weighted")
-    with pytest.raises(ValidationError):
-        SimNetwork(transport="fair", scheduling="fifo")
 
 
 def test_broadcast_helper_sends_to_all_peers():
