@@ -11,8 +11,11 @@ fetching from the same server is one flow of weight ``w`` carrying
 equivalent to ``w`` unit flows started at the same instant (see
 :mod:`repro.simnet.linkmodel`).
 
-Arrivals are aggregated at ``wave_interval_s`` granularity.  Every wave
-tick the cohort decides how many eligible clients start a fetch:
+Arrivals are aggregated at ``wave_interval_s`` granularity.  The cohort
+enrolls with the distribution's
+:class:`~repro.clients.waves.CohortWaveScheduler`, which every wave tick
+draws how many of the cohort's eligible clients start a fetch and hands the
+batch to :meth:`ClientCohortNode._run_wave`:
 
 * ``poisson`` — each client polls at exponential intervals with mean
   ``fetch_interval_s``; over one tick a client starts with probability
@@ -35,12 +38,10 @@ fresh, so successful runs drain instead of ticking until ``max_time``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.clients.metrics import ClientMetrics
-from repro.clients.sampling import binomial_from_uniform, gaussian_binomial
 from repro.clients.workload import ClientWorkload, even_split
 from repro.simnet.engine import EventHandle
 from repro.simnet.message import Message
@@ -121,8 +122,8 @@ class ClientCohortNode(ProtocolNode):
         self._rotation_offset = (
             rng.randint(0, len(self.servers) - 1) if workload.arrival == "poisson" else 0
         )
-        #: Batched wave driver this cohort enrolls with, if one is attached
-        #: before start; None means the cohort owns its own wave timer.
+        #: The wave driver this cohort enrolls with; the distribution
+        #: attaches it before the network starts.
         self.wave_scheduler: Optional["CohortWaveScheduler"] = None
 
     # -- state reporting ---------------------------------------------------
@@ -152,44 +153,18 @@ class ClientCohortNode(ProtocolNode):
 
     # -- lifecycle ---------------------------------------------------------
     def on_start(self) -> None:
-        if self.wave_scheduler is not None:
-            self.wave_scheduler.enroll(self, self.now + self.workload.wave_interval_s)
-        else:
-            self.set_timer(self.workload.wave_interval_s, self._on_wave)
-
-    def _on_wave(self) -> None:
-        self._run_wave(self._draw_batch(self.eligible_clients))
-        if self._fresh < self.population:
-            self.set_timer(self.workload.wave_interval_s, self._on_wave)
+        self.wave_scheduler.enroll(self, self.now + self.workload.wave_interval_s)
 
     # -- wave machinery ----------------------------------------------------
     def _run_wave(self, batch: int) -> None:
         """Advance the wave index and issue ``batch`` fetches, split across
-        this wave's serving directories.  The draw happened upstream — in
-        :meth:`_on_wave` (per-cohort timers) or batched across cohorts by a
+        this wave's serving directories.  The draw happened upstream, batched
+        across cohorts by the
         :class:`~repro.clients.waves.CohortWaveScheduler`."""
         self._wave_index += 1
         if batch > 0:
             for server, weight in self._split_batch(batch):
                 self._start_fetch(server, weight)
-
-    def _draw_batch(self, eligible: int) -> int:
-        """How many of the ``eligible`` clients start a fetch this wave.
-
-        One stream pull regardless of cohort size: an exact inverse-transform
-        Binomial sample from a single uniform up to the exact limit, the
-        Gaussian approximation from a single z-score beyond.
-        """
-        if eligible <= 0:
-            return 0
-        if self.workload.arrival == "deterministic":
-            return eligible
-        probability = 1.0 - math.exp(
-            -self.workload.wave_interval_s / self.workload.fetch_interval_s
-        )
-        if eligible <= _EXACT_BINOMIAL_LIMIT:
-            return binomial_from_uniform(eligible, probability, self.rng.random())
-        return gaussian_binomial(eligible, probability, self.rng.gauss(0.0, 1.0))
 
     def _split_batch(self, batch: int) -> List[Tuple[str, int]]:
         """Split ``batch`` clients across this wave's serving directories.

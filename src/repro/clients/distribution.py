@@ -39,7 +39,7 @@ from repro.clients.cohort import (
 )
 from repro.clients.metrics import ClientMetrics
 from repro.clients.mirror import DirectoryMirrorNode
-from repro.clients.waves import CohortWaveScheduler, resolve_wave_driver
+from repro.clients.waves import CohortWaveScheduler
 from repro.clients.workload import NOT_READY_RESPONSE_BYTES, ClientWorkload
 from repro.simnet.message import Message
 from repro.simnet.network import LinkConfig, SimNetwork
@@ -95,11 +95,7 @@ class ConsensusDistribution:
 
         # One wave driver for the whole cohort set: a tick is one simulator
         # event doing batched draw arithmetic, not one event per cohort.
-        # REPRO_CLIENT_WAVES=per-cohort restores individual timers (the
-        # conformance anchor — tests assert the two drivers agree exactly).
-        self.wave_scheduler: Optional[CohortWaveScheduler] = (
-            CohortWaveScheduler(network) if resolve_wave_driver() == "batched" else None
-        )
+        self.wave_scheduler = CohortWaveScheduler(network)
         self.cohorts: List[ClientCohortNode] = []
         for index, population in enumerate(workload.cohort_populations()):
             rng = DeterministicRNG(derive_seed(seed, "client-cohort", index))

@@ -7,7 +7,8 @@ per-item interpreter overhead the vectorized core removes elsewhere.  The
 their next tick instant and services a whole bucket with **one** event:
 batch-classify the cohorts, draw every Gaussian-path batch size in one
 vectorized expression (:func:`repro.clients.sampling.batch_gaussian_binomial`),
-then run each cohort's sends in registration order.
+then run each cohort's sends in registration order.  It is the only wave
+driver in ``src/``.
 
 Equivalence with per-cohort timers is *exact*, not statistical:
 
@@ -23,16 +24,15 @@ Equivalence with per-cohort timers is *exact*, not statistical:
   never re-enrolled* — a suppressed wave timer never fires again, so the
   cohort is dead for the rest of the run, exactly as before.
 
-The ``REPRO_CLIENT_WAVES=per-cohort`` environment knob disables the driver
-(cohorts fall back to owning their timers), serving as the conformance
-anchor: ``tests/clients/test_waves.py`` asserts summary equality between
-the two drivers, so the batched path needs no golden of its own.
+The per-cohort timers are a test fixture (``PerCohortTimers`` in
+``tests/clients/test_waves.py``: one ``schedule_node_timer`` per cohort, the
+scalar draw); that file asserts summary equality between the fixture and
+this driver, so the batched path needs no golden of its own.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from repro.clients.sampling import (
@@ -46,26 +46,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.clients.cohort import ClientCohortNode
     from repro.simnet.network import SimNetwork
 
-#: Environment variable selecting the wave driver ("batched" default, or
-#: "per-cohort" to give every cohort its own timer — the conformance anchor).
-CLIENT_WAVES_ENV = "REPRO_CLIENT_WAVES"
-
-#: The wave drivers :func:`resolve_wave_driver` knows about.
-WAVE_DRIVERS = ("batched", "per-cohort")
-
 #: Below this many cohorts in a bucket the scalar draw loop beats the numpy
 #: round trip; the cutover only changes speed, never values.
 _BATCH_DRAW_MIN_COHORTS = 16
-
-
-def resolve_wave_driver() -> str:
-    """The wave driver selected by the environment (default: batched)."""
-    driver = os.environ.get(CLIENT_WAVES_ENV, "batched")
-    if driver not in WAVE_DRIVERS:
-        raise ValueError(
-            "unknown client wave driver %r; expected one of %r" % (driver, WAVE_DRIVERS)
-        )
-    return driver
 
 
 class CohortWaveScheduler:
@@ -120,9 +103,9 @@ class CohortWaveScheduler:
         """Per-cohort batch sizes for this tick, batching the float math.
 
         Classification (deterministic / exact-Binomial / Gaussian) is a pure
-        function of each cohort's own eligible count, so it is identical to
-        what the cohorts' scalar ``_draw_batch`` would pick — as are the
-        stream pulls.  Only the Gaussian-path arithmetic is deferred and
+        function of each cohort's own eligible count, and each cohort pulls
+        from its own stream, so a cohort's draw does not depend on who shares
+        its tick.  Only the Gaussian-path arithmetic is deferred and
         evaluated for all such cohorts in one vectorized expression.
         """
         batches = [0] * len(cohorts)

@@ -5,10 +5,13 @@ This is the middle layer of the transport pipeline.  A
 :class:`Flow` objects and hands them to a scheduler; the scheduler advances
 flow progress, asks the run's :class:`~repro.simnet.linkmodel.LinkModel` for
 instantaneous rates, and fires the network's completion/timeout callbacks at
-the right virtual instants.  The schedulers cover the two coupling regimes a
-link model can declare — two engines for the shared regime, one for the
-independent one; :func:`effective_shared_engine` is the one rule that picks
-between them:
+the right virtual instants.  Admission has one entry,
+:meth:`FlowScheduler.start_flows`: the network hands over each ``send_many``
+burst whole (a single ``send`` is a burst of one), and every scheduler below
+turns the burst into one rate pass or one shared heap event.  The schedulers
+cover the two coupling regimes a link model can declare — two engines for the
+shared regime, one for the independent one; :func:`effective_shared_engine`
+is the one rule that picks between them:
 
 :class:`~repro.simnet.shared_sched.LazySharedLinkScheduler` (``LinkModel.shared``)
     The default engine for models where flow rates couple through link
@@ -55,20 +58,6 @@ _COMPLETION_EPSILON_BYTES = 1e-6
 
 #: Slack when comparing virtual times.
 _TIME_EPSILON = 1e-9
-
-#: Environment variable gating the batched dispatch fast paths.  Anything
-#: other than ``"off"`` (including unset) enables them; ``off`` selects the
-#: per-message reference path, whose event trajectory is the pre-batching
-#: one — the conformance anchor for the fast paths.  Lives here (not in
-#: ``network``) because the lazy scheduler gates its same-instant completion
-#: sweep on it too.
-BATCH_DISPATCH_ENV = "REPRO_BATCH_DISPATCH"
-
-
-def batch_dispatch_enabled() -> bool:
-    """Whether the batched dispatch fast paths are enabled (default: yes)."""
-    return os.environ.get(BATCH_DISPATCH_ENV, "on") != "off"
-
 
 #: Environment variable selecting the shared-regime engine for networks that
 #: do not pass one explicitly (values: "lazy" or "vector").
@@ -336,23 +325,16 @@ class FlowScheduler:
         return flow.rate > 0 and now + flow.remaining / flow.rate <= now
 
     # -- interface ---------------------------------------------------------
-    def start_flow(self, flow: Flow, now: float) -> None:
-        """Register ``flow`` and schedule its first transport event."""
-        raise NotImplementedError
-
     def start_flows(self, flows: List[Flow], now: float) -> None:
-        """Register a same-instant batch of flows (a broadcast burst).
+        """Register a same-instant batch of flows and schedule their events.
 
-        The default is the sequential loop — exactly ``start_flow`` per flow
-        — which is right for the vector engine (its ``start_flow`` only
-        buffers the admission).  The lazy engine overrides this: a burst of
-        B flows from one sender re-rates the sender's growing uplink set per
-        start, O(B²) flow touches, where one rate pass over the final
-        occupancy does the same work in O(B).  The independent scheduler
-        overrides it to share heap events across the burst.
+        A batch is one ``send_many`` burst (a single ``send`` is a batch of
+        one).  Admitting it whole is what lets the lazy engine rate the
+        sender's uplink once against its final occupancy, the vector engine
+        buffer it for one service pass, and the independent scheduler share
+        heap events across it.
         """
-        for flow in flows:
-            self.start_flow(flow, now)
+        raise NotImplementedError
 
     def on_link_replaced(self, name: str, now: float) -> None:
         """React to ``links[name]`` having been swapped mid-run."""
@@ -389,9 +371,6 @@ class IndependentFlowScheduler(FlowScheduler):
     Event order stays exactly ``(time, seq)``; DESIGN-transport.md has the
     argument.
     """
-
-    def start_flow(self, flow: Flow, now: float) -> None:
-        self.start_flows([flow], now)
 
     def start_flows(self, flows: List[Flow], now: float) -> None:
         waves: Dict[float, _Wave] = {}

@@ -34,22 +34,13 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.simnet.bandwidth import BandwidthSchedule
 from repro.simnet.engine import EventHandle, Simulator
-from repro.simnet.flows import (
-    BATCH_DISPATCH_ENV,
-    Flow,
-    FlowScheduler,
-    batch_dispatch_enabled,
-    make_flow_scheduler,
-)
+from repro.simnet.flows import Flow, FlowScheduler, make_flow_scheduler
 from repro.simnet.linkmodel import LinkModel, get_link_model, link_model_names
 from repro.simnet.message import Message
 from repro.simnet.node import ProtocolNode
 from repro.simnet.trace import TraceLog
 from repro.utils import phases
 from repro.utils.validation import ReproError, ValidationError, ensure
-
-# BATCH_DISPATCH_ENV / batch_dispatch_enabled are defined in (and re-exported
-# from) repro.simnet.flows: the lazy scheduler gates on them too.
 
 
 @dataclass(frozen=True)
@@ -187,9 +178,6 @@ class SimNetwork:
             shared_engine=shared_engine,
         )
         self._fault_injector = None
-        # Resolved once per network so a run's dispatch mode is fixed at
-        # construction (mirroring how the shared engine is resolved).
-        self._batch_dispatch = batch_dispatch_enabled()
 
     # -- transport introspection -----------------------------------------------
     @property
@@ -359,9 +347,8 @@ class SimNetwork:
         destination only), timeouts, and callbacks behave exactly as N
         ``send`` calls; flow ids are assigned in destination order and are
         identical to the loop's.  Returns one flow id per destination (0 for
-        dropped or zero-size entries).  With ``REPRO_BATCH_DISPATCH=off``
-        each flow is started as soon as it is built — the sequential loop's
-        trajectory.  :meth:`send` is the one-destination case of this method.
+        dropped or zero-size entries).  :meth:`send` is the one-destination
+        case of this method.
         """
         destinations = list(destinations)
         if sender not in self._nodes:
@@ -414,10 +401,7 @@ class SimNetwork:
                     weight=weight,
                 )
                 flow_ids.append(flow.flow_id)
-                if self._batch_dispatch:
-                    flows.append(flow)
-                else:  # the per-message reference path: admit as it is built
-                    self._scheduler.start_flow(flow, now)
+                flows.append(flow)
             if flows:
                 self._scheduler.start_flows(flows, now)
             return flow_ids
@@ -454,13 +438,12 @@ class SimNetwork:
     ) -> None:
         """Schedule one delivery, coalescing same-instant arrivals per node.
 
-        With batched dispatch on, every message arriving at ``destination``
-        at the same instant shares **one** heap event keyed ``(time, node)``
-        (a symmetric broadcast round completes N-1 transfers into each node
-        at identical instants, so this turns O(N²) delivery events per round
-        into O(N)).  Within the batch, deliveries run in the order their
-        per-message events would have fired.  ``off`` keeps the per-message
-        reference path.
+        Every message arriving at ``destination`` at the same instant shares
+        **one** heap event keyed ``(time, node)`` (a symmetric broadcast
+        round completes N-1 transfers into each node at identical instants,
+        so this turns O(N²) delivery events per round into O(N)).  Within
+        the batch, deliveries run in the order their per-message events
+        would have fired.
         """
         now = self.simulator.now
         # Propagation latency (sender != destination: send() refuses
@@ -469,10 +452,7 @@ class SimNetwork:
         if self._fault_injector is not None:
             latency += self._fault_injector.delivery_jitter(sender, destination, now)
         item = (sender, destination, message, on_delivered, weight, sent_at)
-        if self._batch_dispatch:
-            self.simulator.schedule_batch(now + latency, destination, self._deliver, item)
-        else:
-            self.simulator.schedule(now + latency, self._deliver, (item,))
+        self.simulator.schedule_batch(now + latency, destination, self._deliver, item)
 
     def _deliver(self, items: Iterable[Tuple]) -> None:
         """Hand over the deliveries of one heap event, in order."""

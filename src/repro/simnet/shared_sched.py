@@ -19,6 +19,12 @@ test-side reference model (``tests/simnet/reference_sched.py``);
   ``EventHandle.cancel``) and a fresh one is pushed; stale heap entries are
   skipped like any cancelled event, and the engine compacts the heap once
   corpses dominate.
+* **Same-instant batches.**  A burst is admitted whole (``start_flows``) and
+  rated once against its final occupancy — held equal to flow-by-flow
+  admission through the ``PerMessageNetwork`` test fixture
+  (``tests/simnet/per_message.py``); the first completion of an instant
+  claims every neighbour due at that instant (``_finish_batch``) and the
+  survivors are rated once.
 
 Per-event cost becomes O(touched flows × log F) instead of O(all flows):
 the *touched* set is exactly the set whose instantaneous rate can have
@@ -63,10 +69,10 @@ import operator
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.simnet.flows import (
+    _COMPLETION_EPSILON_BYTES,
     _TIME_EPSILON,
     Flow,
     FlowScheduler,
-    batch_dispatch_enabled,
 )
 
 __all__ = [
@@ -82,14 +88,15 @@ class LazyRater:
     """Incremental rate policy driven by the lazy shared scheduler.
 
     A rater answers two questions the scheduler asks on every event:
-    *which flows' rates can have changed* (the touched set) and *what is this
-    flow's rate now*.  It observes every flow arrival/departure so it can
-    maintain whatever occupancy structures the policy needs; the scheduler
-    owns the flow indexes (``by_src``/``by_dst``) and shares them.
+    *which flows' rates can have changed* (the touched set) and *what are
+    these flows' rates now*.  It observes every flow arrival/departure so it
+    can maintain whatever occupancy structures the policy needs; the
+    scheduler owns the flow indexes (``by_src``/``by_dst``) and shares them.
 
-    Contract: for every flow not in the returned touched set, ``rate_of``
-    must be unchanged by the observed transition — that is what makes
-    skipping the untouched flows exact rather than approximate.
+    Contract: for every flow not in the returned touched set, the rate
+    ``rates_of`` would report must be unchanged by the observed transition —
+    that is what makes skipping the untouched flows exact rather than
+    approximate.
     """
 
     def __init__(
@@ -107,7 +114,7 @@ class LazyRater:
         #: Current uplink/downlink capacity per *active* link side, maintained
         #: by the scheduler (seeded on activation, moved at breakpoint
         #: watchers and link replacements).  Reading these instead of
-        #: ``BandwidthSchedule.rate_at`` keeps ``rate_of`` free of bisects on
+        #: ``BandwidthSchedule.rate_at`` keeps ``rates_of`` free of bisects on
         #: the hot path; the cached value equals ``rate_at(now)`` exactly,
         #: because every instant a schedule can change value has its own
         #: event.
@@ -125,46 +132,30 @@ class LazyRater:
         """Observe an arrival (already in the indexes); return touched flows."""
         raise NotImplementedError
 
-    def on_flow_removed(self, flow: Flow) -> Iterable[Flow]:
-        """Observe a departure (already removed); return touched flows."""
-        raise NotImplementedError
-
     def on_flows_removed(self, flows: List[Flow]) -> Dict[int, Flow]:
         """Observe a same-instant departure batch; return touched flows by id.
 
         The caller has already dropped every flow in ``flows`` from the
-        scheduler indexes.  The default preserves per-flow semantics (the
-        transition hooks fire once per flow, in batch order); raters whose
-        touched set is a pure read of link occupancy override it to take
-        each link's remaining members once instead of once per departure.
+        scheduler indexes; the touched set may still name members of the
+        batch itself, which the caller skips.
         """
-        touched: Dict[int, Flow] = {}
-        for flow in flows:
-            for other in self.on_flow_removed(flow):
-                touched[other.flow_id] = other
-        return touched
+        raise NotImplementedError
 
     def on_link_rate_changed(self, side: str, name: str) -> Iterable[Flow]:
         """Observe a capacity change on one link side; return touched flows."""
         raise NotImplementedError
 
-    def rate_of(self, flow: Flow, now: float) -> float:
-        """The flow's instantaneous rate under current occupancy."""
-        raise NotImplementedError
-
     def rates_of(self, flows: List[Flow], now: float) -> List[float]:
-        """Bulk :meth:`rate_of` over an already-ordered touched set.
+        """Instantaneous rates, under current occupancy, of an already-ordered
+        touched set.
 
-        The default just loops; raters whose rate is a per-link function
-        override it to hoist the per-link state out of the per-flow loop —
-        a touched set is the union of a handful of links' flow sets, so the
-        same link state is otherwise re-fetched once per flow in the hottest
-        loop of a shared run.  Overrides must keep the per-flow arithmetic
-        (operation order included) identical to :meth:`rate_of`: the rates
-        are trajectory, not just reporting.
+        Bulk because a touched set is the union of a handful of links' flow
+        sets: per-link state is resolved once per pass, not once per flow, in
+        the hottest loop of a shared run.  The per-flow arithmetic (operation
+        order included) is trajectory, not just reporting — the golden traces
+        pin it.
         """
-        rate_of = self.rate_of
-        return [rate_of(flow, now) for flow in flows]
+        raise NotImplementedError
 
 
 class FairLazyRater(LazyRater):
@@ -177,37 +168,19 @@ class FairLazyRater(LazyRater):
     """
 
     def on_flow_added(self, flow: Flow) -> Iterable[Flow]:
-        return self._link_union(flow)
-
-    def on_flow_removed(self, flow: Flow) -> Iterable[Flow]:
-        return self._link_union(flow)
+        touched: Dict[int, Flow] = dict(self._by_src.get(flow.src, {}))
+        touched.update(self._by_dst.get(flow.dst, {}))
+        return list(touched.values())
 
     def on_link_rate_changed(self, side: str, name: str) -> Iterable[Flow]:
         index = self._by_src if side == "uplink" else self._by_dst
         return list(index.get(name, {}).values())
 
-    def rate_of(self, flow: Flow, now: float) -> float:
-        weight = flow.weight
-        up_cap = self._up_cap[flow.src]
-        down_cap = self._down_cap[flow.dst]
-        up_share = (
-            up_cap * weight
-            if self._links[flow.src].aggregate
-            else up_cap * weight / self._src_weight[flow.src]
-        )
-        down_share = (
-            down_cap * weight
-            if self._links[flow.dst].aggregate
-            else down_cap * weight / self._dst_weight[flow.dst]
-        )
-        return min(up_share, down_share)
-
     def rates_of(self, flows: List[Flow], now: float) -> List[float]:
         # Per-link capacity and occupancy are loop invariants of a rate
         # pass; resolve each link's (cap, divisor) once instead of per flow.
         # ``divisor`` is None for aggregate links (per-client capacity, no
-        # sharing), mirroring the branch in rate_of; the share expression
-        # keeps rate_of's exact operation order (cap * weight / divisor).
+        # sharing); a share is cap * weight / divisor, in that order.
         links = self._links
         up_cap = self._up_cap
         down_cap = self._down_cap
@@ -243,9 +216,9 @@ class FairLazyRater(LazyRater):
     def on_flows_removed(self, flows: List[Flow]) -> Dict[int, Flow]:
         # Occupancy lives in the scheduler-maintained indexes, which the
         # caller already updated for the whole batch: the touched set is the
-        # departed flows' links' *remaining* members, read once per link.
-        # (The per-flow loop would re-enumerate each link once per departure
-        # — O(B·link) for a B-way burst leaving one uplink.)
+        # departed flows' links' *remaining* members, read once per link
+        # (not once per departure — O(B·link) for a B-way burst leaving one
+        # uplink).
         touched: Dict[int, Flow] = {}
         seen_src: Set[str] = set()
         seen_dst: Set[str] = set()
@@ -265,11 +238,6 @@ class FairLazyRater(LazyRater):
                 if bucket:
                     touched.update(bucket)
         return touched
-
-    def _link_union(self, flow: Flow) -> List[Flow]:
-        touched: Dict[int, Flow] = dict(self._by_src.get(flow.src, {}))
-        touched.update(self._by_dst.get(flow.dst, {}))
-        return list(touched.values())
 
 
 class FifoLazyRater(LazyRater):
@@ -317,17 +285,21 @@ class FifoLazyRater(LazyRater):
             return [flow]
         return self._promote(flow.src)
 
-    def on_flow_removed(self, flow: Flow) -> Iterable[Flow]:
-        if self._links[flow.src].aggregate:
-            return list(self._unserve(flow).values())
-        if self._head.get(flow.src) is flow:
-            touched = dict(self._demote(flow))
-            for other in self._promote(flow.src):
-                touched[other.flow_id] = other
-            return list(touched.values())
-        # Expired while queued: lazy-delete; its rate was already 0.
-        self._gone.add(flow.arrival_seq)
-        return []
+    def on_flows_removed(self, flows: List[Flow]) -> Dict[int, Flow]:
+        # One departure at a time, in batch order: each one moves the
+        # serving sets the next one reads.
+        touched: Dict[int, Flow] = {}
+        for flow in flows:
+            if self._links[flow.src].aggregate:
+                touched.update(self._unserve(flow))
+            elif self._head.get(flow.src) is flow:
+                touched.update(self._demote(flow))
+                for other in self._promote(flow.src):
+                    touched[other.flow_id] = other
+            else:
+                # Expired while queued: lazy-delete; its rate was already 0.
+                self._gone.add(flow.arrival_seq)
+        return touched
 
     def on_link_rate_changed(self, side: str, name: str) -> Iterable[Flow]:
         if side == "uplink":
@@ -337,27 +309,35 @@ class FifoLazyRater(LazyRater):
             return [head] if head is not None else []
         return list(self._serving_by_dst.get(name, {}).values())
 
-    def rate_of(self, flow: Flow, now: float) -> float:
-        src_aggregate = self._links[flow.src].aggregate
-        if not src_aggregate and self._head.get(flow.src) is not flow:
-            return 0.0
-        # A served flow from a *queued* (non-aggregate) uplink moves one
-        # transfer at a time regardless of weight — serial service — so it
-        # occupies one downlink share and one client's receive capacity.
-        # Flows from aggregate uplinks are w parallel per-client transfers.
-        concurrency = flow.weight if src_aggregate else 1
-        up_share = self._up_cap[flow.src] * concurrency
-        down_cap = self._down_cap[flow.dst]
-        down_share = (
-            down_cap * concurrency
-            if self._links[flow.dst].aggregate
-            else down_cap * concurrency / self._serving_weight[flow.dst]
-        )
-        return min(up_share, down_share)
+    def rates_of(self, flows: List[Flow], now: float) -> List[float]:
+        links = self._links
+        head = self._head
+        rates = []
+        for flow in flows:
+            src_aggregate = links[flow.src].aggregate
+            if not src_aggregate and head.get(flow.src) is not flow:
+                rates.append(0.0)  # queued behind its uplink's served flow
+                continue
+            concurrency = flow.weight if src_aggregate else 1
+            up_share = self._up_cap[flow.src] * concurrency
+            down_cap = self._down_cap[flow.dst]
+            down_share = (
+                down_cap * concurrency
+                if links[flow.dst].aggregate
+                else down_cap * concurrency / self._serving_weight[flow.dst]
+            )
+            rates.append(min(up_share, down_share))
+        return rates
 
     # -- machinery ---------------------------------------------------------
     def _concurrency(self, flow: Flow) -> int:
-        """How many simultaneous transfers ``flow`` stands for (see rate_of)."""
+        """How many simultaneous transfers ``flow`` stands for.
+
+        A served flow from a *queued* (non-aggregate) uplink moves one
+        transfer at a time regardless of weight — serial service — so it
+        occupies one downlink share and one client's receive capacity.
+        Flows from aggregate uplinks are w parallel per-client transfers.
+        """
         return flow.weight if self._links[flow.src].aggregate else 1
 
     def _serve(self, flow: Flow) -> List[Flow]:
@@ -449,13 +429,6 @@ class TcpLazyRater(FairLazyRater):
         self._arm_tick(flow, state)
         return super().on_flow_added(flow)
 
-    def on_flow_removed(self, flow: Flow) -> Iterable[Flow]:
-        handle = self._ticks.pop(flow.flow_id, None)
-        if handle is not None:
-            handle.cancel()
-        self._model.drop_state(flow.flow_id)
-        return super().on_flow_removed(flow)
-
     def on_flows_removed(self, flows: List[Flow]) -> Dict[int, Flow]:
         # Per-flow teardown (tick cancel, window-state drop), then the fair
         # batch union for the capacity side.
@@ -466,14 +439,8 @@ class TcpLazyRater(FairLazyRater):
             self._model.drop_state(flow.flow_id)
         return FairLazyRater.on_flows_removed(self, flows)
 
-    def rate_of(self, flow: Flow, now: float) -> float:
-        share = super().rate_of(flow, now)
-        state = self._model.state_of(flow, now)
-        return min(share, state.window_rate(flow.weight))
-
     def rates_of(self, flows: List[Flow], now: float) -> List[float]:
-        # Fair shares in bulk, then the per-flow window cap on top — the
-        # same min() rate_of computes.
+        # Fair shares in bulk, then the per-flow window cap on top.
         shares = FairLazyRater.rates_of(self, flows, now)
         state_of = self._model.state_of
         return [
@@ -534,10 +501,6 @@ class LazySharedLinkScheduler(FlowScheduler):
         )
         #: (side, name) -> pending breakpoint watcher (None: constant link).
         self._watchers: Dict[Tuple[str, str], Optional[object]] = {}
-        #: Same-instant completion coalescing (the REPRO_BATCH_DISPATCH fast
-        #: path): a finishing flow sweeps its links for peers due at the same
-        #: instant and the whole batch finishes under one rate pass.
-        self._batch_completions = batch_dispatch_enabled()
         # Raters with scheduler-driven dynamics (tcp ack ticks) get a back
         # reference once construction is complete.
         bind = getattr(self._rater, "bind_scheduler", None)
@@ -545,36 +508,21 @@ class LazySharedLinkScheduler(FlowScheduler):
             bind(self)
 
     # -- interface ---------------------------------------------------------
-    def start_flow(self, flow: Flow, now: float) -> None:
-        flow.last_update = now
-        self._add(flow)
-        if flow.src not in self._up_cap:
-            self._up_cap[flow.src] = self._links[flow.src].uplink.rate_at(now)
-            self._arm_watcher("uplink", flow.src, now)
-        if flow.dst not in self._down_cap:
-            self._down_cap[flow.dst] = self._links[flow.dst].downlink.rate_at(now)
-            self._arm_watcher("downlink", flow.dst, now)
-        touched = self._rater.on_flow_added(flow)
-        self._apply_rate_changes(touched, now)
-
     def start_flows(self, flows: List[Flow], now: float) -> None:
         """Admit a same-instant burst with one rate pass over the union.
 
-        The sequential loop re-rates the sender's growing uplink set per
-        start — O(B²) flow touches for a B-way broadcast burst, the dominant
-        cost of protocol rounds at 300 authorities.  Final state is the
-        loop's: rates after the last add depend only on final occupancy, and
-        the intermediate rates the loop assigns advance nothing (all adds
-        share one instant, so every progress chip has zero width).  What
-        differs is event bookkeeping — the loop aims each flow at its
-        momentary estimate and lets later arrivals stale it — so heap serial
-        consumption (and same-instant tie-break order against unrelated
-        events) changes; the network gates this path behind
-        ``REPRO_BATCH_DISPATCH``.
+        Admitting flow by flow would re-rate the sender's growing uplink set
+        per start — O(B²) flow touches for a B-way broadcast burst, the
+        dominant cost of protocol rounds at 300 authorities.  The final
+        state is the same: rates after the last add depend only on final
+        occupancy, and the intermediate rates a flow-by-flow loop assigns
+        advance nothing (all adds share one instant, so every progress chip
+        has zero width).  What differs is event bookkeeping — the loop aims
+        each flow at its momentary estimate and lets later arrivals stale it
+        — so heap serial consumption (and same-instant tie-break order
+        against unrelated events) differs; ``tests/simnet/test_batch_dispatch.py``
+        holds run summaries equal across the two.
         """
-        if len(flows) == 1:
-            self.start_flow(flows[0], now)
-            return
         for flow in flows:
             flow.last_update = now
             self._add(flow)
@@ -646,6 +594,11 @@ class LazySharedLinkScheduler(FlowScheduler):
         candidates = []
         if flow.rate > 0:
             candidates.append(now + flow.remaining / flow.rate)
+        elif flow.remaining <= _COMPLETION_EPSILON_BYTES:
+            # Re-rated to zero at the very instant it finished (an outage or
+            # a breakpoint landing on the completion): the transfer is done,
+            # so it settles now instead of starving with nothing left to move.
+            candidates.append(now)
         if flow.deadline is not None:
             candidates.append(flow.deadline)
         if not candidates:
@@ -678,13 +631,10 @@ class LazySharedLinkScheduler(FlowScheduler):
         now = self.simulator.now
         self._advance(flow, now)
         if self._is_complete(flow, now):
-            if self._batch_completions:
-                self._finish_batch(flow, now)
-            else:
-                self._finish(flow, now, expired=False)
+            self._finish_batch(flow, now)
             return
         if flow.deadline is not None and now >= flow.deadline - _TIME_EPSILON:
-            self._finish(flow, now, expired=True)
+            self._finish_expired(flow, now)
             return
         # Fired early — the rate dropped since this event was pushed, or the
         # residual was too small to predict exactly (float rounding).  Re-aim
@@ -706,14 +656,12 @@ class LazySharedLinkScheduler(FlowScheduler):
         whose transfer is done join the batch (their events are cancelled),
         and the survivors are rated once at the end against final occupancy.
 
-        Occupancy-equivalent to the sequential path — every intermediate
-        rate it would assign lives for zero width at ``now`` — with
-        completion callbacks firing after the whole neighbourhood is
-        consistent, in discovery order.  The event-serial permutation this
-        implies is exactly what the ``REPRO_BATCH_DISPATCH`` conformance
-        contract allows, and ``off`` restores the per-event path.  Peers
-        whose aim differs even by an ulp simply fire on their own; the batch
-        is an optimisation, never a correctness requirement.
+        Occupancy-equivalent to finishing them one event at a time — every
+        intermediate rate that would assign lives for zero width at ``now``
+        — with completion callbacks firing after the whole neighbourhood is
+        consistent, in discovery order.  Peers whose aim differs even by an
+        ulp simply fire on their own; the batch is an optimisation, never a
+        correctness requirement.
         """
         rater = self._rater
         live = self._flows
@@ -754,23 +702,20 @@ class LazySharedLinkScheduler(FlowScheduler):
             self._clamp_residual(flow)
             self._complete(flow)
 
-    def _finish(self, flow: Flow, now: float, expired: bool) -> None:
+    def _finish_expired(self, flow: Flow, now: float) -> None:
         self._remove(flow)
-        touched = self._rater.on_flow_removed(flow)
-        self._apply_rate_changes(touched, now)
+        touched = self._rater.on_flows_removed([flow])
+        self._apply_rate_changes(touched.values(), now)
         if flow.src not in self._by_src:
             del self._up_cap[flow.src]
             self._drop_watcher("uplink", flow.src)
         if flow.dst not in self._by_dst:
             del self._down_cap[flow.dst]
             self._drop_watcher("downlink", flow.dst)
-        # Callbacks fire after the neighbourhood is consistent, so protocol
-        # code reacting to a timeout (e.g. re-sending) observes final rates.
-        if expired:
-            self._expire(flow)
-        else:
-            self._clamp_residual(flow)
-            self._complete(flow)
+        # The callback fires after the neighbourhood is consistent, so
+        # protocol code reacting to a timeout (e.g. re-sending) observes
+        # final rates.
+        self._expire(flow)
 
     # -- breakpoint watchers -----------------------------------------------
     def _arm_watcher(self, side: str, name: str, now: float) -> None:

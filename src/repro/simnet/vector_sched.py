@@ -183,7 +183,7 @@ class _FairVectorPolicy(_VectorPolicy):
         return touched
 
     def rates(self, slots):
-        # Elementwise twin of FairLazyRater.rate_of — same
+        # Elementwise twin of FairLazyRater.rates_of — same
         # expression shapes ((cap·w)/occ), so values match the scalar models
         # to float rounding.  The shared-occupancy divisors are ≥ 1 for every
         # alive slot (the slot's own weight counts), so the eagerly evaluated
@@ -460,7 +460,7 @@ class _TcpVectorPolicy(_FairVectorPolicy):
         return True
 
     def rates(self, slots):
-        # The elementwise twin of TcpLazyRater.rate_of:
+        # The elementwise twin of TcpLazyRater.rates_of:
         # min(fair up/down share, window-limited rate), one array pass.
         return _np.minimum(super().rates(slots), self._wrate[slots])
 
@@ -527,8 +527,8 @@ class VectorSharedLinkScheduler(FlowScheduler):
         self._in_service = False
 
     # -- interface ---------------------------------------------------------
-    def start_flow(self, flow: Flow, now: float) -> None:
-        self._adds.append(flow)
+    def start_flows(self, flows: List[Flow], now: float) -> None:
+        self._adds.extend(flows)
         if self._in_service:
             return  # re-entrant send from a callback; the service loop drains it
         if self._wake is None or self._wake.time > now:
@@ -665,6 +665,11 @@ class VectorSharedLinkScheduler(FlowScheduler):
         estimate = _np.full(slots.size, _np.inf, dtype=_np.float64)
         moving = rates > 0.0
         estimate[moving] = now + rem[moving] / rates[moving]
+        if not moving.all():
+            # Re-rated to zero with nothing left to move (an outage landing
+            # on the completion): due now, so the next pass settles it — a
+            # finished transfer must not starve, as in the lazy `_aim`.
+            estimate[~moving & (rem <= _COMPLETION_EPSILON_BYTES)] = now
         target = _np.minimum(estimate, self._deadline[slots])
         _np.maximum(target, now, out=target)
         self._target[slots] = target

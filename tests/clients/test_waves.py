@@ -4,9 +4,10 @@ The batched :class:`~repro.clients.waves.CohortWaveScheduler` claims *exact*
 equivalence with per-cohort wave timers (same stream pulls per cohort, same
 tick instants, same ordering, same crash semantics) — not a float-tolerance
 contract like the transport engines.  These tests hold it to that: full run
-summaries under ``REPRO_CLIENT_WAVES=batched`` vs ``per-cohort`` must be
-``==``, across arrivals, protocols, transports, and random fault plans
-(which exercise the suppressed-tick → cohort-death path).
+summaries with the scheduler and with :class:`PerCohortTimers` — the
+reference below, one node timer and one scalar draw per cohort — patched in
+its place must be ``==``, across arrivals, protocols, transports, and random
+fault plans (which exercise the suppressed-tick → cohort-death path).
 
 The count-based draw primitives of :mod:`repro.clients.sampling` are pinned
 here too: the inverse-transform Binomial must match the CDF it claims to
@@ -15,8 +16,7 @@ bit-for-bit.
 """
 
 import math
-import os
-from contextlib import contextmanager
+from unittest import mock
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -26,45 +26,45 @@ from repro.clients.sampling import (
     binomial_from_uniform,
     gaussian_binomial,
 )
-from repro.clients.waves import CLIENT_WAVES_ENV, resolve_wave_driver
+from repro.clients import distribution
 from repro.clients.workload import ClientWorkload
 from repro.protocols.runner import execute_spec
 from repro.runtime.spec import RunSpec
 from tests.faults.test_conformance import random_fault_plan
 
 
-@contextmanager
-def wave_driver(name):
-    saved = os.environ.get(CLIENT_WAVES_ENV)
-    os.environ[CLIENT_WAVES_ENV] = name
-    try:
-        yield
-    finally:
-        if saved is None:
-            del os.environ[CLIENT_WAVES_ENV]
-        else:
-            os.environ[CLIENT_WAVES_ENV] = saved
+class PerCohortTimers:
+    """Every cohort owns its wave timer and draws its own batch size."""
+
+    def __init__(self, network):
+        self._network = network
+
+    def enroll(self, cohort, when):
+        self._network.schedule_node_timer(cohort.name, when, self._on_wave, cohort, when)
+
+    def _on_wave(self, cohort, when):
+        cohort._run_wave(self._draw(cohort))
+        if cohort.fresh_clients < cohort.population:
+            self.enroll(cohort, when + cohort.workload.wave_interval_s)
+
+    @staticmethod
+    def _draw(cohort):
+        eligible, workload = cohort.eligible_clients, cohort.workload
+        if eligible <= 0:
+            return 0
+        if workload.arrival == "deterministic":
+            return eligible
+        probability = 1.0 - math.exp(-workload.wave_interval_s / workload.fetch_interval_s)
+        if eligible <= cohort.exact_binomial_limit:
+            return binomial_from_uniform(eligible, probability, cohort.rng.random())
+        return gaussian_binomial(eligible, probability, cohort.rng.gauss(0.0, 1.0))
 
 
 def run_both_drivers(spec: RunSpec):
-    with wave_driver("per-cohort"):
+    with mock.patch.object(distribution, "CohortWaveScheduler", PerCohortTimers):
         per_cohort = execute_spec(spec).summary()
-    with wave_driver("batched"):
-        batched = execute_spec(spec).summary()
+    batched = execute_spec(spec).summary()
     return per_cohort, batched
-
-
-def test_resolve_wave_driver_defaults_to_batched_and_rejects_junk():
-    assert resolve_wave_driver() == "batched"
-    with wave_driver("per-cohort"):
-        assert resolve_wave_driver() == "per-cohort"
-    with wave_driver("vectorized-harder"):
-        try:
-            resolve_wave_driver()
-        except ValueError:
-            pass
-        else:  # pragma: no cover
-            raise AssertionError("junk driver name must raise")
 
 
 @settings(max_examples=6, deadline=None, suppress_health_check=[HealthCheck.too_slow])

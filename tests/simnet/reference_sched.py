@@ -130,9 +130,6 @@ class ReferenceFlowScheduler:
     def active_count(self):
         return len(self._flows)
 
-    def start_flow(self, flow, now):
-        self.start_flows([flow], now)
-
     def start_flows(self, flows, now):
         self._advance(now)  # the admitted flows have moved nothing before now
         for flow in flows:

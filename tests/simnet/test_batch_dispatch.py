@@ -1,9 +1,9 @@
-"""Broadcast fast-path conformance: batched dispatch vs the reference path.
+"""Broadcast-path conformance: batched dispatch vs the per-message reference.
 
-``REPRO_BATCH_DISPATCH=off`` restores the exact pre-batching trajectory —
-one ``send`` per destination, one delivery event per message — so the fast
-path (``send_many`` admission, batched lazy flow starts, coalesced
-same-instant deliveries) is checked against it at two levels:
+``PerMessageNetwork`` (``per_message.py``) is the network that batches
+nothing — one admission per destination, one delivery event per message — so
+the production path (``send_many`` admission, batched lazy flow starts,
+coalesced same-instant deliveries) is checked against it at two levels:
 
 * **Summary equality to float tolerance.**  The batched path changes which
   pending-event serials stale re-aims consume, which permutes same-instant
@@ -13,32 +13,28 @@ same-instant deliveries) is checked against it at two levels:
   float tolerance.  Hypothesis drives seeds and sizes across all three
   protocols, the shared engines and the flow-scheduler reference model.
 * **Mechanism units.**  ``Simulator.schedule_batch`` drains in append order
-  and survives re-entrant appends; ``start_flows`` on the lazy engine
-  allocates the same flow ids and lands the same final rates as the
-  sequential loop; ``SharedPayload`` prices a message once and unwraps.
+  and survives re-entrant appends; a burst admitted whole on the lazy engine
+  lands the same final rates as the same flows admitted one by one;
+  ``SharedPayload`` prices a message once and unwraps.
 """
 
 import math
-import os
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.protocols.runner import execute_spec
 from repro.runtime.spec import RunSpec
 from repro.simnet.engine import Simulator
 from repro.simnet.flows import Flow, make_flow_scheduler
 from repro.simnet.linkmodel import FairShareLinkModel
 from repro.simnet.message import Message, SharedPayload
-from repro.simnet.network import (
-    BATCH_DISPATCH_ENV,
-    LinkConfig,
-    SimNetwork,
-    batch_dispatch_enabled,
-)
+from repro.simnet.network import LinkConfig, SimNetwork
 from repro.simnet.node import ProtocolNode
 from repro.utils import phases
 
+from tests.simnet.per_message import PerMessageNetwork, use_per_message_network
 from tests.simnet.reference_sched import use_engine
 
 #: Tolerance for derived time metrics: the batched path re-bases residual
@@ -58,20 +54,6 @@ EXACT_OUTCOME_KEYS = (
 
 #: Outcome fields compared to float tolerance.
 FLOAT_OUTCOME_KEYS = ("completion_time", "network_latency")
-
-
-def run_summary(spec: RunSpec, batch: str) -> dict:
-    from repro.protocols.runner import execute_spec
-
-    previous = os.environ.get(BATCH_DISPATCH_ENV)
-    os.environ[BATCH_DISPATCH_ENV] = batch
-    try:
-        return execute_spec(spec).summary()
-    finally:
-        if previous is None:
-            del os.environ[BATCH_DISPATCH_ENV]
-        else:
-            os.environ[BATCH_DISPATCH_ENV] = previous
 
 
 def assert_summaries_conformant(batched: dict, reference: dict) -> None:
@@ -122,24 +104,10 @@ def test_batched_dispatch_summary_conformance(
         max_time=600.0,
     )
     with use_engine(engine):
-        batched = run_summary(spec, "on")
-        unbatched = run_summary(spec, "off")
-    assert_summaries_conformant(batched, unbatched)
-
-
-def test_batch_dispatch_env_resolution():
-    previous = os.environ.pop(BATCH_DISPATCH_ENV, None)
-    try:
-        assert batch_dispatch_enabled()
-        os.environ[BATCH_DISPATCH_ENV] = "off"
-        assert not batch_dispatch_enabled()
-        os.environ[BATCH_DISPATCH_ENV] = "on"
-        assert batch_dispatch_enabled()
-    finally:
-        if previous is None:
-            os.environ.pop(BATCH_DISPATCH_ENV, None)
-        else:
-            os.environ[BATCH_DISPATCH_ENV] = previous
+        batched = execute_spec(spec).summary()
+        with use_per_message_network():
+            per_message = execute_spec(spec).summary()
+    assert_summaries_conformant(batched, per_message)
 
 
 # -- schedule_batch mechanism ------------------------------------------------
@@ -217,7 +185,7 @@ def test_start_flows_matches_sequential_rates():
     sim_a, sched_a = _lazy_fixture()
     flows_a = [_mk_flow(sim_a, "a", dst) for dst in ("b", "c", "d")]
     for flow in flows_a:
-        sched_a.start_flow(flow, now=0.0)
+        sched_a.start_flows([flow], now=0.0)
 
     sim_b, sched_b = _lazy_fixture()
     flows_b = [_mk_flow(sim_b, "a", dst) for dst in ("b", "c", "d")]
@@ -227,13 +195,6 @@ def test_start_flows_matches_sequential_rates():
     # Rates are a pure function of final occupancy: the uplink of "a" is
     # shared three ways either way.
     assert [f.rate for f in flows_b] == [f.rate for f in flows_a]
-
-
-def test_start_flows_single_flow_delegates():
-    simulator, scheduler = _lazy_fixture()
-    flow = _mk_flow(simulator, "a", "b")
-    scheduler.start_flows([flow], now=0.0)
-    assert flow.rate > 0.0
 
 
 # -- shared payload flyweight ------------------------------------------------
@@ -273,25 +234,17 @@ class _Recorder(ProtocolNode):
         self.received.append((message.msg_type, message.payload, now))
 
 
-def _network(batch):
-    previous = os.environ.get(BATCH_DISPATCH_ENV)
-    os.environ[BATCH_DISPATCH_ENV] = batch
-    try:
-        network = SimNetwork(Simulator())
-    finally:
-        if previous is None:
-            del os.environ[BATCH_DISPATCH_ENV]
-        else:
-            os.environ[BATCH_DISPATCH_ENV] = previous
+def _network(network_class):
+    network = network_class(Simulator())
     nodes = [_Recorder("n%d" % index) for index in range(4)]
     for node in nodes:
         network.add_node(node, LinkConfig.symmetric_mbps(10.0))
     return network, nodes
 
 
-@pytest.mark.parametrize("batch", ["on", "off"])
-def test_broadcast_message_reaches_every_peer(batch):
-    network, nodes = _network(batch)
+@pytest.mark.parametrize("network_class", [SimNetwork, PerMessageNetwork])
+def test_broadcast_message_reaches_every_peer(network_class):
+    network, nodes = _network(network_class)
     sender = nodes[0]
     sender.broadcast_message(Message(msg_type="HELLO", payload="x", size_bytes=512))
     network.simulator.run()
@@ -302,7 +255,7 @@ def test_broadcast_message_reaches_every_peer(batch):
 
 
 def test_broadcast_message_respects_targets():
-    network, nodes = _network("on")
+    network, nodes = _network(SimNetwork)
     nodes[0].broadcast_message(
         Message(msg_type="HELLO", size_bytes=256), targets=["n2"]
     )
@@ -313,13 +266,13 @@ def test_broadcast_message_respects_targets():
 
 
 def test_send_many_returns_flow_ids_matching_sequential_send():
-    network_a, nodes_a = _network("on")
+    network_a, nodes_a = _network(SimNetwork)
     ids_batched = network_a.send_many(
         "n0",
         ["n1", "n2", "n3"],
         Message(msg_type="M", size_bytes=100_000),
     )
-    network_b, nodes_b = _network("off")
+    network_b, nodes_b = _network(PerMessageNetwork)
     ids_loop = network_b.send_many(
         "n0",
         ["n1", "n2", "n3"],
@@ -368,8 +321,6 @@ def test_phases_profile_includes_other_and_sums_to_wall():
 
 
 def test_phases_instrumented_run_attributes_buckets():
-    from repro.protocols.runner import execute_spec
-
     spec = RunSpec(
         protocol="current",
         relay_count=20,

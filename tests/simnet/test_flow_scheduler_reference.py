@@ -26,13 +26,7 @@ import math
 
 import hypothesis.strategies as st
 from hypothesis import settings
-from hypothesis.stateful import (
-    RuleBasedStateMachine,
-    initialize,
-    invariant,
-    precondition,
-    rule,
-)
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from repro.simnet.bandwidth import BandwidthSchedule
 from repro.simnet.engine import Simulator
@@ -123,33 +117,18 @@ class FlowSchedulersAgainstReference(RuleBasedStateMachine):
         self.everywhere(lambda side: side.admit(transfers, self.next_id, self.now))
         self.next_id += len(transfers)
 
-    def settled_sets_agree(self):
-        """No flow is settled on one side only.
-
-        A flow settling within tolerance of the current clock may be settled
-        on one side and an ulp short on another.  A link replaced at that
-        instant would re-rate the sliver — an outage strands it for good —
-        so links are replaced only once a clock advance has evened the sides.
-        """
-        return all(
-            side.settled.keys() == self.reference.settled.keys() for side in self.engines
-        )
-
-    @precondition(settled_sets_agree)
     @rule(name=st.sampled_from(NODES), rate=RATES)
     def set_link_rate(self, name, rate):
         schedule = BandwidthSchedule.constant(rate)
         self.everywhere(lambda side: side.replace_link(name, schedule, self.now))
 
-    @precondition(settled_sets_agree)
     @rule(
         name=st.sampled_from(NODES),
         before=RATES,
         after=RATES,
-        # No multiple of a size/rate quotient, for the reason the timeouts
-        # are none: a flow completing at the instant its link drops to zero
-        # is done or starved for good on rounding alone.
-        delay=st.sampled_from([0.2537, 1.0091, 4.0173]),
+        # Size/rate quotients on purpose: a breakpoint to zero landing on a
+        # completion must settle the flow on every engine, not starve it.
+        delay=st.sampled_from([0.25, 1.0, 4.0]),
     )
     def set_link_breakpoint(self, name, before, after, delay):
         schedule = BandwidthSchedule([0.0, self.now + delay], [before, after])

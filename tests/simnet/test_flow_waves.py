@@ -5,9 +5,10 @@ same instant share one heap event.  These tests pin what sharing must not
 change — a flow that is re-aimed, expires or hangs does so alone — and what
 it must deliver: one completion event per burst, counted, not timed.
 
-The behavioural tests use whatever dispatch mode the environment selects, so
-CI's ``REPRO_BATCH_DISPATCH=off`` leg replays them on the one-event-per-flow
-reference path; the counting tests pin the mode they count.
+The counting tests run each wave twice, on ``SimNetwork`` and on the
+``PerMessageNetwork`` fixture (``per_message.py``: an admission per
+destination, an event per delivery), and require the same deliveries from
+both.
 
 The last test carries the same idea over to whole protocol runs and to the
 shared transports: heap events, flows rated and tcp ack ticks per message on
@@ -23,12 +24,14 @@ from repro.protocols.runner import execute_spec
 from repro.runtime.spec import RunSpec
 from repro.simnet.bandwidth import BandwidthSchedule
 from repro.simnet.engine import Simulator
-from repro.simnet.flows import BATCH_DISPATCH_ENV, Flow, make_flow_scheduler, use_shared_engine
+from repro.simnet.flows import Flow, make_flow_scheduler, use_shared_engine
 from repro.simnet.linkmodel import get_link_model
 from repro.simnet.message import Message
 from repro.simnet.network import LinkConfig, SimNetwork
 from repro.simnet.node import ProtocolNode
 from repro.simnet.shared_sched import FairLazyRater, TcpLazyRater
+
+from tests.simnet.per_message import PerMessageNetwork
 
 MB = 1_000_000
 
@@ -42,9 +45,9 @@ class _Recorder(ProtocolNode):
         self.log.append((now, message.sender, self.name, message.msg_id))
 
 
-def _network(names, latency=0.0):
+def _network(names, latency=0.0, network_class=SimNetwork):
     """``latency-only`` nodes on 8 Mbit/s (1 MB/s) links, one shared log."""
-    network = SimNetwork(transport="latency-only", default_latency_s=latency)
+    network = network_class(transport="latency-only", default_latency_s=latency)
     log = []
     for name in names:
         network.add_node(_Recorder(name, log), LinkConfig.symmetric_mbps(8.0))
@@ -170,7 +173,7 @@ def test_a_flow_settling_inside_the_pass_keeps_its_place_in_the_event_order():
 
     def one_by_one(scheduler, flows):
         for flow in flows:
-            scheduler.start_flow(flow, 0.0)
+            scheduler.start_flows([flow], 0.0)
 
     grouped = run(lambda scheduler, flows: scheduler.start_flows(flows, 0.0))
     assert grouped == [("done", "b", 1.0), ("handler", "c", 1.0), ("done", "d", 1.0)]
@@ -217,11 +220,10 @@ def test_a_breakpoint_crossing_burst_regroups_at_its_new_instant():
 # -- the floor, counted ----------------------------------------------------------
 
 
-def _all_pairs_wave(monkeypatch, dispatch, nodes, distinct_latencies):
+def _all_pairs_wave(network_class, nodes, distinct_latencies):
     """Every node broadcasts one equal-size message to every other at t=0."""
-    monkeypatch.setenv(BATCH_DISPATCH_ENV, dispatch)
     names = ["n%02d" % index for index in range(nodes)]
-    network, log = _network(names, latency=0.05)
+    network, log = _network(names, latency=0.05, network_class=network_class)
     if distinct_latencies:
         # No two messages reach a node at the same instant, so deliveries
         # cannot coalesce and every one of them is its own heap event.
@@ -237,21 +239,21 @@ def _all_pairs_wave(monkeypatch, dispatch, nodes, distinct_latencies):
 
 
 @pytest.mark.parametrize("nodes", [2, 7, 24])
-def test_a_broadcast_wave_costs_one_completion_event_per_burst(monkeypatch, nodes):
+def test_a_broadcast_wave_costs_one_completion_event_per_burst(nodes):
     messages = nodes * (nodes - 1)
-    events, grouped = _all_pairs_wave(monkeypatch, "on", nodes, distinct_latencies=True)
+    events, grouped = _all_pairs_wave(SimNetwork, nodes, distinct_latencies=True)
     assert events == nodes + messages
-    # The per-flow reference path: the same deliveries, an event per flow.
-    events, sequential = _all_pairs_wave(monkeypatch, "off", nodes, distinct_latencies=True)
+    # The per-message reference: the same deliveries, an event per flow.
+    events, sequential = _all_pairs_wave(PerMessageNetwork, nodes, distinct_latencies=True)
     assert events == 2 * messages
     assert grouped == sequential
 
 
-def test_same_instant_deliveries_coalesce_on_top_of_shared_completions(monkeypatch):
+def test_same_instant_deliveries_coalesce_on_top_of_shared_completions():
     nodes = 12
-    events, grouped = _all_pairs_wave(monkeypatch, "on", nodes, distinct_latencies=False)
+    events, grouped = _all_pairs_wave(SimNetwork, nodes, distinct_latencies=False)
     assert events == 2 * nodes  # one completion per burst, one delivery per node
-    _events, sequential = _all_pairs_wave(monkeypatch, "off", nodes, distinct_latencies=False)
+    _events, sequential = _all_pairs_wave(PerMessageNetwork, nodes, distinct_latencies=False)
     assert sorted(grouped) == sorted(sequential)
 
 
@@ -274,7 +276,6 @@ def _counted_run(protocol, transport, authorities):
         return on_tick(self, flow)
 
     with pytest.MonkeyPatch.context() as patch, use_shared_engine("lazy"):
-        patch.delenv(BATCH_DISPATCH_ENV, raising=False)
         patch.setattr(FairLazyRater, "rates_of", counted_rates_of)
         patch.setattr(TcpLazyRater, "_on_tick", counted_tick)
         result = execute_spec(

@@ -231,7 +231,7 @@ def test_fifo_scheduler_serves_flows_started_out_of_id_order(engine):
         flow = make_flow(flow_id, "a", dst, size=1_000_000)
         flow.message.msg_type = msg_type
         flow.message.sender = "a"
-        scheduler.start_flow(flow, network.simulator.now)
+        scheduler.start_flows([flow], network.simulator.now)
 
     network.simulator.schedule(0.0, start, 90, "FIRST", "b")
     network.simulator.schedule(0.5, start, 10, "SECOND", "c")

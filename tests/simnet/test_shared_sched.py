@@ -16,6 +16,8 @@ The edge cases pin the failure modes a heap of per-flow estimates invites:
   estimate must fire harmlessly, never complete the flow;
 * a deadline landing exactly on a bandwidth breakpoint — the timeout must
   win deterministically;
+* a link re-rated to zero at the very instant a flow finishes — the flow
+  must settle, not starve with nothing left to move;
 * a completion-epsilon residual whose transfer time is below one ulp of
   virtual time — the PR-3 live-lock shape, now under the lazy path.
 """
@@ -35,7 +37,7 @@ from repro.simnet.network import LinkConfig, SimNetwork
 from repro.simnet.node import ProtocolNode
 
 from tests.faults.test_conformance import random_fault_plan
-from tests.simnet.reference_sched import use_reference_scheduler
+from tests.simnet.reference_sched import use_engine, use_reference_scheduler
 from tests.simnet.test_transport_golden import run_transport_workload
 
 SHARED_TRANSPORTS = ("fair", "fifo")
@@ -192,6 +194,32 @@ def test_deadline_exactly_on_a_bandwidth_breakpoint_times_out(transport):
     assert deliveries == []
     assert timeouts == [10.0]
     assert network.stats.messages_timed_out == 1
+    assert network.active_flow_count() == 0
+
+
+@pytest.mark.parametrize("engine", ["lazy", "vector", "reference"])
+@pytest.mark.parametrize("trigger", ["breakpoint", "set_link", "set_link_an_ulp_early"])
+def test_a_link_rerated_to_zero_at_the_completion_instant_still_delivers(engine, trigger):
+    # 1 MB at 1 MB/s is done at t=1.0 — the instant the sender's uplink drops
+    # to zero, through a schedule breakpoint or a set_link that sits ahead of
+    # the completion in the event order, or one ulp before it, where the
+    # residual is already inside the byte epsilon.  The re-rate finds nothing
+    # left to move, so the flow must settle there: dropping its completion
+    # event with the rate would starve a finished transfer.
+    deliveries = []
+    with use_engine(engine):
+        network = SimNetwork(transport="fair", default_latency_s=0.05)
+    uplink = BandwidthSchedule.constant_mbps(8.0)
+    if trigger == "breakpoint":
+        uplink = uplink.with_window(1.0, 50.0, 0.0)
+    else:
+        when = 1.0 if trigger == "set_link" else math.nextafter(1.0, 0.0)
+        network.simulator.schedule(when, network.set_link, "src", LinkConfig.symmetric_mbps(0.0))
+    network.add_node(_Sink("src", deliveries), LinkConfig(uplink, uplink))
+    network.add_node(_Sink("dst", deliveries), LinkConfig.symmetric_mbps(8.0))
+    network.send("src", "dst", Message(msg_type="DOC", size_bytes=1_000_000))
+    network.run(until=10.0)
+    assert deliveries == [("DOC", pytest.approx(1.05))]
     assert network.active_flow_count() == 0
 
 
