@@ -21,7 +21,7 @@ Usage::
     PYTHONPATH=src python benchmarks/profile_scaling.py \\
         --authorities 120 --transport tcp --engine vector
     PYTHONPATH=src python benchmarks/profile_scaling.py \\
-        --authorities 120 --transport tcp --compare
+        --authorities 120 --transport tcp --compare --repeats 5
     PYTHONPATH=src python benchmarks/profile_scaling.py \\
         --authorities 120 --phases
 
@@ -31,10 +31,13 @@ uncached, so the profile measures simulation cost only.  ``--clients``
 attaches a consensus-distribution workload (``--cohorts`` cohorts, the
 Figure 13 defaults otherwise), making the client layer profilable exactly
 like the transport.  ``--compare`` skips the profiler and instead times the
-same cell once per engine (lazy, then vector), printing a scalar-vs-vector
+same cell on each engine (lazy and vector), printing a scalar-vs-vector
 speedup table (the quick sanity check before trusting a profile's relative
 numbers); with ``--transport tcp`` the vector row runs the tcp vector
-policy, so the table prices cohort ack ticks directly.
+policy, so the table prices cohort ack ticks directly.  The scenario is
+built once before the first timed run, so no row pays the cold build the
+others get from the process memo; ``--repeats N`` times every engine N
+times, alternating which goes first, and prints medians with min–max.
 """
 
 from __future__ import annotations
@@ -42,10 +45,11 @@ from __future__ import annotations
 import argparse
 import cProfile
 import pstats
+import statistics
 import time
-from typing import Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
-from repro.protocols.runner import execute_spec, scenario_cache_info
+from repro.protocols.runner import execute_spec, scenario_cache_info, scenario_from_spec
 from repro.runtime.spec import RunSpec
 from repro.simnet.flows import (
     SHARED_ENGINES,
@@ -134,43 +138,60 @@ def compare_engines(
     clients: int = 0,
     cohorts: int = DEFAULT_COHORTS,
     engines: Sequence[str] = SHARED_ENGINES,
-) -> None:
-    """Time the same cell once per engine and print a speedup table.
+    repeats: int = 1,
+) -> Dict[str, List[float]]:
+    """Time the same cell ``repeats`` times per engine and print a speedup table.
 
     The baseline row is the lazy engine (the default); each row reports its
-    wall clock and the lazy/engine speedup factor.  On a numpy-less install
-    the ``vector`` row runs the lazy fallback and says so.
+    median wall clock with min–max, the lazy/engine ratio of the medians and
+    the flows rated per message (lazy only: the vector engine does not count
+    them).  The engines take turns going first, and the scenario's
+    ingredients are built before anything is timed — otherwise the first row
+    alone pays the cold build.  On a numpy-less install the ``vector`` row
+    runs the lazy fallback and says so.  Returns the wall clocks per engine.
     """
     spec = _cell_spec(
         authorities, transport, protocol, relay_count, seed, max_time, clients, cohorts
     )
-    timings = []
-    for engine in engines:
-        with use_shared_engine(engine):
-            effective = effective_shared_engine(transport)
-            started = time.perf_counter()
-            result = execute_spec(spec)
-            elapsed = time.perf_counter() - started
-        timings.append((engine, effective, elapsed, result.stats.messages_sent))
-    baseline = next(
-        (elapsed for engine, _eff, elapsed, _m in timings if engine == "lazy"),
-        timings[0][2],
-    )
+    scenario_from_spec(spec)
+    walls: Dict[str, List[float]] = {engine: [] for engine in engines}
+    rows = {}
+    for repeat in range(repeats):
+        for engine in engines if repeat % 2 == 0 else reversed(engines):
+            with use_shared_engine(engine):
+                effective = effective_shared_engine(transport)
+                started = time.perf_counter()
+                result = execute_spec(spec)
+                walls[engine].append(time.perf_counter() - started)
+            rows[engine] = (effective, result)
+    medians = {engine: statistics.median(times) for engine, times in walls.items()}
+    baseline = medians.get("lazy", medians[engines[0]])
     print(
-        "engine comparison: %s@%d transport=%s (%d engines, baseline lazy)"
-        % (protocol, authorities, transport, len(timings))
+        "engine comparison: %s@%d transport=%s (%d engines, %d repeats, baseline lazy)"
+        % (protocol, authorities, transport, len(engines), repeats)
     )
-    header = "%-8s %-10s %10s %10s %10s" % (
-        "engine", "effective", "wall (s)", "lazy/x", "messages",
+    header = "%-8s %-16s %10s %15s %8s %10s %10s" % (
+        "engine", "effective", "median (s)", "min-max (s)", "lazy/x", "messages", "rated/msg",
     )
     print(header)
     print("-" * len(header))
-    for engine, effective, elapsed, messages in timings:
-        note = effective if effective == engine else "%s (fallback)" % effective
+    for engine in engines:
+        effective, result = rows[engine]
+        messages = result.stats.messages_sent
+        rated = result.engine_counters.get("flows_rated")
         print(
-            "%-8s %-10s %10.2f %10.2f %10d"
-            % (engine, note, elapsed, baseline / elapsed if elapsed else 0.0, messages)
+            "%-8s %-16s %10.2f %15s %8.2f %10d %10s"
+            % (
+                engine,
+                effective if effective == engine else "%s (fallback)" % effective,
+                medians[engine],
+                "%.2f-%.2f" % (min(walls[engine]), max(walls[engine])),
+                baseline / medians[engine] if medians[engine] else 0.0,
+                messages,
+                "-" if rated is None else "%.2f" % (rated / max(messages, 1)),
+            )
         )
+    return walls
 
 
 def phase_cell(
@@ -274,6 +295,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "instead of profiling",
     )
     parser.add_argument(
+        "--repeats",
+        type=int,
+        default=1,
+        help="with --compare: timed runs per engine, alternating which engine "
+        "goes first (median and min-max are printed)",
+    )
+    parser.add_argument(
         "--phases",
         action="store_true",
         help="run the cell with phase attribution (transport / protocol / "
@@ -293,6 +321,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             protocol=args.protocol,
             clients=args.clients,
             cohorts=args.cohorts,
+            repeats=args.repeats,
         )
         return 0
 

@@ -108,8 +108,9 @@ class ProtocolRunResult:
     #: runs without a :class:`~repro.clients.workload.ClientWorkload`): state
     #: counts, fetch success rate, p50/p99 time-to-fresh, staleness-seconds.
     client_summary: Dict[str, Any] = field(default_factory=dict)
-    #: :meth:`repro.simnet.engine.Simulator.counters` at the end of the run
-    #: (events executed, heap state).  Like the trace, not part of
+    #: :meth:`repro.simnet.network.SimNetwork.engine_counters` at the end of
+    #: the run: events executed and heap state, plus ``rate_passes`` and
+    #: ``flows_rated`` on the lazy shared engine.  Like the trace, not part of
     #: :meth:`summary`: it describes the engine, not the simulated outcome.
     engine_counters: Dict[str, int] = field(default_factory=dict)
 

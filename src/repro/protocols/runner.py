@@ -417,7 +417,7 @@ def run_protocol(
         relay_count=scenario.relay_count,
         fault_summary=injector.fault_summary(end_time) if injector is not None else {},
         client_summary=distribution.summary(end_time) if distribution is not None else {},
-        engine_counters=network.simulator.counters(),
+        engine_counters=network.engine_counters(),
     )
 
 

@@ -255,6 +255,10 @@ class FlowScheduler:
         """Number of in-flight transfers."""
         return len(self._flows)
 
+    def counters(self) -> Dict[str, int]:
+        """Work counted by this scheduler, for ``engine_counters`` (none here)."""
+        return {}
+
     # -- index maintenance -------------------------------------------------
     def _add(self, flow: Flow) -> None:
         flow.arrival_seq = self._arrival_counter

@@ -413,6 +413,10 @@ class SimNetwork:
         """Number of in-flight transfers (mostly for tests and debugging)."""
         return self._scheduler.active_count()
 
+    def engine_counters(self) -> Dict[str, int]:
+        """The event loop's counters plus whatever the flow scheduler counts."""
+        return {**self.simulator.counters(), **self._scheduler.counters()}
+
     # -- scheduler callbacks -----------------------------------------------------
     def _complete_flow(self, flow: Flow) -> None:
         """A flow finished moving bytes; deliver after propagation latency."""

@@ -24,7 +24,7 @@ test-side reference model (``tests/simnet/reference_sched.py``);
   admission through the ``PerMessageNetwork`` test fixture
   (``tests/simnet/per_message.py``); the first completion of an instant
   claims every neighbour due at that instant (``_finish_batch``) and the
-  survivors are rated once.
+  movers among the survivors are rated once.
 
 Per-event cost becomes O(touched flows × log F) instead of O(all flows):
 the *touched* set is exactly the set whose instantaneous rate can have
@@ -32,8 +32,9 @@ changed, which each link model knows how to enumerate through its
 :class:`LazyRater`:
 
 * ``fair`` — a flow's rate is ``min(up/|up flows|, down/|down flows|)``, a
-  pure local function of its two links, so the touched set is the flows
-  sharing the event's uplink/downlink.
+  pure local function of its two links, so the touched set is, of the flows
+  sharing the event's uplink/downlink, those whose stored rate reaches the
+  share that side offered: a flow bound elsewhere keeps its rate bit for bit.
 * ``fifo`` — each uplink serves its oldest flow at full rate and downlinks
   are split among the flows being served into them; the rater maintains the
   per-uplink arrival queue and per-downlink serving counts incrementally, so
@@ -89,14 +90,15 @@ class LazyRater:
 
     A rater answers two questions the scheduler asks on every event:
     *which flows' rates can have changed* (the touched set) and *what are
-    these flows' rates now*.  It observes every flow arrival/departure so it
-    can maintain whatever occupancy structures the policy needs; the
-    scheduler owns the flow indexes (``by_src``/``by_dst``) and shares them.
+    these flows' rates now*.  It observes every flow arrival/departure, in
+    bulk, so it can maintain whatever occupancy structures the policy needs;
+    the scheduler owns the flow indexes (``by_src``/``by_dst``) and shares
+    them.
 
-    Contract: for every flow not in the returned touched set, the rate
-    ``rates_of`` would report must be unchanged by the observed transition —
-    that is what makes skipping the untouched flows exact rather than
-    approximate.
+    Contract: for every flow not in the touched set (of ``on_flows_added``,
+    ``movers_among``, ``on_link_rate_changed``), the rate ``rates_of`` would
+    report must be unchanged by the observed transition — that is what makes
+    skipping the untouched flows exact rather than approximate.
     """
 
     def __init__(
@@ -128,18 +130,25 @@ class LazyRater:
         #: for the ``aggregate`` endpoint flag (per-client capacity links).
         self._links = links
 
-    def on_flow_added(self, flow: Flow) -> Iterable[Flow]:
-        """Observe an arrival (already in the indexes); return touched flows."""
+    def on_flows_added(self, flows: List[Flow]) -> Iterable[Flow]:
+        """Observe a same-instant arrival burst (already in the indexes);
+        return the touched flows, the burst's own among them."""
         raise NotImplementedError
 
     def on_flows_removed(self, flows: List[Flow]) -> Dict[int, Flow]:
-        """Observe a same-instant departure batch; return touched flows by id.
+        """Observe a same-instant departure batch; return its neighbourhood by
+        id — every flow it can re-rate or, if due now, take along.
 
         The caller has already dropped every flow in ``flows`` from the
-        scheduler indexes; the touched set may still name members of the
-        batch itself, which the caller skips.
+        scheduler indexes; the result may still name members of the batch
+        itself, which the caller skips.
         """
         raise NotImplementedError
+
+    def movers_among(self, survivors: Dict[int, Flow], departed: List[Flow]) -> Iterable[Flow]:
+        """The touched set of a whole departure batch: the ``survivors`` of
+        its neighbourhoods that losing ``departed`` can re-rate."""
+        return survivors.values()
 
     def on_link_rate_changed(self, side: str, name: str) -> Iterable[Flow]:
         """Observe a capacity change on one link side; return touched flows."""
@@ -163,14 +172,53 @@ class FairLazyRater(LazyRater):
 
     ``rate = min(uplink/|src flows|, downlink/|dst flows|)`` is a pure local
     function of the flow's two links, so the scheduler's own indexes *are*
-    the occupancy state and the touched set of any transition is the union
-    of the flows on the links whose occupancy or capacity moved.
+    the occupancy state.  A capacity change touches every flow on the link;
+    an occupancy change only the flows the moved side can bind
+    (:meth:`_movers`) — an uplink-bound broadcast burst re-rates itself, not
+    the flows whose downlinks it joined.
     """
 
-    def on_flow_added(self, flow: Flow) -> Iterable[Flow]:
-        touched: Dict[int, Flow] = dict(self._by_src.get(flow.src, {}))
-        touched.update(self._by_dst.get(flow.dst, {}))
-        return list(touched.values())
+    def on_flows_added(self, flows: List[Flow]) -> Iterable[Flow]:
+        return self._movers(flows, departed=False).values()
+
+    def movers_among(self, survivors: Dict[int, Flow], departed: List[Flow]) -> Iterable[Flow]:
+        return self._movers(departed, departed=True).values()
+
+    def _movers(self, flows: List[Flow], departed: bool) -> Dict[int, Flow]:
+        """Flows whose rate can have moved when ``flows`` joined (already in
+        the indexes; themselves included — rate 0.0, no event yet) or left
+        (already out of them) at one instant.
+
+        A shared link side of capacity ``c`` whose weighted occupancy went
+        ``before -> after`` offers every flow at least ``floor = c /
+        max(before, after)`` at both ends, so a stored rate below the floor
+        was not set by that side and still is not (proof: DESIGN-transport.md,
+        "Share-aware touched sets").  Aggregate sides have no divisor and are
+        not scanned; zero capacity makes the floor 0.0 and yields the bucket.
+        """
+        links = self._links
+        gone_up: Dict[str, int] = {}
+        gone_down: Dict[str, int] = {}
+        for flow in flows:
+            gone = flow.weight if departed else 0
+            gone_up[flow.src] = gone_up.get(flow.src, 0) + gone
+            gone_down[flow.dst] = gone_down.get(flow.dst, 0) + gone
+        movers = {} if departed else {flow.flow_id: flow for flow in flows}
+        for src, gone in gone_up.items():
+            bucket = self._by_src.get(src)
+            if bucket and not links[src].aggregate:
+                floor = self._up_cap[src] / (self._src_weight[src] + gone)
+                for flow in bucket.values():
+                    if flow.rate >= floor:
+                        movers[flow.flow_id] = flow
+        for dst, gone in gone_down.items():
+            bucket = self._by_dst.get(dst)
+            if bucket and not links[dst].aggregate:
+                floor = self._down_cap[dst] / (self._dst_weight[dst] + gone)
+                for flow in bucket.values():
+                    if flow.rate >= floor:
+                        movers[flow.flow_id] = flow
+        return movers
 
     def on_link_rate_changed(self, side: str, name: str) -> Iterable[Flow]:
         index = self._by_src if side == "uplink" else self._by_dst
@@ -215,7 +263,7 @@ class FairLazyRater(LazyRater):
 
     def on_flows_removed(self, flows: List[Flow]) -> Dict[int, Flow]:
         # Occupancy lives in the scheduler-maintained indexes, which the
-        # caller already updated for the whole batch: the touched set is the
+        # caller already updated for the whole batch: the neighbourhood is the
         # departed flows' links' *remaining* members, read once per link
         # (not once per departure — O(B·link) for a B-way burst leaving one
         # uplink).
@@ -274,16 +322,22 @@ class FifoLazyRater(LazyRater):
         self._serving_weight: Dict[str, int] = {}
 
     # -- transitions -------------------------------------------------------
-    def on_flow_added(self, flow: Flow) -> Iterable[Flow]:
-        if self._links[flow.src].aggregate:
-            return self._serve(flow)
-        queue = self._queues.setdefault(flow.src, [])
-        heapq.heappush(queue, (flow.arrival_seq, flow))
-        if flow.src in self._head:
-            # Queued behind the served flow: its rate is 0 and nobody else
-            # is affected.
-            return [flow]
-        return self._promote(flow.src)
+    def on_flows_added(self, flows: List[Flow]) -> Iterable[Flow]:
+        # One arrival at a time, in burst order: each one moves the queues
+        # and serving sets the next one reads.
+        touched: Dict[int, Flow] = {}
+        for flow in flows:
+            if self._links[flow.src].aggregate:
+                sharers = self._serve(flow)
+            else:
+                queue = self._queues.setdefault(flow.src, [])
+                heapq.heappush(queue, (flow.arrival_seq, flow))
+                # Queued behind the served flow: its rate is 0 and nobody
+                # else is affected.
+                sharers = [flow] if flow.src in self._head else self._promote(flow.src)
+            for other in sharers:
+                touched[other.flow_id] = other
+        return touched.values()
 
     def on_flows_removed(self, flows: List[Flow]) -> Dict[int, Flow]:
         # One departure at a time, in batch order: each one moves the
@@ -424,10 +478,11 @@ class TcpLazyRater(FairLazyRater):
         self._model = scheduler.model
 
     # -- transitions -------------------------------------------------------
-    def on_flow_added(self, flow: Flow) -> Iterable[Flow]:
-        state = self._model.state_of(flow, self._scheduler.simulator.now)
-        self._arm_tick(flow, state)
-        return super().on_flow_added(flow)
+    def on_flows_added(self, flows: List[Flow]) -> Iterable[Flow]:
+        now = self._scheduler.simulator.now
+        for flow in flows:
+            self._arm_tick(flow, self._model.state_of(flow, now))
+        return super().on_flows_added(flows)
 
     def on_flows_removed(self, flows: List[Flow]) -> Dict[int, Flow]:
         # Per-flow teardown (tick cancel, window-state drop), then the fair
@@ -501,6 +556,9 @@ class LazySharedLinkScheduler(FlowScheduler):
         )
         #: (side, name) -> pending breakpoint watcher (None: constant link).
         self._watchers: Dict[Tuple[str, str], Optional[object]] = {}
+        #: Rate passes made and flows handed to ``rates_of`` in them.
+        self._rate_passes = 0
+        self._flows_rated = 0
         # Raters with scheduler-driven dynamics (tcp ack ticks) get a back
         # reference once construction is complete.
         bind = getattr(self._rater, "bind_scheduler", None)
@@ -508,8 +566,11 @@ class LazySharedLinkScheduler(FlowScheduler):
             bind(self)
 
     # -- interface ---------------------------------------------------------
+    def counters(self) -> Dict[str, int]:
+        return {"rate_passes": self._rate_passes, "flows_rated": self._flows_rated}
+
     def start_flows(self, flows: List[Flow], now: float) -> None:
-        """Admit a same-instant burst with one rate pass over the union.
+        """Admit a same-instant burst with one rater call and one rate pass.
 
         Admitting flow by flow would re-rate the sender's growing uplink set
         per start — O(B²) flow touches for a B-way broadcast burst, the
@@ -532,11 +593,7 @@ class LazySharedLinkScheduler(FlowScheduler):
             if flow.dst not in self._down_cap:
                 self._down_cap[flow.dst] = self._links[flow.dst].downlink.rate_at(now)
                 self._arm_watcher("downlink", flow.dst, now)
-        touched: Dict[int, Flow] = {}
-        for flow in flows:
-            for other in self._rater.on_flow_added(flow):
-                touched[other.flow_id] = other
-        self._apply_rate_changes(touched.values(), now)
+        self._apply_rate_changes(self._rater.on_flows_added(flows), now)
 
     def on_link_replaced(self, name: str, now: float) -> None:
         # The replaced schedule applies immediately: drop both watchers (they
@@ -564,6 +621,8 @@ class LazySharedLinkScheduler(FlowScheduler):
         structure enumerated the touched set.
         """
         flows = sorted(touched, key=_flow_id_of)
+        self._rate_passes += 1
+        self._flows_rated += len(flows)
         rates = self._rater.rates_of(flows, now)
         for flow, new_rate in zip(flows, rates):
             if new_rate == flow.rate and flow.pending is not None:
@@ -688,7 +747,7 @@ class LazySharedLinkScheduler(FlowScheduler):
                 survivors[other.flow_id] = other
             frontier = next_frontier
             batch.extend(next_frontier)
-        self._apply_rate_changes(survivors.values(), now)
+        self._apply_rate_changes(rater.movers_among(survivors, batch), now)
         for flow in batch:
             if flow.src not in self._by_src:
                 self._up_cap.pop(flow.src, None)
@@ -705,7 +764,7 @@ class LazySharedLinkScheduler(FlowScheduler):
     def _finish_expired(self, flow: Flow, now: float) -> None:
         self._remove(flow)
         touched = self._rater.on_flows_removed([flow])
-        self._apply_rate_changes(touched.values(), now)
+        self._apply_rate_changes(self._rater.movers_among(touched, [flow]), now)
         if flow.src not in self._by_src:
             del self._up_cap[flow.src]
             self._drop_watcher("uplink", flow.src)

@@ -130,6 +130,9 @@ class ReferenceFlowScheduler:
     def active_count(self):
         return len(self._flows)
 
+    def counters(self):
+        return {}
+
     def start_flows(self, flows, now):
         self._advance(now)  # the admitted flows have moved nothing before now
         for flow in flows:

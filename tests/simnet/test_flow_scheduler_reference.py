@@ -3,11 +3,15 @@
 ``ReferenceFlowScheduler`` (``reference_sched.py``) advances every flow and
 rates every flow from a fresh occupancy recount at every event.  The stateful
 test drives it, the lazy engine and (numpy present) the vector engine with
-the same random sequence of same-instant admission bursts (weights 1–3,
-aggregate endpoints, deadlines), link replacements (constant rates, outages,
-schedules with a future breakpoint) and clock advances (to the reference's
-next event, or by a fixed step), on ``fair`` and on ``fifo``, and after every
-step requires of each production engine:
+the same random sequence of same-instant admission bursts (up to eight random
+transfers, or one node's broadcast to / fan-in from up to seven others;
+weights 1–3, two aggregate endpoints, deadlines), link replacements (constant
+rates, outages, schedules with a future breakpoint) and clock advances (to
+the reference's next event, or by a fixed step), on ``fair`` and on ``fifo``.
+Eight nodes start on unequal, partly asymmetric capacities, so link buckets
+of five and more flows and flows whose binding side flips between uplink and
+downlink are routine — the ground the lazy fair rater's share-aware touched
+sets have to hold.  After every step it requires of each production engine:
 
 * the same flows settled, each the same way (completed / expired) and at the
   same instant within 1e-6 relative, in time order.  Flows settling within
@@ -40,18 +44,28 @@ from tests.simnet.reference_sched import ReferenceFlowScheduler, occupancy
 
 REL_TOLERANCE = 1e-6
 
-NODES = ("a", "b", "c", "agg")
+#: Node -> starting (uplink, downlink) capacity in bytes/s; the ``agg`` nodes
+#: are aggregate endpoints (per-client capacity, never shared).
+START_CAPACITY = {
+    "a": (1e6, 1e6),
+    "b": (2.5e5, 1e6),
+    "c": (1e6, 2.5e5),
+    "d": (5e5, 5e5),
+    "e": (1e6, 1e5),
+    "f": (1e5, 1e6),
+    "agg1": (2.5e5, 2.5e5),
+    "agg2": (1e6, 1e5),
+}
+NODES = tuple(START_CAPACITY)
 RATES = st.sampled_from([0.0, 1e5, 2.5e5, 1e6])  # bytes/s; 0.0 is an outage
 PAIRS = st.tuples(st.sampled_from(NODES), st.sampled_from(NODES)).filter(lambda p: p[0] != p[1])
 # Repeated sizes and round rates make same-instant completions common;
 # timeouts that are no multiple of a size/rate quotient keep an expiry from
 # landing exactly on a completion, where rounding alone picks the winner.
-TRANSFERS = st.tuples(
-    PAIRS,
-    st.sampled_from([40_000, 100_000, 100_000, 250_000, 1_000_000]),
-    st.integers(1, 3),
-    st.sampled_from([None, None, 0.37, 1.9, 11.3]),
-)
+SIZES = st.sampled_from([40_000, 100_000, 100_000, 250_000, 1_000_000])
+WEIGHTS = st.integers(1, 3)
+TIMEOUTS = st.sampled_from([None, None, 0.37, 1.9, 11.3])
+TRANSFERS = st.tuples(PAIRS, SIZES, WEIGHTS, TIMEOUTS)
 
 
 def close(a, b):
@@ -63,9 +77,9 @@ class _Side:
 
     def __init__(self, engine, transport):
         self.engine, self.simulator, self.links = engine, Simulator(), {}
-        for name in NODES:
+        for name, (up, down) in START_CAPACITY.items():
             self.links[name] = LinkConfig(
-                BandwidthSchedule.constant(1e6), BandwidthSchedule.constant(1e6), name == "agg"
+                BandwidthSchedule.constant(up), BandwidthSchedule.constant(down), name.startswith("agg")
             )
         self.log, self.settled, self.admitted = [], {}, {}
         callbacks = (lambda flow: self.settle("done", flow), lambda flow: self.settle("late", flow))
@@ -95,7 +109,7 @@ class _Side:
         self.scheduler.start_flows(flows, now)
 
     def replace_link(self, name, schedule, now):
-        self.links[name] = LinkConfig(schedule, schedule, name == "agg")
+        self.links[name] = LinkConfig(schedule, schedule, name.startswith("agg"))
         self.scheduler.on_link_replaced(name, now)
 
 
@@ -112,10 +126,24 @@ class FlowSchedulersAgainstReference(RuleBasedStateMachine):
             call(side)
             side.simulator.run(until=self.now)
 
-    @rule(transfers=st.lists(TRANSFERS, min_size=1, max_size=4))
+    @rule(transfers=st.lists(TRANSFERS, min_size=1, max_size=8))
     def admit(self, transfers):
         self.everywhere(lambda side: side.admit(transfers, self.next_id, self.now))
         self.next_id += len(transfers)
+
+    @rule(
+        hub=st.sampled_from(NODES),
+        others=st.sets(st.sampled_from(NODES), min_size=3, max_size=8),
+        fan_in=st.booleans(),
+        size=SIZES,
+        weight=WEIGHTS,
+        timeout=TIMEOUTS,
+    )
+    def admit_wave(self, hub, others, fan_in, size, weight, timeout):
+        """One node's broadcast (or the fan-in into it): equal transfers that
+        load one link side with the whole burst."""
+        pairs = [(other, hub) if fan_in else (hub, other) for other in sorted(others - {hub})]
+        self.admit([(pair, size, weight, timeout) for pair in pairs])
 
     @rule(name=st.sampled_from(NODES), rate=RATES)
     def set_link_rate(self, name, rate):

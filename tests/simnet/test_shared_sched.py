@@ -20,6 +20,11 @@ The edge cases pin the failure modes a heap of per-flow estimates invites:
   must settle, not starve with nothing left to move;
 * a completion-epsilon residual whose transfer time is below one ulp of
   virtual time — the PR-3 live-lock shape, now under the lazy path.
+
+The last section pins the edges of the fair rater's share-aware touched sets
+(``FairLazyRater._movers``): a bare lazy scheduler whose every in-flight rate
+must equal the reference's from-scratch ``fair_rates`` after each admission
+and each settlement, with the flows each step rated counted.
 """
 
 import math
@@ -31,13 +36,15 @@ from hypothesis import strategies as st
 from repro.protocols.runner import execute_spec
 from repro.runtime.spec import PROTOCOL_NAMES, RunSpec
 from repro.simnet.bandwidth import BandwidthSchedule
-from repro.simnet.flows import use_shared_engine
+from repro.simnet.engine import Simulator
+from repro.simnet.flows import Flow, make_flow_scheduler, use_shared_engine
+from repro.simnet.linkmodel import get_link_model
 from repro.simnet.message import Message
 from repro.simnet.network import LinkConfig, SimNetwork
 from repro.simnet.node import ProtocolNode
 
 from tests.faults.test_conformance import random_fault_plan
-from tests.simnet.reference_sched import use_engine, use_reference_scheduler
+from tests.simnet.reference_sched import fair_rates, use_engine, use_reference_scheduler
 from tests.simnet.test_transport_golden import run_transport_workload
 
 SHARED_TRANSPORTS = ("fair", "fifo")
@@ -269,3 +276,212 @@ def test_fifo_queued_flow_expiring_mid_queue_never_disturbs_the_served_flow():
         ("THIRD", pytest.approx(3.0)),
     ]
     assert network.active_flow_count() == 0
+
+
+# -- share-aware touched sets: the rule's edges ---------------------------------
+
+MB = 1_000_000.0
+
+
+def _link(up, down=None, aggregate=False):
+    """Constant capacities in bytes/s (``down`` defaults to ``up``)."""
+    down = up if down is None else down
+    return LinkConfig(BandwidthSchedule.constant(up), BandwidthSchedule.constant(down), aggregate)
+
+
+class _CheckedScheduler:
+    """A bare lazy scheduler held to the reference's rates at every step.
+
+    ``admit`` and ``run`` return how many flows the step handed to
+    ``rates_of``; each admission and each settlement callback (which fires
+    once the pass is applied) compares every in-flight rate, exactly, with
+    ``fair_rates`` recounted from the flow list — capped by the congestion
+    window on ``tcp``.
+    """
+
+    def __init__(self, links, transport="fair"):
+        self.simulator, self.links = Simulator(), links
+        self.model = get_link_model(transport)
+        self.settled = []
+        self.scheduler = make_flow_scheduler(
+            self.model, self.simulator, links, self._settle, self._settle, shared_engine="lazy"
+        )
+
+    def _settle(self, flow):
+        self.settled.append((flow.src, flow.dst, self.simulator.now))
+        self.check()
+
+    def _rated(self):
+        return self.scheduler.counters()["flows_rated"]
+
+    def check(self):
+        now = self.simulator.now
+        flows = list(self.scheduler._flows.values())
+        expected = fair_rates(flows, self.links, now)
+        for flow in flows:
+            rate = expected[flow.flow_id]
+            if self.model.name == "tcp":
+                rate = min(rate, self.model.state_of(flow, now).window_rate(flow.weight))
+            assert flow.rate == rate, (flow.src, flow.dst, flow.rate, rate)
+
+    def admit(self, *transfers, timeout=None):
+        """One same-instant burst of ``(src, dst, size[, weight])``."""
+        now, before = self.simulator.now, self._rated()
+        flows = [
+            Flow(
+                self.simulator.next_serial(), src, dst, Message("DOC", size_bytes=size),
+                now, None if timeout is None else now + timeout, None, None, *weight,
+            )
+            for src, dst, size, *weight in transfers
+        ]
+        self.scheduler.start_flows(flows, now)
+        self.check()
+        return self._rated() - before
+
+    def run(self, until=None):
+        before = self._rated()
+        self.simulator.run(until=until)
+        self.check()
+        return self._rated() - before
+
+    def run_to_next_settlement(self):
+        """Flows rated by the event that settles next (an estimate that fires
+        early only re-aims: it rates nothing)."""
+        settled = len(self.settled)
+        while len(self.settled) == settled:
+            before = self._rated()
+            assert self.simulator.step()
+        return self._rated() - before
+
+    def rates(self):
+        return {(f.src, f.dst): f.rate for f in self.scheduler._flows.values()}
+
+
+def test_an_uplink_bound_wave_rates_each_burst_alone_and_no_departure():
+    # Six nodes, downlinks twice the uplinks: every flow is bound at up/5 by
+    # its sender's uplink and no downlink ever offers less than 2·up/5.
+    names = ["n%d" % index for index in range(6)]
+    checked = _CheckedScheduler({name: _link(MB, 2 * MB) for name in names})
+    for index, sender in enumerate(names):
+        burst = [(sender, other, 100_000 * (index + 1)) for other in names if other != sender]
+        # The burst joins five downlinks that carry ``index`` flows each and
+        # re-rates none of them: it rates its own five flows.
+        assert checked.admit(*burst) == 5
+    assert set(checked.rates().values()) == {MB / 5}
+    # Senders finish one after another (sizes differ); each departing burst
+    # relaxes five downlinks that bind nobody.
+    assert checked.run() == 0
+    assert len(checked.settled) == 30
+    assert [time for _s, _d, time in checked.settled] == sorted(
+        time for _s, _d, time in checked.settled
+    )
+
+
+def test_a_downlink_bound_fan_in_rerates_the_whole_downlink_each_time():
+    senders = ["s%d" % index for index in range(5)]
+    checked = _CheckedScheduler({name: _link(MB) for name in senders + ["sink"]})
+    for count, sender in enumerate(senders, start=1):
+        # Every flow sits at sink/count after the arrival: all of them move.
+        assert checked.admit((sender, "sink", 100_000 * count)) == count
+        assert set(checked.rates().values()) == {MB / count}
+    # Each completion lifts every remaining flow (rate == floor on the way up:
+    # the departed flow's peers were bound at exactly sink/before).
+    for remaining in (4, 3, 2, 1):
+        assert checked.run_to_next_settlement() == remaining
+        assert set(checked.rates().values()) == {MB / remaining}
+
+
+def test_a_flow_tied_between_both_its_links_follows_whichever_relaxes_last():
+    # ``hub -> sink`` shares hub's uplink with three flows and sink's downlink
+    # with three others: four on either side, rate == cap/4 == floor on both.
+    leaves, feeders = ["l0", "l1", "l2"], ["f0", "f1", "f2"]
+    checked = _CheckedScheduler(
+        {name: _link(MB) for name in ["hub", "sink", *leaves, *feeders]}
+    )
+    burst = [("hub", "sink", 1_000_000)] + [("hub", leaf, 100_000) for leaf in leaves]
+    assert checked.admit(*burst) == 4
+    for count, feeder in enumerate(feeders, start=2):
+        # sink's downlink goes to ``count`` flows; hub -> sink, bound at MB/4 by
+        # its uplink, is below the floor MB/count until the last arrival ties.
+        assert checked.admit((feeder, "sink", 100_000)) == (count if count == 4 else count - 1)
+    assert set(checked.rates().values()) == {MB / 4}
+    # The six short flows finish around t=0.4, the hub's by its uplink's
+    # neighbourhood and the feeders' by the sink's downlink's: the tied flow
+    # is a candidate of both — unchanged while either side still holds it at
+    # MB/4, freed by whichever relaxes last.
+    checked.run(until=0.41)
+    assert len(checked.settled) == 6
+    assert checked.rates() == {("hub", "sink"): MB}
+
+
+def test_unit_and_weight_three_flows_split_one_downlink_by_weight():
+    checked = _CheckedScheduler({name: _link(MB) for name in "abcd"} | {"sink": _link(MB)})
+    assert checked.admit(("a", "sink", 300_000), ("b", "sink", 900_000, 3)) == 2
+    assert checked.rates() == {("a", "sink"): MB / 4, ("b", "sink"): 3 * MB / 4}
+    # A weight-3 flow bound elsewhere: d's uplink is shared four ways, so
+    # d -> a (a's downlink is idle) keeps its rate whatever the sink does.
+    assert checked.admit(("d", "a", 500_000, 3), ("d", "b", 500_000)) == 2
+    assert checked.admit(("c", "sink", 100_000)) == 3
+    assert checked.rates()[("b", "sink")] == 3 * MB / 5
+    assert checked.run_to_next_settlement() == 2  # c -> sink done: a's and b's lifted
+    assert checked.settled[0][:2] == ("c", "sink")
+    assert checked.rates()[("b", "sink")] == 3 * MB / 4
+    checked.run()
+    assert len(checked.settled) == 5
+
+
+def test_an_arrival_at_an_aggregate_endpoint_rerates_no_sibling():
+    links = {name: _link(MB) for name in "abc"}
+    links["agg"] = _link(MB / 4, MB / 2, aggregate=True)
+    checked = _CheckedScheduler(links)
+    assert checked.admit(("a", "agg", 400_000, 2)) == 1
+    # Per-client capacity: the second fetch into the cohort shares nothing.
+    assert checked.admit(("b", "agg", 400_000)) == 1
+    assert checked.admit(("agg", "c", 100_000), ("agg", "a", 100_000)) == 2
+    assert checked.admit(("agg", "b", 100_000)) == 1
+    assert checked.rates() == {
+        ("a", "agg"): MB, ("b", "agg"): MB / 2,
+        ("agg", "c"): MB / 4, ("agg", "a"): MB / 4, ("agg", "b"): MB / 4,
+    }
+    assert checked.run() == 0  # nor does a departure from it
+    assert len(checked.settled) == 5
+
+
+def test_a_zero_capacity_link_gets_the_whole_link_pass():
+    links = {name: _link(MB) for name in "abc"}
+    links["dead"] = _link(0.0, MB)
+    checked = _CheckedScheduler(links)
+    assert checked.admit(("dead", "a", 100_000), timeout=1.0) == 1
+    # Floor 0.0: every flow on the dead uplink is a candidate, at rate 0.0.
+    assert checked.admit(("dead", "b", 100_000), ("dead", "c", 100_000)) == 3
+    assert set(checked.rates().values()) == {0.0}
+    # The expiry leaves a zero-capacity side too: both stranded flows rated.
+    assert checked.run() == 2
+    assert checked.settled == [("dead", "a", 1.0)]
+    assert checked.scheduler.active_count() == 2
+
+
+def test_a_burst_onto_idle_links_rates_itself():
+    checked = _CheckedScheduler({name: _link(MB) for name in "abcd"})
+    assert checked.admit(("a", "b", 90_000), ("a", "c", 90_000), ("a", "d", 90_000)) == 3
+    assert set(checked.rates().values()) == {MB / 3}
+    assert checked.run() == 0
+    assert [time for _s, _d, time in checked.settled] == [pytest.approx(0.27)] * 3
+
+
+def test_a_window_limited_tcp_flow_sits_out_an_occupancy_change_on_its_link():
+    checked = _CheckedScheduler({name: _link(MB) for name in "abc"}, transport="tcp")
+    assert checked.admit(("a", "b", 600_000)) == 1
+    window = checked.rates()[("a", "b")]
+    assert window < MB / 2  # one segment per RTT: far below any share
+    # a's uplink goes 1 -> 2: the share halves, the window still binds.
+    assert checked.admit(("a", "c", 20_000)) == 1
+    assert checked.rates()[("a", "b")] == window
+    # Slow start opens both windows tick by tick (each tick re-rates its own
+    # flow) until the share binds; the short flow leaves and frees it again.
+    while checked.scheduler.active_count() == 2:
+        assert checked.simulator.step()
+        checked.check()
+    assert checked.rates()[("a", "b")] > window
+    checked.run()
+    assert [pair[:2] for pair in checked.settled] == [("a", "c"), ("a", "b")]
