@@ -144,8 +144,8 @@ def compare_engines(
 
     The baseline row is the lazy engine (the default); each row reports its
     median wall clock with min–max, the lazy/engine ratio of the medians and
-    the flows rated per message (lazy only: the vector engine does not count
-    them).  The engines take turns going first, and the scenario's
+    the rate passes and flows rated per message (lazy only: the vector engine
+    does not count them).  The engines take turns going first, and the scenario's
     ingredients are built before anything is timed — otherwise the first row
     alone pays the cold build.  On a numpy-less install the ``vector`` row
     runs the lazy fallback and says so.  Returns the wall clocks per engine.
@@ -170,17 +170,21 @@ def compare_engines(
         "engine comparison: %s@%d transport=%s (%d engines, %d repeats, baseline lazy)"
         % (protocol, authorities, transport, len(engines), repeats)
     )
-    header = "%-8s %-16s %10s %15s %8s %10s %10s" % (
-        "engine", "effective", "median (s)", "min-max (s)", "lazy/x", "messages", "rated/msg",
+    header = "%-8s %-16s %10s %15s %8s %10s %10s %10s" % (
+        "engine", "effective", "median (s)", "min-max (s)", "lazy/x", "messages",
+        "passes/msg", "rated/msg",
     )
     print(header)
     print("-" * len(header))
     for engine in engines:
         effective, result = rows[engine]
         messages = result.stats.messages_sent
-        rated = result.engine_counters.get("flows_rated")
+        per_message = [
+            "-" if count is None else "%.2f" % (count / max(messages, 1))
+            for count in map(result.engine_counters.get, ("rate_passes", "flows_rated"))
+        ]
         print(
-            "%-8s %-16s %10.2f %15s %8.2f %10d %10s"
+            "%-8s %-16s %10.2f %15s %8.2f %10d %10s %10s"
             % (
                 engine,
                 effective if effective == engine else "%s (fallback)" % effective,
@@ -188,7 +192,7 @@ def compare_engines(
                 "%.2f-%.2f" % (min(walls[engine]), max(walls[engine])),
                 baseline / medians[engine] if medians[engine] else 0.0,
                 messages,
-                "-" if rated is None else "%.2f" % (rated / max(messages, 1)),
+                *per_message,
             )
         )
     return walls

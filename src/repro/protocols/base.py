@@ -109,9 +109,10 @@ class ProtocolRunResult:
     #: counts, fetch success rate, p50/p99 time-to-fresh, staleness-seconds.
     client_summary: Dict[str, Any] = field(default_factory=dict)
     #: :meth:`repro.simnet.network.SimNetwork.engine_counters` at the end of
-    #: the run: events executed and heap state, plus ``rate_passes`` and
-    #: ``flows_rated`` on the lazy shared engine.  Like the trace, not part of
-    #: :meth:`summary`: it describes the engine, not the simulated outcome.
+    #: the run: events executed and heap state, plus ``rate_passes``,
+    #: ``flows_rated``, ``admission_frontiers`` and ``flows_admitted`` on the
+    #: lazy shared engine.  Like the trace, not part of :meth:`summary`: it
+    #: describes the engine, not the simulated outcome.
     engine_counters: Dict[str, int] = field(default_factory=dict)
 
     @property

@@ -165,8 +165,9 @@ class Simulator:
         the same ``drain``; the one captured first runs.
 
         Relative order *across* keys at the same instant changes (a batch
-        drains contiguously at its first item's serial), which is why callers
-        gate this behind their own reference-path switch.
+        drains contiguously at its first item's serial); the network's
+        per-item reference for it is a test fixture
+        (``tests/simnet/per_message.py``), not a switch.
         """
         slot = (time, key)
         batch = self._batches.get(slot)

@@ -333,10 +333,10 @@ class FlowScheduler:
         """Register a same-instant batch of flows and schedule their events.
 
         A batch is one ``send_many`` burst (a single ``send`` is a batch of
-        one).  Admitting it whole is what lets the lazy engine rate the
-        sender's uplink once against its final occupancy, the vector engine
-        buffer it for one service pass, and the independent scheduler share
-        heap events across it.
+        one).  Admitting it whole is what lets the lazy engine rate it — with
+        every other batch of its instant — once against final occupancy, the
+        vector engine buffer it for one service pass, and the independent
+        scheduler share heap events across it.
         """
         raise NotImplementedError
 

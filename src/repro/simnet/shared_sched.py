@@ -19,12 +19,20 @@ test-side reference model (``tests/simnet/reference_sched.py``);
   ``EventHandle.cancel``) and a fresh one is pushed; stale heap entries are
   skipped like any cancelled event, and the engine compacts the heap once
   corpses dominate.
-* **Same-instant batches.**  A burst is admitted whole (``start_flows``) and
-  rated once against its final occupancy — held equal to flow-by-flow
-  admission through the ``PerMessageNetwork`` test fixture
-  (``tests/simnet/per_message.py``); the first completion of an instant
-  claims every neighbour due at that instant (``_finish_batch``) and the
-  movers among the survivors are rated once.
+* **Same-instant batches.**  Arrivals and departures are each rated once per
+  *frontier*, against final occupancy.  ``start_flows`` only indexes its
+  burst; the first admission of an instant schedules one event at ``now``,
+  later ones extend its list, and that event — or whichever scheduler
+  transition comes first, each of which settles pending admissions before
+  its own work — rates them all in one pass (``_settle_admissions``).  So 32
+  cohorts fetching on one wave tick, or a mirror answering a delivery batch
+  request by request, cost one rate pass, not one per send — held equal to
+  per-call rating through the ``EagerAdmission`` test fixture
+  (``tests/simnet/eager_admission.py``) and to flow-by-flow admission through
+  ``PerMessageNetwork`` (``tests/simnet/per_message.py``).  Its dual on the
+  way out: the first completion of an instant claims every neighbour due at
+  that instant (``_finish_batch``) and the movers among the survivors are
+  rated once.
 
 Per-event cost becomes O(touched flows × log F) instead of O(all flows):
 the *touched* set is exactly the set whose instantaneous rate can have
@@ -510,6 +518,7 @@ class TcpLazyRater(FairLazyRater):
         )
 
     def _on_tick(self, flow: Flow) -> None:
+        self._scheduler._settle_admissions()
         now = self._scheduler.simulator.now
         state = self._model.state_of(flow, now)
         self._model.advance_flow(flow, state, now)
@@ -556,9 +565,16 @@ class LazySharedLinkScheduler(FlowScheduler):
         )
         #: (side, name) -> pending breakpoint watcher (None: constant link).
         self._watchers: Dict[Tuple[str, str], Optional[object]] = {}
+        #: Flows indexed by ``start_flows`` but not rated yet: the open
+        #: admission frontier, all of one instant (see ``_settle_admissions``).
+        self._admitted: List[Flow] = []
         #: Rate passes made and flows handed to ``rates_of`` in them.
         self._rate_passes = 0
         self._flows_rated = 0
+        #: Admission frontiers settled and flows rated for the first time in
+        #: them.
+        self._admission_frontiers = 0
+        self._flows_admitted = 0
         # Raters with scheduler-driven dynamics (tcp ack ticks) get a back
         # reference once construction is complete.
         bind = getattr(self._rater, "bind_scheduler", None)
@@ -567,23 +583,41 @@ class LazySharedLinkScheduler(FlowScheduler):
 
     # -- interface ---------------------------------------------------------
     def counters(self) -> Dict[str, int]:
-        return {"rate_passes": self._rate_passes, "flows_rated": self._flows_rated}
+        return {
+            "rate_passes": self._rate_passes,
+            "flows_rated": self._flows_rated,
+            "admission_frontiers": self._admission_frontiers,
+            "flows_admitted": self._flows_admitted,
+        }
 
     def start_flows(self, flows: List[Flow], now: float) -> None:
-        """Admit a same-instant burst with one rater call and one rate pass.
+        """Index a burst now; rate it with its instant's admission frontier.
 
-        Admitting flow by flow would re-rate the sender's growing uplink set
-        per start — O(B²) flow touches for a B-way broadcast burst, the
-        dominant cost of protocol rounds at 300 authorities.  The final
-        state is the same: rates after the last add depend only on final
-        occupancy, and the intermediate rates a flow-by-flow loop assigns
-        advance nothing (all adds share one instant, so every progress chip
-        has zero width).  What differs is event bookkeeping — the loop aims
-        each flow at its momentary estimate and lets later arrivals stale it
-        — so heap serial consumption (and same-instant tie-break order
-        against unrelated events) differs; ``tests/simnet/test_batch_dispatch.py``
-        holds run summaries equal across the two.
+        The burst joins the flow indexes, capacity caches and watchers at
+        once, so occupancy is current for whoever looks, but its rates and
+        events wait for :meth:`_settle_admissions`: the first admission of an
+        instant schedules that as one event at ``now`` and later admissions
+        only extend the list.  Every other scheduler transition settles
+        pending admissions before its own work, so a frontier is a maximal
+        run of same-instant ``start_flows`` calls with nothing between them —
+        one ``start_flows`` of their concatenation.
+
+        Rating the run once is rating it call by call, or flow by flow: rates
+        after the last add depend only on final occupancy, and the
+        intermediate rates a one-by-one loop assigns advance nothing (all
+        adds share one instant, so every progress chip has zero width).
+        What the loop costs is O(B²) flow touches for B same-instant sends
+        onto one link — a broadcast burst, a wave tick's cohorts fetching
+        from one mirror — and an event aimed too early for every flow rated
+        against a half-filled link.  What differs is event bookkeeping (heap
+        serial consumption, hence same-instant tie-break order against
+        unrelated events); ``tests/simnet/test_admission_frontier.py`` and
+        ``tests/simnet/test_batch_dispatch.py`` hold run summaries equal
+        across the three.
         """
+        if not self._admitted:
+            self.simulator.schedule(now, self._settle_admissions)
+        self._admitted.extend(flows)
         for flow in flows:
             flow.last_update = now
             self._add(flow)
@@ -593,9 +627,25 @@ class LazySharedLinkScheduler(FlowScheduler):
             if flow.dst not in self._down_cap:
                 self._down_cap[flow.dst] = self._links[flow.dst].downlink.rate_at(now)
                 self._arm_watcher("downlink", flow.dst, now)
-        self._apply_rate_changes(self._rater.on_flows_added(flows), now)
+
+    def _settle_admissions(self) -> None:
+        """Rate the open admission frontier, if any, in one pass.
+
+        Its own event and the first statement of every other transition
+        (``_on_flow_event``, ``_on_link_event``, ``on_link_replaced``, a tcp
+        ack tick): whichever comes first finds the flows.  A frontier event
+        overtaken that way finds nothing, or what was admitted since — still
+        at its instant, since it fires before the clock can move.
+        """
+        flows = self._admitted
+        if flows:
+            self._admitted = []
+            self._admission_frontiers += 1
+            self._flows_admitted += len(flows)
+            self._apply_rate_changes(self._rater.on_flows_added(flows), self.simulator.now)
 
     def on_link_replaced(self, name: str, now: float) -> None:
+        self._settle_admissions()
         # The replaced schedule applies immediately: drop both watchers (they
         # track the old schedule's breakpoints), refresh the capacity caches,
         # re-rate every flow on the link, and re-arm watchers against the new
@@ -644,11 +694,12 @@ class LazySharedLinkScheduler(FlowScheduler):
         """Keep ``flow``'s pending event unless its target moved *earlier*.
 
         A pending event that is now too early is harmless — it fires, finds
-        the flow incomplete, and re-aims — so rate *drops* (the common case
-        in a broadcast burst, where every arrival dilutes its peers) cost no
-        heap traffic at all.  Only a target that moved earlier than the
-        pending event forces a cancel + re-push, and stale entries are
-        skipped/compacted by the engine.
+        the flow incomplete, and re-aims — so rate *drops* (a later arrival
+        diluting the flows already on its link) cost no heap traffic at all.
+        Only a target that moved earlier than the pending event forces a
+        cancel + re-push, and stale entries are skipped/compacted by the
+        engine.  Same-instant arrivals do not dilute each other this way: an
+        admission frontier aims each of its flows once, at final occupancy.
         """
         candidates = []
         if flow.rate > 0:
@@ -686,6 +737,10 @@ class LazySharedLinkScheduler(FlowScheduler):
 
     # -- flow events -------------------------------------------------------
     def _on_flow_event(self, flow: Flow) -> None:
+        # Before the claim is dropped: the settle may re-rate this very flow,
+        # and ``_aim`` must still see the firing event as its pending one —
+        # or it pushes a fresh event that outlives a flow finished below.
+        self._settle_admissions()
         flow.pending = None
         now = self.simulator.now
         self._advance(flow, now)
@@ -799,6 +854,7 @@ class LazySharedLinkScheduler(FlowScheduler):
             handle.cancel()
 
     def _on_link_event(self, side: str, name: str) -> None:
+        self._settle_admissions()
         del self._watchers[(side, name)]
         now = self.simulator.now
         cap, index = (

@@ -6,6 +6,7 @@ from repro.clients.workload import ClientWorkload
 from repro.experiments.figure13_clients import figure13_spec
 from repro.protocols.runner import execute_spec
 from repro.runtime.spec import BandwidthOverride, RunSpec
+from repro.simnet.flows import use_shared_engine
 
 
 def small_spec(**workload_kwargs):
@@ -124,7 +125,7 @@ def test_weighted_fetches_join_transfer_accounting():
 def test_heap_events_do_not_grow_with_the_population():
     # Cohort aggregation: cost tracks cohorts × waves, never clients.  On 4
     # cohorts / 16 mirrors under the Figure-1 attack, ``current`` executes
-    # 28,937 heap events with 10k clients, 32,913 with 1M and 35,567 with
+    # 24,270 heap events with 10k clients, 26,472 with 1M and 33,228 with
     # 100M, while the clients' fetch attempts grow 10,000-fold; an event per
     # client (or per fetch) would grow by that factor too.
     small, large = (
@@ -134,3 +135,26 @@ def test_heap_events_do_not_grow_with_the_population():
     attempts = [run.client_summary["fetch_attempts"] for run in (small, large)]
     assert attempts[1] > 1000 * attempts[0]
     assert large.engine_counters["executed"] <= 2 * small.engine_counters["executed"]
+
+
+@pytest.mark.parametrize("protocol, rated_per_admitted", [("current", 1.6), ("ours", 3.4)])
+def test_same_instant_fetches_share_one_rate_pass(protocol, rated_per_admitted):
+    # The same flood at 0.02 Mbit/s residual for 400 s (perfbench's smoke
+    # ``clients_flood``).  A wave tick sends from every cohort at one instant
+    # and a mirror answers a delivery batch request by request, so the lazy
+    # engine's admission frontiers hold many sends each: 273 / 275 frontiers
+    # for 4,028 / 4,031 flows on ``current`` / ``ours``, 1,468 / 1,437 rate
+    # passes rating 5,588 / 12,206 flows (``ours`` rates its protocol traffic
+    # over and over while the flood lasts).  A rate pass per send reads 5,097 /
+    # 4,824 passes — more than one per flow, departures included — rating
+    # 8,232 / 16,286 flows, each fetch rated once per sibling that follows it.
+    spec = figure13_spec(
+        protocol, 10_000, cohort_count=4, mirror_count=16,
+        residual_bandwidth_mbps=0.02, max_time=400.0,
+    )
+    with use_shared_engine("lazy"):  # the engine that counts them
+        counters = execute_spec(spec).engine_counters
+    admitted = counters["flows_admitted"]
+    assert 10 * counters["admission_frontiers"] <= admitted
+    assert counters["rate_passes"] <= 0.5 * admitted
+    assert counters["flows_rated"] <= rated_per_admitted * admitted

@@ -186,15 +186,19 @@ def test_start_flows_matches_sequential_rates():
     flows_a = [_mk_flow(sim_a, "a", dst) for dst in ("b", "c", "d")]
     for flow in flows_a:
         sched_a.start_flows([flow], now=0.0)
+        sim_a.run(until=0.0)  # rated alone, before the next one arrives
 
     sim_b, sched_b = _lazy_fixture()
     flows_b = [_mk_flow(sim_b, "a", dst) for dst in ("b", "c", "d")]
     sched_b.start_flows(flows_b, now=0.0)
+    sim_b.run(until=0.0)
 
     assert [f.flow_id for f in flows_b] == [f.flow_id for f in flows_a]
     # Rates are a pure function of final occupancy: the uplink of "a" is
     # shared three ways either way.
-    assert [f.rate for f in flows_b] == [f.rate for f in flows_a]
+    assert [f.rate for f in flows_b] == [f.rate for f in flows_a] == [1_000_000.0 / 3] * 3
+    assert sched_a.counters()["rate_passes"] == 3
+    assert sched_b.counters()["rate_passes"] == 1
 
 
 # -- shared payload flyweight ------------------------------------------------

@@ -5,13 +5,17 @@ rates every flow from a fresh occupancy recount at every event.  The stateful
 test drives it, the lazy engine and (numpy present) the vector engine with
 the same random sequence of same-instant admission bursts (up to eight random
 transfers, or one node's broadcast to / fan-in from up to seven others;
-weights 1–3, two aggregate endpoints, deadlines), link replacements (constant
-rates, outages, schedules with a future breakpoint) and clock advances (to
-the reference's next event, or by a fixed step), on ``fair`` and on ``fifo``.
-Eight nodes start on unequal, partly asymmetric capacities, so link buckets
-of five and more flows and flows whose binding side flips between uplink and
-downlink are routine — the ground the lazy fair rater's share-aware touched
-sets have to hold.  After every step it requires of each production engine:
+weights 1–3, two aggregate endpoints, deadlines; in one ``start_flows`` call,
+in several with nothing between them — one admission frontier on the lazy
+engine — or with a follow-up scheduled ahead of them for the reference's next
+event, so a lazy transition finds a frontier waiting), link replacements
+(constant rates, outages, schedules with a future breakpoint) and clock
+advances (to the reference's next event, or by a fixed step), on ``fair`` and
+on ``fifo``.  Eight nodes start on unequal, partly asymmetric capacities, so
+link buckets of five and more flows and flows whose binding side flips
+between uplink and downlink are routine — the ground the lazy fair rater's
+share-aware touched sets have to hold.  After every step it requires of each
+production engine:
 
 * the same flows settled, each the same way (completed / expired) and at the
   same instant within 1e-6 relative, in time order.  Flows settling within
@@ -144,6 +148,44 @@ class FlowSchedulersAgainstReference(RuleBasedStateMachine):
         load one link side with the whole burst."""
         pairs = [(other, hub) if fan_in else (hub, other) for other in sorted(others - {hub})]
         self.admit([(pair, size, weight, timeout) for pair in pairs])
+
+    @rule(bursts=st.lists(st.lists(TRANSFERS, min_size=1, max_size=3), min_size=2, max_size=4))
+    def admit_in_several_calls(self, bursts):
+        """Same-instant ``start_flows`` calls with nothing between them: one
+        admission frontier on the lazy engine, one recompute each on the
+        reference."""
+
+        def calls(side):
+            first_id = self.next_id
+            for burst in bursts:
+                side.admit(burst, first_id, self.now)
+                first_id += len(burst)
+
+        self.everywhere(calls)
+        self.next_id += sum(len(burst) for burst in bursts)
+
+    @rule(
+        transfers=st.lists(TRANSFERS, min_size=1, max_size=4),
+        follow_up=st.lists(TRANSFERS, min_size=1, max_size=3),
+    )
+    def admit_with_a_follow_up_at_the_next_event(self, transfers, follow_up):
+        """A burst now and a second one at the instant the reference acts next
+        (a completion, a deadline, a breakpoint), scheduled *before* the first
+        is admitted: on the engines it is ahead of the burst's own events in
+        the heap, so the lazy engine's flow event finds a frontier waiting."""
+        first_id, follow_id = self.next_id, self.next_id + len(transfers)
+        self.next_id = follow_id + len(follow_up)
+        self.reference.admit(transfers, first_id, self.now)
+        pending = self.reference.scheduler._event
+        when = self.now + 1.0 if pending is None else pending.time
+        for side in (self.reference, *self.engines):
+            side.simulator.schedule(when, side.admit, follow_up, follow_id, when)
+
+        def burst(side):
+            if side is not self.reference:
+                side.admit(transfers, first_id, self.now)
+
+        self.everywhere(burst)
 
     @rule(name=st.sampled_from(NODES), rate=RATES)
     def set_link_rate(self, name, rate):

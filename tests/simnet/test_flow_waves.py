@@ -316,15 +316,19 @@ def _counted_run(protocol, transport, authorities):
 #: Per-message ceilings, (heap events, ack ticks), a notch above what the
 #: seed-7 runs measure.  latency-only: 1.39 / 1.32 / 1.28 events at 15 / 30 /
 #: 60 authorities on ``current`` (2.04 with an event per flow), 1.17–1.04 on
-#: ``ours``.  fair: 1.36 / 1.30 / 1.28 and 1.22–1.15.  tcp adds the ack ticks:
-#: 3.34 / 3.29 events with 1.25 ticks on ``current``, 4.12 / 4.62 with 2.06 /
-#: 2.55 on ``ours`` at 15 / 30.
+#: ``ours``.  fair: 1.49 / 1.43 / 1.40 and 1.29–1.17.  tcp adds the ack ticks:
+#: 3.47 / 3.42 events with 1.25 ticks on ``current``, 4.20 / 4.66 with 2.06 /
+#: 2.55 on ``ours`` at 15 / 30.  The shared transports pay one heap event per
+#: admission frontier: with a rate pass inside every ``start_flows`` call they
+#: read 1.36 / 1.30 / 1.28 and 1.22–1.15 on fair, 3.34 / 3.29 and 4.12 / 4.62
+#: on tcp — 0.02–0.13 events per message fewer, for the 0.4–0.7 more flows
+#: rated per message the bounds below would catch.
 _PER_MESSAGE_CEILING = {
     ("current", "latency-only"): (1.4, 0.0),
-    ("current", "fair"): (1.45, 0.0),
+    ("current", "fair"): (1.55, 0.0),
     ("current", "tcp"): (3.6, 1.4),
     ("ours", "latency-only"): (1.4, 0.0),
-    ("ours", "fair"): (1.45, 0.0),
+    ("ours", "fair"): (1.35, 0.0),
     ("ours", "tcp"): (5.0, 2.8),
 }
 
@@ -332,21 +336,25 @@ _PER_MESSAGE_CEILING = {
 #: Rate-pass bounds on the shared transports: (ceiling on flows rated per
 #: message, floor on rates moved ÷ flows rated), a notch off the seed-7 runs.
 #: A pass rates the flows the moved link sides can bind, not the links' whole
-#: neighbourhoods: ``current``'s uplink-bound waves read 1.94–1.99 per message
-#: on fair and 2.25 on tcp whatever the size; ``ours`` reads 1.66 / 2.61 / 4.40
-#: on fair at 15 / 30 / 60 and 3.06 / 6.05 on tcp at 15 / 30.  Of the flows
-#: rated, 0.51–0.78 move on fair and 0.98–1.00 on tcp.  Whole-link touched
-#: sets on arrival or on departure alone read 3.3–40 per message and move at
-#: most 0.43 of what they rate (0.03–0.17 with both: 7.5–50 per message).
+#: neighbourhoods, and the sends of one instant share one pass: ``current``'s
+#: uplink-bound waves read 1.24–1.25 per message on fair and 2.25 on tcp
+#: whatever the size; ``ours`` reads 1.39 / 2.29 / 4.02 on fair at 15 / 30 / 60
+#: and 3.06 / 6.04 on tcp at 15 / 30.  Of the flows rated, 0.78–0.87 move on
+#: fair and 0.98–1.00 on tcp.  A pass per ``start_flows`` call reads 1.94–1.99
+#: on ``current`` fair (0.51–0.52 of them moving) and 1.66 / 2.61 / 4.40 on
+#: ``ours`` — tcp, whose flows are window-bound on admission, reads the same
+#: either way.  Whole-link touched sets on arrival or on departure alone read
+#: 3.3–40 per message and move at most 0.43 of what they rate (0.03–0.17 with
+#: both: 7.5–50 per message).
 _RATE_PASS_BOUNDS = {
-    ("current", "fair", 15): (2.2, 0.45),
-    ("current", "fair", 30): (2.2, 0.45),
-    ("current", "fair", 60): (2.2, 0.45),
+    ("current", "fair", 15): (1.4, 0.75),
+    ("current", "fair", 30): (1.4, 0.75),
+    ("current", "fair", 60): (1.4, 0.75),
     ("current", "tcp", 15): (2.5, 0.95),
     ("current", "tcp", 30): (2.5, 0.95),
-    ("ours", "fair", 15): (1.9, 0.6),
-    ("ours", "fair", 30): (3.0, 0.6),
-    ("ours", "fair", 60): (5.0, 0.6),
+    ("ours", "fair", 15): (1.55, 0.75),
+    ("ours", "fair", 30): (2.5, 0.8),
+    ("ours", "fair", 60): (4.3, 0.72),
     ("ours", "tcp", 15): (3.5, 0.9),
     ("ours", "tcp", 30): (7.0, 0.9),
 }

@@ -21,12 +21,20 @@ The edge cases pin the failure modes a heap of per-flow estimates invites:
 * a completion-epsilon residual whose transfer time is below one ulp of
   virtual time — the PR-3 live-lock shape, now under the lazy path.
 
-The last section pins the edges of the fair rater's share-aware touched sets
+The next section pins the edges of the fair rater's share-aware touched sets
 (``FairLazyRater._movers``): a bare lazy scheduler whose every in-flight rate
 must equal the reference's from-scratch ``fair_rates`` after each admission
 and each settlement, with the flows each step rated counted.
+
+The last section pins the admission frontier on the same bare scheduler:
+same-instant ``start_flows`` calls are indexed at once and rated in one pass,
+by their own event or by whichever scheduler transition comes first — a
+completion, a ``set_link``, a breakpoint, a tcp ack tick — each of which
+settles them before its own work; callbacks fire in the order the per-call
+``EagerAdmission`` fixture (``eager_admission.py``) fires them.
 """
 
+import contextlib
 import math
 
 import pytest
@@ -38,12 +46,13 @@ from repro.runtime.spec import PROTOCOL_NAMES, RunSpec
 from repro.simnet.bandwidth import BandwidthSchedule
 from repro.simnet.engine import Simulator
 from repro.simnet.flows import Flow, make_flow_scheduler, use_shared_engine
-from repro.simnet.linkmodel import get_link_model
+from repro.simnet.linkmodel import TCP_DEFAULT_RTT_S, get_link_model
 from repro.simnet.message import Message
 from repro.simnet.network import LinkConfig, SimNetwork
 from repro.simnet.node import ProtocolNode
 
 from tests.faults.test_conformance import random_fault_plan
+from tests.simnet.eager_admission import use_eager_admission
 from tests.simnet.reference_sched import fair_rates, use_engine, use_reference_scheduler
 from tests.simnet.test_transport_golden import run_transport_workload
 
@@ -53,8 +62,8 @@ SHARED_TRANSPORTS = ("fair", "fifo")
 REL_TOLERANCE = 1e-6
 
 
-def assert_equivalent(old, new, path="summary"):
-    """Structural equality with ``REL_TOLERANCE`` slack on floats only.
+def assert_equivalent(old, new, path="summary", rel_tol=REL_TOLERANCE):
+    """Structural equality with ``rel_tol`` slack on floats only.
 
     Counts (ints), flags (bools), names and shapes must match exactly; only
     genuinely continuous values (latencies, byte totals, timestamps) may
@@ -63,15 +72,15 @@ def assert_equivalent(old, new, path="summary"):
     if isinstance(old, dict):
         assert isinstance(new, dict) and set(old) == set(new), path
         for key in old:
-            assert_equivalent(old[key], new[key], "%s.%s" % (path, key))
+            assert_equivalent(old[key], new[key], "%s.%s" % (path, key), rel_tol)
     elif isinstance(old, (list, tuple)):
         assert len(old) == len(new), path
         for index, (a, b) in enumerate(zip(old, new)):
-            assert_equivalent(a, b, "%s[%d]" % (path, index))
+            assert_equivalent(a, b, "%s[%d]" % (path, index), rel_tol)
     elif isinstance(old, bool) or not isinstance(old, float):
         assert old == new, "%s: %r != %r" % (path, old, new)
     elif isinstance(new, float):
-        assert math.isclose(old, new, rel_tol=REL_TOLERANCE, abs_tol=1e-9), (
+        assert math.isclose(old, new, rel_tol=rel_tol, abs_tol=1e-9), (
             "%s: %r vs %r" % (path, old, new)
         )
     else:  # pragma: no cover - shape mismatch
@@ -289,23 +298,31 @@ def _link(up, down=None, aggregate=False):
     return LinkConfig(BandwidthSchedule.constant(up), BandwidthSchedule.constant(down), aggregate)
 
 
+#: What an admission-frontier test reads off ``counters()``, in this order.
+FRONTIER_COUNTERS = ("admission_frontiers", "flows_admitted", "rate_passes", "flows_rated")
+
+
 class _CheckedScheduler:
     """A bare lazy scheduler held to the reference's rates at every step.
 
     ``admit`` and ``run`` return how many flows the step handed to
-    ``rates_of``; each admission and each settlement callback (which fires
-    once the pass is applied) compares every in-flight rate, exactly, with
-    ``fair_rates`` recounted from the flow list — capped by the congestion
-    window on ``tcp``.
+    ``rates_of``; each admission (once its instant is drained: the frontier
+    rates it) and each settlement callback (which fires once the pass is
+    applied) compares every in-flight rate, exactly, with ``fair_rates``
+    recounted from the flow list — capped by the congestion window on
+    ``tcp``.  ``start`` is ``admit`` without the drain: the burst is indexed
+    and waits for its frontier.  ``eager`` builds the per-call
+    ``EagerAdmission`` fixture instead.
     """
 
-    def __init__(self, links, transport="fair"):
+    def __init__(self, links, transport="fair", eager=False):
         self.simulator, self.links = Simulator(), links
         self.model = get_link_model(transport)
         self.settled = []
-        self.scheduler = make_flow_scheduler(
-            self.model, self.simulator, links, self._settle, self._settle, shared_engine="lazy"
-        )
+        with use_eager_admission() if eager else contextlib.nullcontext():
+            self.scheduler = make_flow_scheduler(
+                self.model, self.simulator, links, self._settle, self._settle, shared_engine="lazy"
+            )
 
     def _settle(self, flow):
         self.settled.append((flow.src, flow.dst, self.simulator.now))
@@ -323,10 +340,22 @@ class _CheckedScheduler:
             if self.model.name == "tcp":
                 rate = min(rate, self.model.state_of(flow, now).window_rate(flow.weight))
             assert flow.rate == rate, (flow.src, flow.dst, flow.rate, rate)
+            # A moving flow is aimed at its completion; only a starved one
+            # with no deadline waits on nothing.
+            assert flow.pending is not None or (rate == 0.0 and flow.deadline is None)
 
-    def admit(self, *transfers, timeout=None):
-        """One same-instant burst of ``(src, dst, size[, weight])``."""
-        now, before = self.simulator.now, self._rated()
+    def counts(self, *names):
+        counters = self.scheduler.counters()
+        return tuple(counters[name] for name in names or FRONTIER_COUNTERS)
+
+    def since(self, before):
+        """What the ``FRONTIER_COUNTERS`` have added to a ``counts()`` reading."""
+        return tuple(now - was for now, was in zip(self.counts(), before))
+
+    def start(self, *transfers, timeout=None):
+        """One ``start_flows`` call with ``(src, dst, size[, weight])`` flows,
+        left to its admission frontier."""
+        now = self.simulator.now
         flows = [
             Flow(
                 self.simulator.next_serial(), src, dst, Message("DOC", size_bytes=size),
@@ -335,6 +364,12 @@ class _CheckedScheduler:
             for src, dst, size, *weight in transfers
         ]
         self.scheduler.start_flows(flows, now)
+
+    def admit(self, *transfers, timeout=None):
+        """One same-instant burst, its instant drained: the frontier rates it."""
+        before = self._rated()
+        self.start(*transfers, timeout=timeout)
+        self.simulator.run(until=self.simulator.now)
         self.check()
         return self._rated() - before
 
@@ -485,3 +520,209 @@ def test_a_window_limited_tcp_flow_sits_out_an_occupancy_change_on_its_link():
     assert checked.rates()[("a", "b")] > window
     checked.run()
     assert [pair[:2] for pair in checked.settled] == [("a", "c"), ("a", "b")]
+
+
+# -- the admission frontier ------------------------------------------------------
+
+
+def test_same_instant_admissions_onto_one_downlink_are_one_pass():
+    senders = ["s%d" % index for index in range(6)]
+    checked = _CheckedScheduler({name: _link(MB) for name in senders + ["sink"]})
+    for count, sender in enumerate(senders, start=1):
+        checked.start((sender, "sink", 100_000 * count))
+    # Indexed at once — occupancy is current for whoever looks — but not
+    # rated: no pass yet, no rate, no event but the frontier's own.
+    assert checked.scheduler.active_count() == 6
+    assert checked.scheduler._dst_weight == {"sink": 6}
+    assert checked.counts() == (0, 0, 0, 0)
+    assert set(checked.rates().values()) == {0.0}
+    assert checked.simulator.pending_events == 1
+    assert checked.run(until=0.0) == 6
+    # One frontier, one pass, six flows — where a pass per call rates
+    # 1 + 2 + ... + 6 (the fan-in test above, which drains after each).
+    assert checked.counts() == (1, 6, 1, 6)
+    assert set(checked.rates().values()) == {MB / 6}
+    # Each flow was aimed once, against final occupancy: no estimate fires
+    # early, so the run is the frontier plus one event per completion.
+    checked.run()
+    assert len(checked.settled) == 6
+    assert checked.simulator.processed_events == 7
+
+
+def test_a_completion_between_two_admissions_finds_the_first_one_settled():
+    def scenario(eager):
+        links = {name: _link(MB) for name in ("a", "b", "c", "sink")}
+        checked = _CheckedScheduler(links, eager=eager)
+        # Scheduled ahead of the flow whose completion it will precede at 0.25.
+        checked.simulator.schedule(0.25, checked.start, ("b", "sink", 100_000))
+        assert checked.admit(("a", "sink", 250_000)) == 1  # alone at MB: done at 0.25
+        checked.simulator.schedule(0.25, checked.start, ("c", "sink", 150_000))
+        return checked
+
+    checked = scenario(eager=False)
+    checked.run(until=0.2)
+    assert checked.simulator.step()  # first admission: indexed, waiting
+    assert checked.counts("admission_frontiers") == (1,)
+    assert checked.rates()[("b", "sink")] == 0.0
+    # a -> sink's own event: it settles the admission first — which halves
+    # a -> sink's rate under the very event that is firing — then finishes
+    # the flow, and the callback (``check`` inside it) finds b -> sink rated.
+    assert checked.simulator.step()
+    assert checked.counts("admission_frontiers") == (2,)
+    assert checked.settled == [("a", "sink", 0.25)]
+    assert checked.rates() == {("b", "sink"): MB}
+    assert checked.simulator.step()  # second admission opens a frontier of its own
+    assert checked.counts("admission_frontiers") == (2,)
+    assert checked.rates()[("c", "sink")] == 0.0
+    # The first frontier's event is still in the heap, overtaken by the
+    # completion: it rates whatever waits now, and the second's finds nothing.
+    assert checked.simulator.step()
+    assert checked.counts("admission_frontiers") == (3,)
+    assert checked.rates() == {("b", "sink"): MB / 2, ("c", "sink"): MB / 2}
+    before = checked.counts()
+    assert checked.simulator.step() and checked.simulator.now == 0.25
+    assert checked.since(before) == (0, 0, 0, 0)
+    checked.run()
+    assert [pair[:2] for pair in checked.settled] == [("a", "sink"), ("b", "sink"), ("c", "sink")]
+    assert checked.simulator.pending_events == 0  # no event outlived its flow
+
+    eager = scenario(eager=True)
+    eager.run()
+    assert [pair[:2] for pair in eager.settled] == [pair[:2] for pair in checked.settled]
+    assert [time for *_pair, time in eager.settled] == pytest.approx(
+        [time for *_pair, time in checked.settled], rel=1e-12
+    )
+
+
+@pytest.mark.parametrize("order", ["admission_first", "set_link_first"])
+def test_a_set_link_at_the_admission_instant_settles_the_admission_first(order):
+    checked = _CheckedScheduler({name: _link(MB) for name in "abc"})
+    assert checked.admit(("a", "b", 500_000)) == 1
+    checked.run(until=0.1)
+    before = checked.counts()
+
+    def replace():
+        checked.links["a"] = _link(MB / 2)
+        checked.scheduler.on_link_replaced("a", checked.simulator.now)
+
+    if order == "admission_first":
+        checked.start(("a", "c", 100_000))
+        replace()
+        # The frontier (one pass over both of a's flows), then the replaced
+        # link's whole-link pass over the same two.
+        assert checked.since(before) == (1, 1, 2, 4)
+        checked.check()
+        assert checked.run(until=0.1) == 0  # the overtaken frontier event
+        assert checked.since(before) == (1, 1, 2, 4)
+    else:
+        replace()
+        checked.start(("a", "c", 100_000))
+        assert checked.run(until=0.1) == 2
+    assert checked.rates() == {("a", "b"): MB / 4, ("a", "c"): MB / 4}
+    checked.run()
+    assert len(checked.settled) == 2
+
+
+@pytest.mark.parametrize("order", ["admission_first", "breakpoint_first"])
+def test_a_breakpoint_to_zero_at_the_admission_instant_starves_the_burst_too(order):
+    links = {name: _link(MB) for name in "bcd"}
+    outage = BandwidthSchedule([0.0, 0.1], [MB, 0.0])
+    links["a"] = LinkConfig(outage, BandwidthSchedule.constant(MB))
+    checked = _CheckedScheduler(links)
+    burst = [("a", "c", 100_000), ("d", "b", 100_000)]
+    if order == "admission_first":
+        # Ahead of the watcher, which a -> b's admission arms.
+        checked.simulator.schedule(0.1, checked.start, *burst)
+    assert checked.admit(("a", "b", 500_000)) == 1
+    if order == "breakpoint_first":
+        checked.simulator.schedule(0.1, checked.start, *burst)
+    if order == "admission_first":
+        before = checked.counts()
+        assert checked.simulator.step()  # the burst: indexed, waiting
+        assert checked.since(before) == (0, 0, 0, 0)
+        # The watcher settles the burst against the capacity it was indexed
+        # under (a zero-width rate), then re-rates a's uplink at zero; the
+        # frontier's own event, still to come, finds nothing.
+        assert checked.simulator.step()
+        assert checked.since(before)[::2] == (1, 2)  # frontiers, rate passes
+        checked.check()
+        assert checked.run(until=0.1) == 0
+    else:
+        # The watcher rates a -> b; the frontier rates the burst and, a's
+        # uplink being at zero (floor 0.0), a -> b again.
+        assert checked.run(until=0.1) == 1 + 3
+    # a's flows starve without an event; d -> b holds half of b's downlink
+    # (fair shares are not work-conserving) and is aimed at its completion.
+    assert checked.rates() == {("a", "b"): 0.0, ("a", "c"): 0.0, ("d", "b"): MB / 2}
+    flows = checked.scheduler._flows.values()
+    assert [flow.pending is None for flow in flows] == [True, True, False]
+    checked.run()
+    assert checked.settled == [("d", "b", pytest.approx(0.3))]
+    assert checked.scheduler.active_count() == 2
+
+
+def test_a_tcp_ack_tick_at_the_admission_instant_settles_the_admission_first():
+    checked = _CheckedScheduler({name: _link(MB) for name in "abc"}, transport="tcp")
+    # Ahead of a -> b's first ack tick, one default RTT after its admission.
+    checked.simulator.schedule(TCP_DEFAULT_RTT_S, checked.start, ("a", "c", 20_000))
+    assert checked.admit(("a", "b", 600_000)) == 1
+    window = checked.rates()[("a", "b")]
+    assert checked.simulator.step()  # the admission: indexed, waiting
+    assert checked.simulator.now == TCP_DEFAULT_RTT_S
+    before = checked.counts()
+    assert checked.simulator.step()  # the tick: the frontier's pass, then its own
+    assert checked.since(before) == (1, 1, 2, 2)
+    checked.check()
+    assert checked.rates()[("a", "b")] > window  # slow start doubled it
+    assert checked.rates()[("a", "c")] == window  # one segment per RTT, tick armed
+    assert checked.run(until=TCP_DEFAULT_RTT_S) == 0  # the overtaken frontier event
+    checked.run()
+    assert [pair[:2] for pair in checked.settled] == [("a", "c"), ("a", "b")]
+
+
+def test_a_timeout_callback_that_resends_opens_a_frontier_of_its_own():
+    checked = _CheckedScheduler({name: _link(MB) for name in "abc"})
+
+    def resend(flow):
+        checked.settled.append(("late", flow.src, flow.dst, checked.simulator.now))
+        checked.start((flow.src, flow.dst, 50_000))
+
+    checked.scheduler._expire = resend
+    assert checked.admit(("a", "b", 2_000_000), timeout=0.5) == 1
+    assert checked.admit(("a", "c", 400_000)) == 2
+    # The expiry re-rates a -> c and calls back from inside ``_finish_expired``;
+    # the re-sent flow is indexed there and rated by the frontier it opened.
+    checked.run_to_next_settlement()
+    assert checked.settled == [("late", "a", "b", 0.5)]
+    assert checked.rates() == {("a", "c"): MB, ("a", "b"): 0.0}
+    assert checked.counts("admission_frontiers", "flows_admitted") == (2, 2)
+    assert checked.run(until=0.5) == 2
+    assert checked.counts("admission_frontiers", "flows_admitted") == (3, 3)
+    assert checked.rates() == {("a", "c"): MB / 2, ("a", "b"): MB / 2}
+    checked.run()
+    assert [entry[:2] for entry in checked.settled[1:]] == [("a", "b"), ("a", "c")]
+
+
+def test_draining_the_instant_leaves_no_sent_message_unrated():
+    deliveries = []
+    network = SimNetwork(transport="fair", default_latency_s=0.05)
+    for name in "abcd":
+        network.add_node(_Sink(name, deliveries), LinkConfig.symmetric_mbps(8.0))
+    network.add_node(_Sink("dead", deliveries), LinkConfig.symmetric_mbps(0.0))
+    network.run(until=3.0)
+    network.send("a", "b", Message(msg_type="DOC", size_bytes=100_000))
+    network.send_many("c", ["a", "b", "d"], Message(msg_type="DOC", size_bytes=100_000))
+    network.send("d", "dead", Message(msg_type="DOC", size_bytes=100_000))
+    flows = list(network._scheduler._flows.values())
+    assert len(flows) == network.active_flow_count() == 5
+    assert all(flow.rate == 0.0 and flow.pending is None for flow in flows)
+    network.run(until=3.0)
+    for flow in flows:
+        if flow.dst == "dead":
+            assert flow.rate == 0.0 and flow.pending is None  # nothing to wait for
+        else:
+            assert flow.rate > 0.0 and flow.pending is not None
+    counters = network.engine_counters()
+    assert (counters["admission_frontiers"], counters["flows_admitted"]) == (1, 5)
+    network.run()
+    assert len(deliveries) == 4
