@@ -9,9 +9,8 @@ full-size table —
 
 * on ``fair``, the baselines leave every client stale for the whole run
   while "ours" gets (nearly) everyone a fresh consensus;
-* the same holds under ``transport="tcp"`` on the vector engine (downgrading
-  to lazy without numpy): the recovery claim is not an artefact of the
-  idealized ``fair`` split;
+* the same holds under ``transport="tcp"``: the recovery claim is not an
+  artefact of the idealized ``fair`` split;
 * with 10M clients on 16 mirrors the mirror tier, not the protocol, is the
   binding constraint — the regime of the 100M-client row — and "ours" still
   recovers a nonzero fraction where the baselines recover nobody.
@@ -20,7 +19,7 @@ The full-size grid (10k–10M clients on 32 cohorts / 256 mirrors under both
 transports, plus 100M clients on 1000 cohorts) is committed as
 ``BENCH_clients.json`` and regenerated, byte for byte, by ``python -m
 repro.experiments.figure13_clients``; the last test asserts the claims on
-that file and re-runs two of its cells so it cannot go stale silently.
+that file and re-runs three of its cells so it cannot go stale silently.
 """
 
 import json
@@ -35,7 +34,6 @@ from repro.experiments.figure13_clients import (
     run_figure13,
 )
 from repro.runtime.spec import PROTOCOL_NAMES
-from repro.simnet.vector_sched import vector_available
 
 #: The quick grid every regenerating test runs on.
 QUICK_GRID = dict(cohort_count=4, mirror_count=16)
@@ -78,21 +76,14 @@ def test_bench_figure13_client_recovery(benchmark, sweep_executor):
 
 @pytest.mark.paper_artifact("figure13-clients")
 def test_bench_figure13_recovery_survives_tcp_congestion_control(benchmark, sweep_executor):
-    cells = _quick_row(
-        benchmark, sweep_executor, populations=(10_000,), engine="vector", transport="tcp"
-    )
-    expected_engine = "vector" if vector_available() else "lazy"
-    for cell in cells:
-        assert cell.transport == "tcp"
-        assert cell.engine == expected_engine
+    cells = _quick_row(benchmark, sweep_executor, populations=(10_000,), transport="tcp")
+    assert all(cell.transport == "tcp" for cell in cells)
     _assert_only_ours_recovers(cells, fresh_above=0.9)
 
 
 @pytest.mark.paper_artifact("figure13-clients")
 def test_bench_figure13_extreme_population(benchmark, sweep_executor):
-    cells = _quick_row(
-        benchmark, sweep_executor, populations=(HEADLINE_POPULATION,), engine="vector"
-    )
+    cells = _quick_row(benchmark, sweep_executor, populations=(HEADLINE_POPULATION,))
     # 16 mirrors cannot push 10M clients a consensus inside the run window:
     # measured 0.0021 fresh for "ours" against 0.0 for both baselines.
     _assert_only_ours_recovers(cells, fresh_above=0.0)
@@ -122,13 +113,13 @@ def test_committed_figure13_table_holds_its_claims_and_regenerates(sweep_executo
     _assert_only_ours_recovers(rows(EXTREME_POPULATION, "fair"), fresh_above=0.0)
 
     # Every field of the table is simulated, so a re-run must reproduce the
-    # committed cell exactly (the vector tcp cell where numpy is present;
-    # without it the request runs lazy, which makes no byte-identity claim).
-    reruns = [dict(transport="fair", engine="lazy")]
-    if vector_available():
-        reruns.append(dict(transport="tcp", engine="vector"))
-    for rerun in reruns:
+    # committed cell exactly, numpy or not — the 1M ``fair`` cell included,
+    # whose same-instant staleness sum is order-sensitive in its last digit.
+    for population, transport in ((10_000, "fair"), (10_000, "tcp"), (1_000_000, "fair")):
         (cell,) = run_figure13(
-            populations=(10_000,), protocols=("ours",), executor=sweep_executor, **rerun
+            populations=(population,),
+            protocols=("ours",),
+            transport=transport,
+            executor=sweep_executor,
         )
-        assert cell in rows(10_000, rerun["transport"])
+        assert cell in rows(population, transport)

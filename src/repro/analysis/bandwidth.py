@@ -20,7 +20,6 @@ from typing import List, Optional, Sequence
 
 from repro.directory.vote import VOTE_HEADER_BYTES
 from repro.protocols.base import DirectoryProtocolConfig
-from repro.runtime.cache import ResultCache
 from repro.runtime.executor import SweepExecutor
 from repro.runtime.spec import RunSpec, overrides_from_config
 from repro.utils.units import bytes_per_s_to_mbps
@@ -126,14 +125,13 @@ def bandwidth_requirement_sweep(
     config: Optional[DirectoryProtocolConfig] = None,
     seed: int = 7,
     executor: Optional[SweepExecutor] = None,
-    cache: Optional[ResultCache] = None,
 ) -> List[BandwidthRequirementResult]:
     """Run the Figure 7 search for every relay count in ``relay_counts``.
 
     The searches share one executor (binary-search probes are sequential
     within a relay count, but every probe lands in the shared cache).
     """
-    executor = executor or SweepExecutor(cache=cache)
+    executor = executor or SweepExecutor()
     return [
         required_bandwidth_mbps(
             relay_count,

@@ -2,8 +2,8 @@
 
 :func:`sweep_latency` reifies the (protocol × bandwidth × relay count) grid
 as a :class:`~repro.runtime.spec.SweepSpec` and hands it to a
-:class:`~repro.runtime.executor.SweepExecutor` (serial, or parallel via
-``workers``, cached via ``cache``), collecting each cell's success flag and
+:class:`~repro.runtime.executor.SweepExecutor` (serial by default; pass
+``executor=`` for a pool or a cache), collecting each cell's success flag and
 latency with the same accounting as the paper: summed per-round network time
 for the two lock-step protocols, wall-clock time to a majority-signed
 consensus for ours.
@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 from repro.protocols.base import DirectoryProtocolConfig
-from repro.runtime.cache import ResultCache
 from repro.runtime.executor import SweepExecutor
 from repro.runtime.spec import SweepSpec, overrides_from_config
 from repro.utils.validation import ensure
@@ -104,8 +103,6 @@ def sweep_latency(
     engine: str = "hotstuff",
     transport: str = "fair",
     executor: Optional[SweepExecutor] = None,
-    workers: int = 1,
-    cache: Optional[ResultCache] = None,
 ) -> LatencyGrid:
     """Run the Figure 10 grid through the sweep executor and collect latencies."""
     sweep = latency_sweep_spec(
@@ -118,7 +115,7 @@ def sweep_latency(
         engine=engine,
         transport=transport,
     )
-    executor = executor or SweepExecutor(workers=workers, cache=cache)
+    executor = executor or SweepExecutor()
     grid = LatencyGrid()
     for spec, result in zip(sweep.runs, executor.run(sweep)):
         grid.add(

@@ -85,11 +85,6 @@ class DriverResult:
     messages_delivered: int
     final_time: float
 
-    @property
-    def decided_nodes(self) -> List[str]:
-        """Nodes that reached a decision, sorted."""
-        return sorted(self.decisions)
-
     def all_agree(self) -> bool:
         """True when every decided node decided the same value."""
         values = {repr(value) for value in self.decisions.values()}

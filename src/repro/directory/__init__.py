@@ -19,7 +19,7 @@ around:
 """
 
 from repro.directory.relay import ExitPolicySummary, Relay, RelayFlag, RELAY_FLAGS
-from repro.directory.vote import VoteDocument, VOTE_HEADER_BYTES, relay_entry_size_bytes
+from repro.directory.vote import VoteDocument, VOTE_HEADER_BYTES
 from repro.directory.consensus_doc import ConsensusDocument, ConsensusSignature
 from repro.directory.aggregate import AggregationConfig, aggregate_votes
 from repro.directory.authority import DirectoryAuthority, make_authorities
@@ -31,7 +31,6 @@ __all__ = [
     "RELAY_FLAGS",
     "VoteDocument",
     "VOTE_HEADER_BYTES",
-    "relay_entry_size_bytes",
     "ConsensusDocument",
     "ConsensusSignature",
     "AggregationConfig",

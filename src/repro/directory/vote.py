@@ -22,11 +22,6 @@ from repro.utils.validation import ensure
 VOTE_HEADER_BYTES = 4096
 
 
-def relay_entry_size_bytes(relay: Relay) -> int:
-    """Wire size of one relay entry inside a vote."""
-    return relay.entry_size_bytes
-
-
 @dataclass(frozen=True)
 class VoteDocument:
     """One authority's status vote for a single consensus period.

@@ -9,8 +9,8 @@ examples under ``examples/`` reuse them for human-readable walkthroughs.
 Every module that executes protocol runs (Figures 1/7/10/11/12/13, Table 1,
 the ablations) describes them as :class:`~repro.runtime.spec.RunSpec` grids
 and routes them through a :class:`~repro.runtime.executor.SweepExecutor`;
-pass ``executor=`` (or ``workers=`` / ``cache=`` where exposed) to
-parallelise grids across processes and reuse cached cells between artefacts.
+pass ``executor=`` to parallelise grids across processes and reuse cached
+cells between artefacts.
 Host time and memory are not measured here: ``perfbench/`` is the one
 instrument for those.
 

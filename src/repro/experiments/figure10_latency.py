@@ -9,8 +9,8 @@ and ours keeps producing a consensus all the way down to 0.5 Mbit/s, merely
 taking longer.
 
 The grid routes through :class:`~repro.runtime.executor.SweepExecutor`: pass
-``workers`` to fan the cells out over a process pool and/or ``cache`` to skip
-cells whose results are already on disk.
+``executor=`` to fan the cells out over a process pool and/or skip cells
+whose results are already in its cache.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from typing import Optional, Sequence
 from repro.analysis.latency import LatencyGrid, sweep_latency
 from repro.analysis.reporting import format_table
 from repro.protocols.base import DirectoryProtocolConfig
-from repro.runtime.cache import ResultCache
 from repro.runtime.executor import SweepExecutor
 
 #: Bandwidth panels of Figure 10 (Mbit/s).
@@ -38,8 +37,6 @@ def run_figure10(
     engine: str = "hotstuff",
     seed: int = 7,
     executor: Optional[SweepExecutor] = None,
-    workers: int = 1,
-    cache: Optional[ResultCache] = None,
 ) -> LatencyGrid:
     """Run the Figure 10 grid through the sweep executor."""
     return sweep_latency(
@@ -50,8 +47,6 @@ def run_figure10(
         engine=engine,
         seed=seed,
         executor=executor,
-        workers=workers,
-        cache=cache,
     )
 
 

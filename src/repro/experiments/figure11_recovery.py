@@ -22,7 +22,6 @@ from typing import List, Optional, Sequence
 from repro.analysis.reporting import format_table
 from repro.attack.ddos import DDoSAttackPlan
 from repro.protocols.base import DirectoryProtocolConfig
-from repro.runtime.cache import ResultCache
 from repro.runtime.executor import SweepExecutor
 from repro.runtime.spec import RunSpec, overrides_from_config
 
@@ -57,12 +56,10 @@ def run_figure11(
     engine: str = "hotstuff",
     seed: int = 7,
     executor: Optional[SweepExecutor] = None,
-    workers: int = 1,
-    cache: Optional[ResultCache] = None,
 ) -> List[Figure11Result]:
     """Run the full-DDoS recovery experiment for each relay count."""
     config = config or DirectoryProtocolConfig()
-    executor = executor or SweepExecutor(workers=workers, cache=cache)
+    executor = executor or SweepExecutor()
     config_overrides = overrides_from_config(config)
     attack = DDoSAttackPlan(
         target_authority_ids=tuple(range(attacked_count)),

@@ -51,7 +51,6 @@ from repro.analysis.reporting import format_table
 from repro.attack.ddos import DDoSAttackPlan
 from repro.faults.plan import AuthorityFault, FaultPlan
 from repro.protocols.base import DirectoryProtocolConfig, ProtocolRunResult
-from repro.runtime.cache import ResultCache
 from repro.runtime.executor import SweepExecutor
 from repro.runtime.spec import PROTOCOL_NAMES, RunSpec, SweepSpec, overrides_from_config
 from repro.utils.validation import ensure
@@ -205,12 +204,10 @@ def run_figure12(
     config: Optional[DirectoryProtocolConfig] = None,
     max_time: float = 1500.0,
     executor: Optional[SweepExecutor] = None,
-    workers: int = 1,
-    cache: Optional[ResultCache] = None,
 ) -> List[Figure12Result]:
     """Run every fault mix against every protocol and collect the rows."""
     mixes = tuple(mixes) if mixes is not None else default_fault_mixes(authority_count)
-    executor = executor or SweepExecutor(workers=workers, cache=cache)
+    executor = executor or SweepExecutor()
     sweep, cells = figure12_sweep(
         mixes,
         protocols=protocols,

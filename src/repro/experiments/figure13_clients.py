@@ -16,13 +16,11 @@ clients actually experience:
 
 Populations sweep 10k → 10M modeled clients across the three protocols,
 plus an *extreme* row at 100M clients in 1000 cohorts — and the whole
-standard grid repeats under ``transport="tcp"`` on the vector engine, so
-the committed recovery curve also exists under real congestion control
-(slow start, fast recovery) rather than the idealized ``fair`` split.
-Cohort aggregation (32 cohorts for the standard rows; see
-``DESIGN-clients.md``) keeps the 10M-client cells at thousands of simulator
-events, and the extreme row runs on the vectorized core (batched wave draws
-+ the vector transport engine).
+standard grid repeats under ``transport="tcp"``, so the committed recovery
+curve also exists under real congestion control (slow start, fast recovery)
+rather than the idealized ``fair`` split.  Cohort aggregation (32 cohorts
+for the standard rows, batched wave draws; see ``DESIGN-clients.md``) keeps
+the 10M-client cells at thousands of simulator events.
 The full grid is committed as ``BENCH_clients.json``: every field is a
 simulated quantity, so ``python -m repro.experiments.figure13_clients``
 regenerates the file byte for byte, and ``benchmarks/test_bench_clients.py``
@@ -43,7 +41,6 @@ from __future__ import annotations
 
 import argparse
 import json
-from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Union
@@ -53,7 +50,6 @@ from repro.attack.ddos import majority_attack_plan
 from repro.clients.workload import ClientWorkload
 from repro.runtime.executor import SweepExecutor
 from repro.runtime.spec import PROTOCOL_NAMES, RunSpec
-from repro.simnet.flows import effective_shared_engine, use_shared_engine
 from repro.utils.validation import ensure
 
 #: Client populations plotted by default: 10k to 10M modeled clients.
@@ -63,9 +59,8 @@ DEFAULT_POPULATIONS = (10_000, 100_000, 1_000_000, 10_000_000)
 #: × waves, not clients, which is the whole point of the aggregation).
 DEFAULT_COHORT_COUNT = 32
 
-#: The extreme row: 100M modeled clients in 1000 cohorts, run on the vector
-#: engine.  Populations at or above this threshold default to the extreme
-#: cohort grid.
+#: The extreme row: 100M modeled clients in 1000 cohorts.  Populations at or
+#: above this threshold default to the extreme cohort grid.
 EXTREME_POPULATION = 100_000_000
 EXTREME_COHORT_COUNT = 1_000
 
@@ -96,7 +91,6 @@ class Figure13Cell:
     first_publish_time_s: Optional[float]
     fetch_attempts: int
     virtual_end_s: float
-    engine: str = "lazy"
     transport: str = "fair"
 
 
@@ -178,7 +172,6 @@ def run_figure13(
     relay_count: int = 120,
     seed: int = 7,
     max_time: float = 1800.0,
-    engine: Optional[str] = None,
     transport: str = "fair",
     executor: Optional[SweepExecutor] = None,
 ) -> List[Figure13Cell]:
@@ -186,11 +179,6 @@ def run_figure13(
 
     ``cohort_count`` of None applies the per-population default
     (:func:`cohort_count_for`: 32, or 1000 at the extreme population).
-    ``engine`` of None runs the ambient shared engine; the extreme row is
-    normally run with ``engine="vector"`` (downgrading to lazy without
-    numpy).  The request is scoped with
-    :func:`~repro.simnet.flows.use_shared_engine` around the whole sweep, so
-    the executor's ``fork`` workers and its cache key both see it.
     ``transport`` selects the link model — ``"tcp"`` runs the recovery curve
     under real congestion control.
     """
@@ -213,14 +201,12 @@ def run_figure13(
         for population in populations
         for protocol in protocols
     ]
-    with use_shared_engine(engine) if engine is not None else nullcontext():
-        effective = effective_shared_engine(transport)
-        summaries = executor.run_summaries(specs)
-    return [_cell(spec, summary, effective) for spec, summary in zip(specs, summaries)]
+    summaries = executor.run_summaries(specs)
+    return [_cell(spec, summary) for spec, summary in zip(specs, summaries)]
 
 
-def _cell(spec: RunSpec, summary: Dict[str, Any], engine: str) -> Figure13Cell:
-    """One grid cell from a run's spec, its summary and the engine that ran."""
+def _cell(spec: RunSpec, summary: Dict[str, Any]) -> Figure13Cell:
+    """One grid cell from a run's spec and its summary."""
     workload = spec.client_workload
     clients = summary["clients"]
     return Figure13Cell(
@@ -237,7 +223,6 @@ def _cell(spec: RunSpec, summary: Dict[str, Any], engine: str) -> Figure13Cell:
         first_publish_time_s=clients["first_publish_time_s"],
         fetch_attempts=clients["fetch_attempts"],
         virtual_end_s=summary["end_time"],
-        engine=engine,
         transport=spec.transport,
     )
 
@@ -308,13 +293,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--no-extreme",
         action="store_true",
-        help="skip the 100M-client/1000-cohort vector-engine row",
+        help="skip the 100M-client/1000-cohort row",
     )
     parser.add_argument(
         "--transport",
         default=None,
         help="run the grid on one link model only (default: the fair grid "
-        "plus a full tcp grid on the vector engine)",
+        "plus a full tcp grid)",
     )
     args = parser.parse_args(argv)
     extreme = not args.no_extreme
@@ -339,8 +324,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     executor = SweepExecutor(on_result=progress)
 
-    from repro.simnet.vector_sched import vector_available
-
     if args.transport is not None:
         cells = run_figure13(
             populations=populations, transport=args.transport, executor=executor
@@ -349,24 +332,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     else:
         cells = run_figure13(populations=populations, executor=executor)
         # The realistic-transport grid: the same populations under tcp
-        # congestion control, on the vector engine (downgrading to lazy
-        # without numpy) — the curve DESIGN-transport.md documents.
-        cells += run_figure13(
-            populations=populations,
-            engine="vector",
-            transport="tcp",
-            executor=executor,
-        )
-    if extreme and not vector_available():
-        print("skipping the 100M-client row: the vector engine needs numpy "
-              "(install the [perf] extra)")
-        extreme = False
+        # congestion control — the curve DESIGN-transport.md documents.
+        cells += run_figure13(populations=populations, transport="tcp", executor=executor)
     if extreme:
-        # The vectorized-core showcase row: 100M clients, 1000 cohorts, on
-        # the vector engine.
-        cells += run_figure13(
-            populations=(EXTREME_POPULATION,), engine="vector", executor=executor
-        )
+        cells += run_figure13(populations=(EXTREME_POPULATION,), executor=executor)
     print(render_figure13(cells))
     out = write_bench_json(cells, args.out)
     print("wrote %s" % out)

@@ -19,7 +19,6 @@ from repro.analysis.bandwidth import (
 from repro.analysis.reporting import format_table
 from repro.attack.ddos import ATTACK_RESIDUAL_BANDWIDTH_MBPS
 from repro.protocols.base import DirectoryProtocolConfig
-from repro.runtime.cache import ResultCache
 from repro.runtime.executor import SweepExecutor
 
 #: Relay counts reported in the paper's sweep.
@@ -32,12 +31,11 @@ def run_figure7(
     config: Optional[DirectoryProtocolConfig] = None,
     seed: int = 7,
     executor: Optional[SweepExecutor] = None,
-    cache: Optional[ResultCache] = None,
 ) -> List[BandwidthRequirementResult]:
     """Run the bandwidth-requirement search over ``relay_counts``.
 
-    Every binary-search probe executes through the shared sweep executor, so
-    an attached cache makes re-running the figure free.
+    Every binary-search probe executes through ``executor``, so one with a
+    cache attached makes re-running the figure free.
     """
     return bandwidth_requirement_sweep(
         relay_counts,
@@ -45,7 +43,6 @@ def run_figure7(
         config=config,
         seed=seed,
         executor=executor,
-        cache=cache,
     )
 
 

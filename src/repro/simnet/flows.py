@@ -3,21 +3,23 @@
 This is the middle layer of the transport pipeline.  A
 :class:`~repro.simnet.network.SimNetwork` turns ``send()`` calls into
 :class:`Flow` objects and hands them to a scheduler; the scheduler advances
-flow progress, asks the run's :class:`~repro.simnet.linkmodel.LinkModel` for
-instantaneous rates, and fires the network's completion/timeout callbacks at
-the right virtual instants.  Admission has one entry,
-:meth:`FlowScheduler.start_flows`: the network hands over each ``send_many``
-burst whole (a single ``send`` is a burst of one), and every scheduler below
-turns the burst into one rate pass or one shared heap event.  The schedulers
-cover the two coupling regimes a link model can declare — two engines for the
-shared regime, one for the independent one; :func:`effective_shared_engine`
-is the one rule that picks between them:
+flow progress, asks the run's :class:`~repro.simnet.linkmodel.LinkModel` —
+one class per model, the only place its rate arithmetic lives — which flows
+an event touched and what their rates are now, and fires the network's
+completion/timeout callbacks at the right virtual instants.  Admission has
+one entry, :meth:`FlowScheduler.start_flows`: the network hands over each
+``send_many`` burst whole (a single ``send`` is a burst of one), and every
+scheduler below turns the burst into one rate pass or one shared heap event.
+The schedulers cover the two coupling regimes a link model can declare — two
+engines for the shared regime, one for the independent one;
+:func:`effective_shared_engine` is the one rule that picks between them:
 
 :class:`~repro.simnet.shared_sched.LazySharedLinkScheduler` (``LinkModel.shared``)
     The default engine for models where flow rates couple through link
     occupancy (``fair``, ``fifo``, ``tcp``): lazy per-flow progress and one
     pending heap event per flow, re-pushed only when the flow's rate
-    actually changes — O(touched flows × log F) per event.  See
+    actually changes — O(touched flows × log F) per event.  It drives the
+    model's five bulk hooks and needs nothing else registered anywhere.  See
     :mod:`repro.simnet.shared_sched`.
 
 :class:`~repro.simnet.vector_sched.VectorSharedLinkScheduler` (``REPRO_SHARED_ENGINE=vector``)
@@ -97,22 +99,12 @@ def effective_shared_engine(
       keyed and labelled as default runs.
     * ``"vector"`` is honoured when numpy is importable and the model has a
       policy in :data:`repro.simnet.vector_sched.VECTOR_POLICIES`; otherwise
-      the request downgrades to ``"lazy"``.
-    * ``"lazy"`` needs a rater in
-      :data:`repro.simnet.shared_sched.LAZY_RATERS`; a shared model without
-      one is refused by name rather than run on some slower fallback.
+      the request downgrades to ``"lazy"``, which runs every shared model.
     """
     engine = resolve_shared_engine(requested)
     model = transport if isinstance(transport, LinkModel) else get_link_model(transport)
     if not model.shared:
         return "lazy"
-    from repro.simnet.shared_sched import LAZY_RATERS
-
-    if model.name not in LAZY_RATERS:
-        raise ValidationError(
-            "shared link model %r has no lazy rater; register one in "
-            "repro.simnet.shared_sched.LAZY_RATERS" % model.name
-        )
     if engine == "vector":
         from repro.simnet.vector_sched import VECTOR_POLICIES, vector_available
 

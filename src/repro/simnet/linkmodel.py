@@ -23,9 +23,9 @@ Four models ship in the registry:
     downlink is shared fairly among the flows currently being served into
     it.  An ablation of the link model.  Eligibility changes cascade one hop
     (a finishing flow promotes the next queued flow, changing its downlink's
-    occupancy); the lazy engine maintains the arrival queues and serving
-    counts incrementally (:class:`repro.simnet.shared_sched.FifoLazyRater`)
-    and touches only the promoted flow and the two affected downlinks.
+    occupancy); :class:`FifoLinkModel` maintains the arrival queues and
+    serving counts incrementally and touches only the promoted flow and the
+    two affected downlinks.
 
 ``"tcp"``
     Per-flow Reno-style congestion control on top of weighted fair link
@@ -48,22 +48,25 @@ Four models ship in the registry:
     global recompute — the model to reach node counts far beyond paper scale
     (``perfbench``'s ``event_floor`` workload runs it at 200 authorities).
 
-Models register by name via :func:`register_link_model`; the name travels on
-:class:`~repro.runtime.spec.RunSpec` (field ``transport``) and therefore
-joins the spec hash and result-cache key.  The rate arithmetic of a shared
-model lives with the engine that evaluates it: a
-:class:`~repro.simnet.shared_sched.LazyRater` registered under the model's
-name in :data:`repro.simnet.shared_sched.LAZY_RATERS` (required — a shared
-model without one is refused at network construction) and, optionally, a
-vector policy in :data:`repro.simnet.vector_sched.VECTOR_POLICIES`.
-``fair``, ``fifo`` and ``tcp`` ship both.  The from-scratch statement of the
-same arithmetic is the test-side reference model,
-``tests/simnet/reference_sched.py``.
+A model is one class, registered by name via :func:`register_link_model`;
+the name travels on :class:`~repro.runtime.spec.RunSpec` (field
+``transport``) and therefore joins the spec hash and result-cache key.  An
+independent model implements :meth:`LinkModel.flow_rate`.  A shared model
+implements the five bulk hooks the lazy scheduler
+(:class:`~repro.simnet.shared_sched.LazySharedLinkScheduler`) drives —
+``on_flows_added``, ``on_flows_removed``, ``movers_among``,
+``on_link_rate_changed``, ``rates_of`` — over the scheduler's live indexes,
+which :meth:`LinkModel.bind` hands it once.  :data:`LINK_MODELS` is the only
+registry the lazy engine consults; the opt-in vector engine additionally
+needs a policy in :data:`repro.simnet.vector_sched.VECTOR_POLICIES`.  The
+from-scratch statement of the same arithmetic is the test-side reference
+model, ``tests/simnet/reference_sched.py``.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Mapping, Optional, Tuple, Type
+import heapq
+from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Set, Tuple, Type
 
 from repro.utils.validation import ValidationError
 
@@ -119,19 +122,354 @@ class LinkModel:
         """Instantaneous rate of one flow, independent of all other flows."""
         raise NotImplementedError
 
+    # -- shared-model interface (used by LazySharedLinkScheduler) -----------
+    #
+    # A shared model answers two questions the scheduler asks on every event:
+    # *which flows' rates can have changed* (the touched set) and *what are
+    # these flows' rates now*.  It observes every flow arrival/departure, in
+    # bulk, so it can maintain whatever occupancy structures the policy needs.
+    #
+    # Contract: for every flow not in the touched set (of ``on_flows_added``,
+    # ``movers_among``, ``on_link_rate_changed``), the rate ``rates_of`` would
+    # report must be unchanged by the observed transition — that is what makes
+    # skipping the untouched flows exact rather than approximate.
+    def bind(self, scheduler) -> None:
+        """Take the lazy scheduler's live indexes; called once, at its
+        construction.  The scheduler owns and maintains all of them."""
+        #: The scheduler itself, for a model with events of its own (tcp's
+        #: ack ticks).
+        self._scheduler = scheduler
+        self._by_src: Dict[str, Dict[int, Flow]] = scheduler._by_src
+        self._by_dst: Dict[str, Dict[int, Flow]] = scheduler._by_dst
+        #: Current uplink/downlink capacity per *active* link side (seeded on
+        #: activation, moved at breakpoint watchers and link replacements).
+        #: Reading these instead of ``BandwidthSchedule.rate_at`` keeps
+        #: ``rates_of`` free of bisects on the hot path; the cached value
+        #: equals ``rate_at(now)`` exactly, because every instant a schedule
+        #: can change value has its own event.
+        self._up_cap: Dict[str, float] = scheduler._up_cap
+        self._down_cap: Dict[str, float] = scheduler._down_cap
+        #: Weighted occupancy per active link side (the plain flow count when
+        #: every weight is 1).
+        self._src_weight: Dict[str, int] = scheduler._src_weight
+        self._dst_weight: Dict[str, int] = scheduler._dst_weight
+        #: The network's live ``node name -> LinkConfig`` mapping, consulted
+        #: for the ``aggregate`` endpoint flag (per-client capacity links).
+        self._links: Mapping[str, LinkConfig] = scheduler._links
+
+    def on_flows_added(self, flows: List[Flow]) -> Iterable[Flow]:
+        """Observe a same-instant arrival burst (already in the indexes);
+        return the touched flows, the burst's own among them."""
+        raise NotImplementedError
+
+    def on_flows_removed(self, flows: List[Flow]) -> Dict[int, Flow]:
+        """Observe a same-instant departure batch; return its neighbourhood by
+        id — every flow it can re-rate or, if due now, take along.
+
+        The caller has already dropped every flow in ``flows`` from the
+        scheduler indexes; the result may still name members of the batch
+        itself, which the caller skips.
+        """
+        raise NotImplementedError
+
+    def movers_among(self, survivors: Dict[int, Flow], departed: List[Flow]) -> Iterable[Flow]:
+        """The touched set of a whole departure batch: the ``survivors`` of
+        its neighbourhoods that losing ``departed`` can re-rate."""
+        return survivors.values()
+
+    def on_link_rate_changed(self, side: str, name: str) -> Iterable[Flow]:
+        """Observe a capacity change on one link side; return touched flows."""
+        raise NotImplementedError
+
+    def rates_of(self, flows: List[Flow], now: float) -> List[float]:
+        """Instantaneous rates, under current occupancy, of an already-ordered
+        touched set.
+
+        Bulk because a touched set is the union of a handful of links' flow
+        sets: per-link state is resolved once per pass, not once per flow, in
+        the hottest loop of a shared run.  The per-flow arithmetic (operation
+        order included) is trajectory, not just reporting — the golden traces
+        pin it.
+        """
+        raise NotImplementedError
+
 
 class FairShareLinkModel(LinkModel):
-    """Equal split per link; a flow gets the minimum of its two shares."""
+    """Equal split per link; a flow gets the minimum of its two shares.
+
+    ``rate = min(uplink/|src flows|, downlink/|dst flows|)`` is a pure local
+    function of the flow's two links, so the scheduler's own indexes *are*
+    the occupancy state.  A capacity change touches every flow on the link;
+    an occupancy change only the flows the moved side can bind
+    (:meth:`_movers`) — an uplink-bound broadcast burst re-rates itself, not
+    the flows whose downlinks it joined.
+    """
 
     name = "fair"
     shared = True
 
+    def on_flows_added(self, flows: List[Flow]) -> Iterable[Flow]:
+        return self._movers(flows, departed=False).values()
+
+    def movers_among(self, survivors: Dict[int, Flow], departed: List[Flow]) -> Iterable[Flow]:
+        return self._movers(departed, departed=True).values()
+
+    def _movers(self, flows: List[Flow], departed: bool) -> Dict[int, Flow]:
+        """Flows whose rate can have moved when ``flows`` joined (already in
+        the indexes; themselves included — rate 0.0, no event yet) or left
+        (already out of them) at one instant.
+
+        A shared link side of capacity ``c`` whose weighted occupancy went
+        ``before -> after`` offers every flow at least ``floor = c /
+        max(before, after)`` at both ends, so a stored rate below the floor
+        was not set by that side and still is not (proof: DESIGN-transport.md,
+        "Share-aware touched sets").  Aggregate sides have no divisor and are
+        not scanned; zero capacity makes the floor 0.0 and yields the bucket.
+        """
+        links = self._links
+        gone_up: Dict[str, int] = {}
+        gone_down: Dict[str, int] = {}
+        for flow in flows:
+            gone = flow.weight if departed else 0
+            gone_up[flow.src] = gone_up.get(flow.src, 0) + gone
+            gone_down[flow.dst] = gone_down.get(flow.dst, 0) + gone
+        movers = {} if departed else {flow.flow_id: flow for flow in flows}
+        for src, gone in gone_up.items():
+            bucket = self._by_src.get(src)
+            if bucket and not links[src].aggregate:
+                floor = self._up_cap[src] / (self._src_weight[src] + gone)
+                for flow in bucket.values():
+                    if flow.rate >= floor:
+                        movers[flow.flow_id] = flow
+        for dst, gone in gone_down.items():
+            bucket = self._by_dst.get(dst)
+            if bucket and not links[dst].aggregate:
+                floor = self._down_cap[dst] / (self._dst_weight[dst] + gone)
+                for flow in bucket.values():
+                    if flow.rate >= floor:
+                        movers[flow.flow_id] = flow
+        return movers
+
+    def on_link_rate_changed(self, side: str, name: str) -> Iterable[Flow]:
+        index = self._by_src if side == "uplink" else self._by_dst
+        return list(index.get(name, {}).values())
+
+    def rates_of(self, flows: List[Flow], now: float) -> List[float]:
+        # Per-link capacity and occupancy are loop invariants of a rate
+        # pass; resolve each link's (cap, divisor) once instead of per flow.
+        # ``divisor`` is None for aggregate links (per-client capacity, no
+        # sharing); a share is cap * weight / divisor, in that order.
+        links = self._links
+        up_cap = self._up_cap
+        down_cap = self._down_cap
+        src_weight = self._src_weight
+        dst_weight = self._dst_weight
+        up_state: Dict[str, Tuple[float, Optional[int]]] = {}
+        down_state: Dict[str, Tuple[float, Optional[int]]] = {}
+        rates = []
+        append = rates.append
+        for flow in flows:
+            src = flow.src
+            dst = flow.dst
+            weight = flow.weight
+            state = up_state.get(src)
+            if state is None:
+                state = up_state[src] = (
+                    up_cap[src],
+                    None if links[src].aggregate else src_weight[src],
+                )
+            cap, divisor = state
+            up_share = cap * weight if divisor is None else cap * weight / divisor
+            state = down_state.get(dst)
+            if state is None:
+                state = down_state[dst] = (
+                    down_cap[dst],
+                    None if links[dst].aggregate else dst_weight[dst],
+                )
+            cap, divisor = state
+            down_share = cap * weight if divisor is None else cap * weight / divisor
+            append(up_share if up_share <= down_share else down_share)
+        return rates
+
+    def on_flows_removed(self, flows: List[Flow]) -> Dict[int, Flow]:
+        # Occupancy lives in the scheduler-maintained indexes, which the
+        # caller already updated for the whole batch: the neighbourhood is the
+        # departed flows' links' *remaining* members, read once per link
+        # (not once per departure — O(B·link) for a B-way burst leaving one
+        # uplink).
+        touched: Dict[int, Flow] = {}
+        seen_src: Set[str] = set()
+        seen_dst: Set[str] = set()
+        by_src = self._by_src
+        by_dst = self._by_dst
+        for flow in flows:
+            src = flow.src
+            if src not in seen_src:
+                seen_src.add(src)
+                bucket = by_src.get(src)
+                if bucket:
+                    touched.update(bucket)
+            dst = flow.dst
+            if dst not in seen_dst:
+                seen_dst.add(dst)
+                bucket = by_dst.get(dst)
+                if bucket:
+                    touched.update(bucket)
+        return touched
+
 
 class FifoLinkModel(LinkModel):
-    """Strict arrival-order uplinks; fair sharing on the downlink."""
+    """Strict arrival-order uplinks; fair sharing on the downlink.
+
+    The reference model re-rates the whole flow set per event because a
+    finishing flow promotes the next queued flow, whose destination's
+    serving count then changes one hop away.  Maintained incrementally the
+    cascade is tiny: per uplink an arrival-order queue (a min-heap over the
+    scheduler-stamped ``arrival_seq`` — explicit arrival order, so FIFO
+    service cannot silently depend on how flow ids are assigned — with lazy
+    deletion for mid-queue expiries), per downlink
+    the count of flows currently being served into it, and per downlink the
+    set of those eligible flows.  A queued flow's rate is exactly 0 and
+    nothing a neighbour does can change that, so queued flows are never
+    touched at all.
+    """
 
     name = "fifo"
     shared = True
+
+    def __init__(self) -> None:
+        #: Per-uplink arrival queue of (arrival_seq, Flow); the head is
+        #: eligible.  Aggregate uplinks (per-client capacity) never queue —
+        #: their flows go straight to serving and are tracked only in the
+        #: serving sets.
+        self._queues: Dict[str, List[Tuple[int, "Flow"]]] = {}
+        #: Arrival seqs lazily deleted from their queue (expired while queued).
+        self._gone: Set[int] = set()
+        #: Current head (the served flow) per non-aggregate uplink.
+        self._head: Dict[str, "Flow"] = {}
+        #: Eligible flows per destination, keyed by flow id.
+        self._serving_by_dst: Dict[str, Dict[int, "Flow"]] = {}
+        #: Weighted size of each serving set (sum of weights; equals the
+        #: bucket length when every weight is 1).
+        self._serving_weight: Dict[str, int] = {}
+
+    # -- transitions -------------------------------------------------------
+    def on_flows_added(self, flows: List[Flow]) -> Iterable[Flow]:
+        # One arrival at a time, in burst order: each one moves the queues
+        # and serving sets the next one reads.
+        touched: Dict[int, Flow] = {}
+        for flow in flows:
+            if self._links[flow.src].aggregate:
+                sharers = self._serve(flow)
+            else:
+                queue = self._queues.setdefault(flow.src, [])
+                heapq.heappush(queue, (flow.arrival_seq, flow))
+                # Queued behind the served flow: its rate is 0 and nobody
+                # else is affected.
+                sharers = [flow] if flow.src in self._head else self._promote(flow.src)
+            for other in sharers:
+                touched[other.flow_id] = other
+        return touched.values()
+
+    def on_flows_removed(self, flows: List[Flow]) -> Dict[int, Flow]:
+        # One departure at a time, in batch order: each one moves the
+        # serving sets the next one reads.
+        touched: Dict[int, Flow] = {}
+        for flow in flows:
+            if self._links[flow.src].aggregate:
+                touched.update(self._unserve(flow))
+            elif self._head.get(flow.src) is flow:
+                touched.update(self._demote(flow))
+                for other in self._promote(flow.src):
+                    touched[other.flow_id] = other
+            else:
+                # Expired while queued: lazy-delete; its rate was already 0.
+                self._gone.add(flow.arrival_seq)
+        return touched
+
+    def on_link_rate_changed(self, side: str, name: str) -> Iterable[Flow]:
+        if side == "uplink":
+            if self._links[name].aggregate:
+                return list(self._by_src.get(name, {}).values())
+            head = self._head.get(name)
+            return [head] if head is not None else []
+        return list(self._serving_by_dst.get(name, {}).values())
+
+    def rates_of(self, flows: List[Flow], now: float) -> List[float]:
+        links = self._links
+        head = self._head
+        rates = []
+        for flow in flows:
+            src_aggregate = links[flow.src].aggregate
+            if not src_aggregate and head.get(flow.src) is not flow:
+                rates.append(0.0)  # queued behind its uplink's served flow
+                continue
+            concurrency = flow.weight if src_aggregate else 1
+            up_share = self._up_cap[flow.src] * concurrency
+            down_cap = self._down_cap[flow.dst]
+            down_share = (
+                down_cap * concurrency
+                if links[flow.dst].aggregate
+                else down_cap * concurrency / self._serving_weight[flow.dst]
+            )
+            rates.append(min(up_share, down_share))
+        return rates
+
+    # -- machinery ---------------------------------------------------------
+    def _concurrency(self, flow: Flow) -> int:
+        """How many simultaneous transfers ``flow`` stands for.
+
+        A served flow from a *queued* (non-aggregate) uplink moves one
+        transfer at a time regardless of weight — serial service — so it
+        occupies one downlink share and one client's receive capacity.
+        Flows from aggregate uplinks are w parallel per-client transfers.
+        """
+        return flow.weight if self._links[flow.src].aggregate else 1
+
+    def _serve(self, flow: Flow) -> List[Flow]:
+        """Add ``flow`` to its destination's serving set; return touched flows."""
+        bucket = self._serving_by_dst.setdefault(flow.dst, {})
+        bucket[flow.flow_id] = flow
+        self._serving_weight[flow.dst] = (
+            self._serving_weight.get(flow.dst, 0) + self._concurrency(flow)
+        )
+        # The flow itself and every flow sharing its downlink re-split.
+        return list(bucket.values())
+
+    def _unserve(self, flow: Flow) -> Dict[int, Flow]:
+        """Drop ``flow`` from its serving set; return the remaining sharers."""
+        bucket = self._serving_by_dst[flow.dst]
+        del bucket[flow.flow_id]
+        if not bucket:
+            del self._serving_by_dst[flow.dst]
+            del self._serving_weight[flow.dst]
+            return {}
+        self._serving_weight[flow.dst] -= self._concurrency(flow)
+        return dict(bucket)
+
+    def _promote(self, src: str) -> List[Flow]:
+        """Make the oldest queued flow of ``src`` the served one."""
+        queue = self._queues.get(src)
+        while queue:
+            arrival_seq, flow = queue[0]
+            if arrival_seq in self._gone:
+                heapq.heappop(queue)
+                self._gone.discard(arrival_seq)
+                continue
+            self._head[src] = flow
+            return self._serve(flow)
+        if queue is not None and not queue:
+            del self._queues[src]
+        return []
+
+    def _demote(self, flow: Flow) -> Dict[int, Flow]:
+        """Remove the served ``flow`` of its uplink; return touched flows."""
+        del self._head[flow.src]
+        queue = self._queues[flow.src]
+        # The head is never lazy-deleted, so it sits at the heap root.
+        assert queue[0][1] is flow, "fifo head out of sync"
+        heapq.heappop(queue)
+        return self._unserve(flow)
 
 
 #: TCP segment size used to translate congestion windows into rates (bytes).
@@ -166,7 +504,7 @@ class _TcpFlowState:
     """Per-flow Reno congestion state (cwnd and friends, in MSS units)."""
 
     __slots__ = (
-        "cwnd", "ssthresh", "srtt", "devrtt", "rto", "base_rtt", "next_tick", "dupacks",
+        "cwnd", "ssthresh", "srtt", "devrtt", "rto", "base_rtt", "next_tick", "dupacks", "tick",
     )
 
     def __init__(self, base_rtt: float, now: float) -> None:
@@ -178,22 +516,34 @@ class _TcpFlowState:
         self.rto = min(max(self.srtt + 4.0 * self.devrtt, TCP_MIN_RTO_S), TCP_MAX_RTO_S)
         self.next_tick = now + self.srtt
         self.dupacks = 0
+        #: The pending ack-tick event (lazy engine only; the vector engine
+        #: and the reference model wake on ``next_tick`` themselves).
+        self.tick = None
 
     def window_rate(self, weight: int) -> float:
         """The window-limited send rate: ``weight × cwnd × MSS / estRTT``."""
         return weight * self.cwnd * TCP_MSS_BYTES / self.srtt
 
 
-class TcpLinkModel(LinkModel):
+class TcpLinkModel(FairShareLinkModel):
     """Reno-style congestion control over weighted fair link shares.
 
     Each flow stands in for ``weight`` identical TCP connections sharing one
-    congestion state.  The model keeps the ``fair`` share as the capacity
-    constraint and caps it by the window-limited rate ``cwnd × MSS / estRTT``;
-    the congestion state advances at *ack ticks* (one per estimated RTT),
-    which the flow schedulers drive through per-flow simulator events
-    (:class:`repro.simnet.shared_sched.TcpLazyRater`) or the vector engine's
-    single wake scan (:class:`repro.simnet.vector_sched._TcpVectorPolicy`).
+    congestion state.  The capacity side is exactly
+    :class:`FairShareLinkModel` — occupancy-coupled equal splits with the
+    same touched sets — capped by the window-limited rate ``cwnd × MSS /
+    estRTT``; the congestion state advances at *ack ticks* (one per
+    estimated RTT).  On the lazy engine the model keeps one pending
+    simulator event per flow at its next tick (:meth:`_on_tick`), which
+    advances only that flow's congestion state and re-aims only that flow: a
+    window change never moves a neighbour's fair share, so the fair
+    touched-set contract carries over unchanged.  Tick frequency is
+    self-limiting — the queue-delay RTT sample inflates ``estRTT`` as the
+    window grows (roughly ``sqrt`` of transfer progress); the per-message
+    tick count is pinned in ``tests/simnet/test_flow_waves.py``.  The vector
+    engine (:class:`repro.simnet.vector_sched._TcpVectorPolicy`) instead
+    advances whole due cohorts per wake scan, so tcp makes no cross-engine
+    trajectory claim: each engine is pinned by its own golden trace.
 
     At each tick the flow's granted rate since the previous tick plays the
     role of the ack stream:
@@ -276,11 +626,10 @@ class TcpLinkModel(LinkModel):
         ``granted`` is the rate the transport actually assigned over the
         round (default: ``flow.rate``, which the scalar engines keep
         current; the vector engine passes its slot-array rate instead).
-        This is the **one** Reno state machine —
-        :class:`repro.simnet.shared_sched.TcpLazyRater` ticks, the vector
-        engine's ``_TcpVectorPolicy`` and the test-side reference scheduler
-        all drive transitions through this method, so they cannot drift
-        apart.
+        This is the **one** Reno state machine — the lazy engine's ticks
+        (:meth:`_on_tick`), the vector engine's ``_TcpVectorPolicy`` and the
+        test-side reference scheduler all drive transitions through this
+        method, so they cannot drift apart.
         """
         if granted is None:
             granted = flow.rate
@@ -326,6 +675,41 @@ class TcpLinkModel(LinkModel):
         else:
             state.cwnd += 1.0
         state.next_tick = now + state.srtt
+
+    # -- lazy-engine hooks: fair shares, window cap, one tick per flow --------
+    def on_flows_added(self, flows: List[Flow]) -> Iterable[Flow]:
+        now = self._scheduler.simulator.now
+        for flow in flows:
+            self._arm_tick(flow, self.state_of(flow, now))
+        return super().on_flows_added(flows)
+
+    def on_flows_removed(self, flows: List[Flow]) -> Dict[int, Flow]:
+        # Per-flow teardown (tick cancel, window-state drop), then the fair
+        # batch union for the capacity side.
+        for flow in flows:
+            self._states.pop(flow.flow_id).tick.cancel()
+        return super().on_flows_removed(flows)
+
+    def rates_of(self, flows: List[Flow], now: float) -> List[float]:
+        # Fair shares in bulk, then the per-flow window cap on top.
+        shares = super().rates_of(flows, now)
+        state_of = self.state_of
+        return [
+            min(share, state_of(flow, now).window_rate(flow.weight))
+            for flow, share in zip(flows, shares)
+        ]
+
+    def _arm_tick(self, flow: Flow, state: _TcpFlowState) -> None:
+        state.tick = self._scheduler.simulator.schedule(state.next_tick, self._on_tick, flow)
+
+    def _on_tick(self, flow: Flow) -> None:
+        scheduler = self._scheduler
+        scheduler._settle_admissions()
+        now = scheduler.simulator.now
+        state = self.state_of(flow, now)
+        self.advance_flow(flow, state, now)
+        self._arm_tick(flow, state)
+        scheduler._apply_rate_changes([flow], now)
 
 
 class LatencyOnlyLinkModel(LinkModel):

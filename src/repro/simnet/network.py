@@ -35,7 +35,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 from repro.simnet.bandwidth import BandwidthSchedule
 from repro.simnet.engine import EventHandle, Simulator
 from repro.simnet.flows import Flow, FlowScheduler, make_flow_scheduler
-from repro.simnet.linkmodel import LinkModel, get_link_model, link_model_names
+from repro.simnet.linkmodel import LinkModel, get_link_model
 from repro.simnet.message import Message
 from repro.simnet.node import ProtocolNode
 from repro.simnet.trace import TraceLog
@@ -184,16 +184,6 @@ class SimNetwork:
     def transport_name(self) -> str:
         """Registry name of the active link model."""
         return self._model.name
-
-    @property
-    def link_model(self) -> LinkModel:
-        """The active link model instance."""
-        return self._model
-
-    @staticmethod
-    def available_transports() -> Tuple[str, ...]:
-        """Names accepted by the ``transport`` constructor argument."""
-        return link_model_names()
 
     # -- fault injection --------------------------------------------------------
     def set_fault_injector(self, injector) -> None:

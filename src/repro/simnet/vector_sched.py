@@ -86,7 +86,7 @@ def vector_available() -> bool:
 class _VectorPolicy:
     """Rate policy over slot arrays, driven by the vector scheduler.
 
-    Mirrors :class:`repro.simnet.shared_sched.LazyRater` at array
+    Mirrors the :class:`repro.simnet.linkmodel.LinkModel` bulk hooks at array
     granularity: transitions *accumulate* touched slots instead of returning
     them, and :meth:`rates` prices a whole touched batch at once.  The same
     exactness contract applies — a slot the policy never marks touched must
@@ -183,7 +183,7 @@ class _FairVectorPolicy(_VectorPolicy):
         return touched
 
     def rates(self, slots):
-        # Elementwise twin of FairLazyRater.rates_of — same
+        # Elementwise twin of FairShareLinkModel.rates_of — same
         # expression shapes ((cap·w)/occ), so values match the scalar models
         # to float rounding.  The shared-occupancy divisors are ≥ 1 for every
         # alive slot (the slot's own weight counts), so the eagerly evaluated
@@ -202,7 +202,7 @@ class _FairVectorPolicy(_VectorPolicy):
 class _FifoVectorPolicy(_VectorPolicy):
     """Strict arrival-order uplinks with fair downlink sharing, batched.
 
-    The incremental structures are the lazy rater's — per-uplink arrival
+    The incremental structures are ``FifoLinkModel``'s — per-uplink arrival
     queues (min-heaps over flow ids with lazy deletion), the served head per
     uplink, per-downlink serving sets and weighted serving counts — held at
     slot granularity, plus two policy-owned per-slot arrays: ``eligible``
@@ -371,7 +371,7 @@ class _TcpVectorPolicy(_FairVectorPolicy):
     State *transitions* are never reimplemented here: each due slot is
     advanced through :meth:`repro.simnet.linkmodel.TcpLinkModel.advance_flow`
     (fed the slot array's granted rate), the same Reno machine
-    :class:`repro.simnet.shared_sched.TcpLazyRater` drives — loss
+    the lazy engine (``TcpLinkModel._on_tick``) drives — loss
     draws included, which keeps the per-pair ``tcp_loss_event`` streams and
     their consumption order (flow-id order within an instant, matching
     ``_settle_due``) deterministic.  Like the scalar engines, tcp makes no
@@ -454,13 +454,13 @@ class _TcpVectorPolicy(_FairVectorPolicy):
             advance(flow, state, now, granted=float(rate[slot]))
             self._next_tick[slot] = state.next_tick
             # A window change never moves a neighbour's fair share (the
-            # TcpLazyRater contract), so only the ticked slot is touched.
+            # ``TcpLinkModel`` tick contract), so only the ticked slot is touched.
             self._wrate[slot] = state.window_rate(flow.weight)
             self._ticked.add(slot)
         return True
 
     def rates(self, slots):
-        # The elementwise twin of TcpLazyRater.rates_of:
+        # The elementwise twin of TcpLinkModel.rates_of:
         # min(fair up/down share, window-limited rate), one array pass.
         return _np.minimum(super().rates(slots), self._wrate[slots])
 

@@ -99,13 +99,6 @@ def test_figure13_warm_cache_rerun_executes_nothing(tmp_path):
     assert write_bench_json(again, tmp_path / "again.json").read_bytes() == first
 
 
-def test_figure13_cell_labels_the_engine_that_ran():
-    # latency-only runs the independent scheduler: a cell run under a vector
-    # request must not label an engine that never ran.
-    cells = run_figure13(engine="vector", transport="latency-only", **FIGURE13_QUICK)
-    assert [cell.engine for cell in cells] == ["lazy"]
-
-
 def test_table1_rows_and_rendering():
     rows = run_table1(relay_count=1000, measure=True)
     measured = {row.protocol: row.measured_bytes for row in rows}

@@ -13,7 +13,7 @@ event, so a lazy transition finds a frontier waiting), link replacements
 advances (to the reference's next event, or by a fixed step), on ``fair`` and
 on ``fifo``.  Eight nodes start on unequal, partly asymmetric capacities, so
 link buckets of five and more flows and flows whose binding side flips
-between uplink and downlink are routine — the ground the lazy fair rater's
+between uplink and downlink are routine — the ground the fair model's
 share-aware touched sets have to hold.  After every step it requires of each
 production engine:
 

@@ -26,11 +26,10 @@ from repro.runtime.spec import RunSpec
 from repro.simnet.bandwidth import BandwidthSchedule
 from repro.simnet.engine import Simulator
 from repro.simnet.flows import Flow, make_flow_scheduler, use_shared_engine
-from repro.simnet.linkmodel import get_link_model
+from repro.simnet.linkmodel import LINK_MODELS, TcpLinkModel, get_link_model
 from repro.simnet.message import Message
 from repro.simnet.network import LinkConfig, SimNetwork
 from repro.simnet.node import ProtocolNode
-from repro.simnet.shared_sched import LAZY_RATERS, TcpLazyRater
 
 from tests.simnet.per_message import PerMessageNetwork
 
@@ -259,7 +258,7 @@ def test_same_instant_deliveries_coalesce_on_top_of_shared_completions():
 
 
 def _counting_moved(rates_of, counts):
-    """A rater's ``rates_of``, counting the rates that differ from the stored
+    """A link model's ``rates_of``, counting the rates that differ from the stored
     one (or belong to a flow with no event yet): what the pass is about to
     apply."""
 
@@ -281,19 +280,19 @@ def _counted_run(protocol, transport, authorities):
     reference of every shared transport of that spec.
     """
     counts = Counter()
-    on_tick = TcpLazyRater._on_tick
+    on_tick = TcpLinkModel._on_tick
 
     def counted_tick(self, flow):
         counts["ticks"] += 1
         return on_tick(self, flow)
 
     with pytest.MonkeyPatch.context() as patch, use_shared_engine("lazy"):
-        # Only the run's own rater class: tcp's ``rates_of`` calls fair's for
+        # Only the run's own model class: tcp's ``rates_of`` calls fair's for
         # the capacity side, and that inner call is not a pass.
-        rater_class = LAZY_RATERS.get(transport)
-        if rater_class is not None:
-            patch.setattr(rater_class, "rates_of", _counting_moved(rater_class.rates_of, counts))
-        patch.setattr(TcpLazyRater, "_on_tick", counted_tick)
+        model_class = LINK_MODELS[transport]
+        if model_class.shared:
+            patch.setattr(model_class, "rates_of", _counting_moved(model_class.rates_of, counts))
+        patch.setattr(TcpLinkModel, "_on_tick", counted_tick)
         result = execute_spec(
             RunSpec(
                 protocol=protocol,

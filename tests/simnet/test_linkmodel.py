@@ -3,7 +3,7 @@
 The shared models' rate arithmetic is stated once, from scratch, by the
 reference model's rate functions (``tests/simnet/reference_sched.py``); the
 rate-policy tests below pin those, and the stateful comparison in
-``test_flow_scheduler_reference.py`` holds the production raters to them.
+``test_flow_scheduler_reference.py`` holds the production models to them.
 """
 
 import pytest
@@ -16,6 +16,7 @@ from repro.simnet.flows import (
 )
 from repro.simnet.linkmodel import (
     FairShareLinkModel,
+    LINK_MODELS,
     FifoLinkModel,
     LatencyOnlyLinkModel,
     LinkModel,
@@ -26,6 +27,7 @@ from repro.simnet.linkmodel import (
 )
 from repro.simnet.message import Message
 from repro.simnet.network import LinkConfig, SimNetwork
+from repro.simnet.node import ProtocolNode
 from repro.utils.validation import ValidationError
 
 from tests.simnet.reference_sched import fair_rates, fifo_rates, occupancy, use_engine
@@ -91,8 +93,6 @@ def test_registering_a_custom_model_and_name_collisions():
         network = SimNetwork(transport="test-weighted")
         assert network.transport_name == "test-weighted"
     finally:
-        from repro.simnet.linkmodel import LINK_MODELS
-
         LINK_MODELS.pop("test-weighted", None)
 
 
@@ -130,14 +130,54 @@ def test_scheduler_selection_follows_the_coupling_flag_and_engine():
     assert isinstance(sched, IndependentFlowScheduler)
 
 
-def test_shared_models_without_a_lazy_rater_are_refused_by_name():
+def test_a_shared_model_that_implements_no_hooks_fails_on_first_use():
     class OpaqueShared(LinkModel):
         name = "test-opaque-shared"
         shared = True
 
-    with pytest.raises(ValidationError) as excinfo:
-        make_flow_scheduler(OpaqueShared(), None, {}, None, None)
-    assert "test-opaque-shared" in str(excinfo.value)
+    network = SimNetwork(transport=OpaqueShared(), default_latency_s=0.0)
+    for name in ("a", "b"):
+        network.add_node(ProtocolNode(name), LinkConfig.symmetric_mbps(8.0))
+    network.send("a", "b", Message(msg_type="DOC", size_bytes=1_000))
+    with pytest.raises(NotImplementedError):
+        network.run(until=1.0)
+
+
+def _broadcast_wave(transport):
+    """One all-to-all wave over unequal links: its stats and delivery log."""
+    deliveries = []
+
+    class Sink(ProtocolNode):
+        def on_message(self, message, now):
+            deliveries.append((now, message.sender, self.name))
+
+    network = SimNetwork(transport=transport, default_latency_s=0.01)
+    names = ["n%d" % index for index in range(5)]
+    for index, name in enumerate(names):
+        network.add_node(Sink(name), LinkConfig.symmetric_mbps(4.0 + 2.0 * index))
+    for index, name in enumerate(names):
+        others = [other for other in names if other != name]
+        message = Message(msg_type="DOC", size_bytes=200_000 + 50_000 * index, sender=name)
+        network.send_many(name, others, message)
+    network.run(until=60.0)
+    return network.stats, deliveries
+
+
+def test_a_registered_subclass_is_a_complete_model():
+    # One class, one registry: nothing but ``register_link_model`` stands
+    # between a new shared model and a run on the default engine.
+    class RenamedFair(FairShareLinkModel):
+        name = "test-renamed-fair"
+
+    register_link_model(RenamedFair)
+    try:
+        stats, deliveries = _broadcast_wave("test-renamed-fair")
+    finally:
+        LINK_MODELS.pop("test-renamed-fair", None)
+    fair_stats, fair_deliveries = _broadcast_wave("fair")
+    assert len(deliveries) == 20
+    assert deliveries == fair_deliveries
+    assert stats == fair_stats
 
 
 def test_unknown_shared_engine_is_rejected():
@@ -213,8 +253,6 @@ def test_fifo_scheduler_serves_flows_started_out_of_id_order(engine):
     # Start flows whose ids *descend* (as a future id source that recycles
     # or reorders ids could produce): every engine must serve them in start
     # order, because the scheduler stamps arrival_seq in _add.
-    from repro.simnet.node import ProtocolNode
-
     deliveries = []
 
     class Sink(ProtocolNode):

@@ -21,8 +21,8 @@ The edge cases pin the failure modes a heap of per-flow estimates invites:
 * a completion-epsilon residual whose transfer time is below one ulp of
   virtual time — the PR-3 live-lock shape, now under the lazy path.
 
-The next section pins the edges of the fair rater's share-aware touched sets
-(``FairLazyRater._movers``): a bare lazy scheduler whose every in-flight rate
+The next section pins the edges of the fair model's share-aware touched sets
+(``FairShareLinkModel._movers``): a bare lazy scheduler whose every in-flight rate
 must equal the reference's from-scratch ``fair_rates`` after each admission
 and each settlement, with the flows each step rated counted.
 
@@ -263,7 +263,7 @@ def test_sub_ulp_residual_completes_instead_of_livelocking():
 
 def test_fifo_queued_flow_expiring_mid_queue_never_disturbs_the_served_flow():
     # Three flows on one uplink: the head transfers, the second expires
-    # while queued (lazy deletion in the rater's arrival queue), the third
+    # while queued (lazy deletion in the model's arrival queue), the third
     # is promoted when the head finishes.  10 Mbit/s uplink -> 1.25 MB/s.
     deliveries = []
     network = SimNetwork(transport="fifo", default_latency_s=0.0)

@@ -21,3 +21,19 @@ def test_src_reads_the_environment_for_the_shared_engine_only():
         names.update(re.findall(r"\bREPRO_[A-Z0-9_]+", text))
     assert readers == ["repro/simnet/flows.py"]
     assert names == {"REPRO_SHARED_ENGINE"}
+
+
+def test_engine_selection_stays_inside_simnet_and_the_cache_key():
+    # Until ``vector`` goes (ROADMAP 1(a)), nothing above the transport may
+    # pick an engine, and ``shared_sched.py`` holds the scheduler alone: a
+    # link model's arithmetic lives on its one class in ``linkmodel.py``.
+    scheduler = (SRC / "repro/simnet/shared_sched.py").read_text(encoding="utf-8")
+    assert re.findall(r"^class (\w+)", scheduler, re.M) == ["LazySharedLinkScheduler"]
+    mentions = [
+        path.relative_to(SRC).as_posix()
+        for path in sorted(SRC.rglob("*.py"))
+        if re.search(r"shared_engine|vector_sched", path.read_text(encoding="utf-8"))
+    ]
+    assert [path for path in mentions if not path.startswith("repro/simnet/")] == [
+        "repro/runtime/cache.py"
+    ]
