@@ -13,7 +13,9 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.utils.validation import ensure
 
-#: Format version of the ``clients`` block in run summaries.
+#: Format version of the ``clients`` block in run summaries.  Read by nothing,
+#: but its value sits inside the block that the goldens and
+#: ``perfbench/expected/seed7.json`` fingerprint, so it stays.
 CLIENT_SUMMARY_VERSION = 1
 
 

@@ -10,10 +10,10 @@ counting distributions.  This module answers it count-based:
   uniform pull, by inverse-transform along the CDF.  The walk visits
   ``k+1`` terms for a sample of ``k``, so its expected cost is
   ``eligible·p`` (the mean batch), not ``eligible``.
-* :func:`batch_gaussian_binomial` — the Gaussian approximation for large
-  cohorts, evaluated for *all* cohorts of a wave tick at once as numpy
-  array arithmetic (one z-score per cohort stays a per-stream pull; the
-  float expressions around it are the batched part).
+* :func:`gaussian_binomial` — the Gaussian approximation for large
+  cohorts: one z-score pull, three float operations.
+  :func:`batch_gaussian_binomial`, its numpy twin over a whole tick's
+  cohorts, has no caller in ``src/`` (see its docstring).
 
 Stream semantics, documented as required: the exact path now consumes one
 ``random()`` pull per wave instead of ``eligible`` pulls, so seeded poisson
@@ -61,10 +61,9 @@ def binomial_from_uniform(count: int, probability: float, u: float) -> int:
 
 
 def gaussian_binomial(eligible: int, probability: float, z: float) -> int:
-    """The scalar Gaussian-approximation draw (one cohort, one z-score).
+    """The Gaussian-approximation draw (one cohort, one z-score).
 
-    Kept as the single definition both the per-cohort fallback and the
-    batched path reproduce: ``min(n, max(0, round(n·p + sqrt(n·p·(1-p))·z)))``.
+    ``min(n, max(0, round(n·p + sqrt(n·p·(1-p))·z)))``.
     """
     mean = eligible * probability
     sigma = math.sqrt(eligible * probability * (1.0 - probability))
@@ -76,10 +75,16 @@ def batch_gaussian_binomial(
 ) -> Optional[Sequence[int]]:
     """Vectorized :func:`gaussian_binomial` over parallel per-cohort inputs.
 
-    Returns None when numpy is unavailable (callers fall back to the scalar
-    loop).  Matches the scalar expression exactly: the products associate
-    identically, ``sqrt`` is IEEE-exactly rounded in both, and ``np.rint``
-    rounds half to even like Python's ``round``.
+    Unused by ``src/``: the wave driver calls the scalar draw for every
+    cohort (measured at parity on 32 and on 1000 cohorts).  It stays defined,
+    with its bit-equality test, only because ``perfbench/micro.py`` imports
+    it; it goes in the ``benchmark`` PR that retires that micro row, together
+    with the vector transport engine.
+
+    Returns None when numpy is unavailable.  Matches the scalar expression
+    exactly: the products associate identically, ``sqrt`` is IEEE-exactly
+    rounded in both, and ``np.rint`` rounds half to even like Python's
+    ``round``.
     """
     if _np is None:
         return None

@@ -3,9 +3,10 @@
 A :class:`ClientWorkload` describes the consensus-*distribution* side of a
 run the way :class:`~repro.runtime.spec.RunSpec` describes the consensus-
 *production* side: a frozen, hashable value object.  Attached to a spec
-(field ``client_workload``, SPEC format v5) it joins the spec hash, so a run
-with clients caches independently of its client-free twin — and a spec
-without a workload hashes exactly as before.
+(field ``client_workload``) it joins the spec hash, so a run with clients
+caches independently of its client-free twin — and a spec without a workload
+hashes exactly as before.  Its key and JSON form are derived from the field
+declarations by :mod:`repro.utils.records`.
 
 The workload models one homogeneous population class: ``population`` clients
 in ``cohort_count`` cohorts sharing a geography (one client↔server latency)
@@ -15,9 +16,10 @@ see ``DESIGN-clients.md``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Dict, Mapping, Tuple
 
+from repro.utils.records import record_from_dict, record_key, record_to_dict
 from repro.utils.validation import ensure
 
 #: Arrival processes a cohort can run.  ``poisson`` draws per-wave batch
@@ -31,9 +33,6 @@ ARRIVAL_MODES = ("poisson", "deterministic")
 #: Modelled wire size of a "consensus not yet available" (HTTP 404) reply,
 #: per client.
 NOT_READY_RESPONSE_BYTES = 256
-
-#: Serialization format version written by :meth:`ClientWorkload.to_dict`.
-WORKLOAD_FORMAT_VERSION = 1
 
 
 def even_split(total: int, parts: int) -> Tuple[int, ...]:
@@ -153,69 +152,18 @@ class ClientWorkload:
         K-cohort run must produce exactly the metrics of its individualized
         twin (see ``tests/clients/test_conformance.py``).
         """
-        from dataclasses import replace
-
         return replace(self, cohort_count=self.population)
 
     # -- hashing and serialization ----------------------------------------
     def key(self) -> Tuple:
         """Canonical tuple of everything that defines this workload."""
-        return (
-            self.population,
-            self.cohort_count,
-            self.arrival,
-            float(self.fetch_interval_s),
-            float(self.wave_interval_s),
-            float(self.retry_backoff_s),
-            float(self.connection_timeout_s),
-            self.servers_per_wave,
-            self.mirror_count,
-            float(self.mirror_bandwidth_mbps),
-            float(self.mirror_poll_interval_s),
-            float(self.client_downlink_mbps),
-            float(self.client_uplink_mbps),
-            float(self.client_latency_s),
-            self.request_bytes,
-        )
+        return record_key(self)
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-serializable form (inverse of :meth:`from_dict`)."""
-        return {
-            "format": WORKLOAD_FORMAT_VERSION,
-            "population": self.population,
-            "cohort_count": self.cohort_count,
-            "arrival": self.arrival,
-            "fetch_interval_s": self.fetch_interval_s,
-            "wave_interval_s": self.wave_interval_s,
-            "retry_backoff_s": self.retry_backoff_s,
-            "connection_timeout_s": self.connection_timeout_s,
-            "servers_per_wave": self.servers_per_wave,
-            "mirror_count": self.mirror_count,
-            "mirror_bandwidth_mbps": self.mirror_bandwidth_mbps,
-            "mirror_poll_interval_s": self.mirror_poll_interval_s,
-            "client_downlink_mbps": self.client_downlink_mbps,
-            "client_uplink_mbps": self.client_uplink_mbps,
-            "client_latency_s": self.client_latency_s,
-            "request_bytes": self.request_bytes,
-        }
+        return record_to_dict(self)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ClientWorkload":
         """Rebuild a workload from :meth:`to_dict` output."""
-        return cls(
-            population=int(data["population"]),
-            cohort_count=int(data["cohort_count"]),
-            arrival=data.get("arrival", "poisson"),
-            fetch_interval_s=float(data.get("fetch_interval_s", 300.0)),
-            wave_interval_s=float(data.get("wave_interval_s", 10.0)),
-            retry_backoff_s=float(data.get("retry_backoff_s", 60.0)),
-            connection_timeout_s=float(data.get("connection_timeout_s", 18.0)),
-            servers_per_wave=int(data.get("servers_per_wave", 1)),
-            mirror_count=int(data.get("mirror_count", 0)),
-            mirror_bandwidth_mbps=float(data.get("mirror_bandwidth_mbps", 250.0)),
-            mirror_poll_interval_s=float(data.get("mirror_poll_interval_s", 10.0)),
-            client_downlink_mbps=float(data.get("client_downlink_mbps", 50.0)),
-            client_uplink_mbps=float(data.get("client_uplink_mbps", 10.0)),
-            client_latency_s=float(data.get("client_latency_s", 0.05)),
-            request_bytes=int(data.get("request_bytes", 512)),
-        )
+        return record_from_dict(cls, data)

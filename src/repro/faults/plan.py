@@ -20,9 +20,13 @@ Three layers of fault, two declarative types:
 * :class:`FaultPlan` — a composable bundle of the above, at most one entry
   per authority per category.
 
-This module deliberately imports nothing beyond the validation helpers:
-:mod:`repro.runtime.spec` imports *us*, and enforcement (which needs the
-simulator, documents, and keys) lives in :mod:`repro.faults.injector` /
+What joins the hash and how a plan reads and writes as JSON is derived from
+the field declarations by :mod:`repro.utils.records`; ``plan_hash`` seeds the
+run's fault RNG, so field order and types here are part of the format.
+
+This module deliberately imports nothing beyond the :mod:`repro.utils`
+helpers: :mod:`repro.runtime.spec` imports *us*, and enforcement (which needs
+the simulator, documents, and keys) lives in :mod:`repro.faults.injector` /
 :mod:`repro.faults.byzantine`.
 """
 
@@ -32,13 +36,11 @@ import hashlib
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
+from repro.utils.records import record_from_dict, record_key, record_to_dict
 from repro.utils.validation import ensure
 
 #: Byzantine behaviours an :class:`AuthorityFault` can request.
 BYZANTINE_MODES = ("equivocate", "withhold")
-
-#: Serialization format version written by :meth:`FaultPlan.to_dict`.
-FAULT_PLAN_FORMAT_VERSION = 1
 
 Window = Tuple[float, float]
 
@@ -153,34 +155,16 @@ class LinkFault:
 
     def key(self) -> Tuple:
         """Canonical tuple for hashing."""
-        return (
-            self.authority_id,
-            self.partition_windows,
-            float(self.drop_probability),
-            self.loss_windows,
-            float(self.jitter_s),
-        )
+        return record_key(self)
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-serializable form."""
-        return {
-            "authority_id": self.authority_id,
-            "partition_windows": [list(window) for window in self.partition_windows],
-            "drop_probability": self.drop_probability,
-            "loss_windows": [list(window) for window in self.loss_windows],
-            "jitter_s": self.jitter_s,
-        }
+        return record_to_dict(self)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "LinkFault":
         """Inverse of :meth:`to_dict`."""
-        return cls(
-            authority_id=int(data["authority_id"]),
-            partition_windows=tuple(tuple(w) for w in data.get("partition_windows", ())),
-            drop_probability=float(data.get("drop_probability", 0.0)),
-            loss_windows=tuple(tuple(w) for w in data.get("loss_windows", ())),
-            jitter_s=float(data.get("jitter_s", 0.0)),
-        )
+        return record_from_dict(cls, data)
 
 
 @dataclass(frozen=True)
@@ -239,24 +223,16 @@ class AuthorityFault:
 
     def key(self) -> Tuple:
         """Canonical tuple for hashing."""
-        return (self.authority_id, self.crash_windows, self.byzantine)
+        return record_key(self)
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-serializable form."""
-        return {
-            "authority_id": self.authority_id,
-            "crash_windows": [list(window) for window in self.crash_windows],
-            "byzantine": self.byzantine,
-        }
+        return record_to_dict(self)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "AuthorityFault":
         """Inverse of :meth:`to_dict`."""
-        return cls(
-            authority_id=int(data["authority_id"]),
-            crash_windows=tuple(tuple(w) for w in data.get("crash_windows", ())),
-            byzantine=data.get("byzantine"),
-        )
+        return record_from_dict(cls, data)
 
 
 @dataclass(frozen=True)
@@ -386,10 +362,7 @@ class FaultPlan:
     # -- hashing and serialization ----------------------------------------
     def key(self) -> Tuple:
         """Canonical tuple of everything the plan injects."""
-        return (
-            tuple(fault.key() for fault in self.link_faults),
-            tuple(fault.key() for fault in self.authority_faults),
-        )
+        return record_key(self)
 
     def plan_hash(self) -> str:
         """Stable content hash: equal plans hash equally across processes."""
@@ -398,23 +371,12 @@ class FaultPlan:
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-serializable form (inverse of :meth:`from_dict`)."""
-        return {
-            "format": FAULT_PLAN_FORMAT_VERSION,
-            "link_faults": [fault.to_dict() for fault in self.link_faults],
-            "authority_faults": [fault.to_dict() for fault in self.authority_faults],
-        }
+        return record_to_dict(self)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "FaultPlan":
         """Rebuild a plan from :meth:`to_dict` output."""
-        return cls(
-            link_faults=tuple(
-                LinkFault.from_dict(entry) for entry in data.get("link_faults", ())
-            ),
-            authority_faults=tuple(
-                AuthorityFault.from_dict(entry) for entry in data.get("authority_faults", ())
-            ),
-        )
+        return record_from_dict(cls, data)
 
     # -- convenience constructors ------------------------------------------
     @classmethod

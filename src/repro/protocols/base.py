@@ -6,9 +6,10 @@ from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.crypto.keys import KeyRing
+from repro.crypto.signatures import verify
 from repro.directory.aggregate import AggregationConfig, aggregate_votes
 from repro.directory.authority import DirectoryAuthority
-from repro.directory.consensus_doc import ConsensusDocument
+from repro.directory.consensus_doc import ConsensusDocument, ConsensusSignature
 from repro.directory.vote import VoteDocument
 from repro.simnet.message import Message
 from repro.simnet.network import TransferStats
@@ -151,15 +152,7 @@ class ProtocolRunResult:
             "outcomes": [
                 asdict(self.outcomes[authority_id]) for authority_id in sorted(self.outcomes)
             ],
-            "stats": {
-                "bytes_sent": dict(self.stats.bytes_sent),
-                "bytes_delivered": dict(self.stats.bytes_delivered),
-                "bytes_by_type": dict(self.stats.bytes_by_type),
-                "messages_sent": self.stats.messages_sent,
-                "messages_delivered": self.stats.messages_delivered,
-                "messages_timed_out": self.stats.messages_timed_out,
-                "messages_dropped": self.stats.messages_dropped,
-            },
+            "stats": asdict(self.stats),
             "faults": dict(self.fault_summary),
             "clients": dict(self.client_summary),
         }
@@ -181,22 +174,12 @@ class ProtocolRunResult:
             int(entry["authority_id"]): AuthorityOutcome(**entry)
             for entry in data["outcomes"]
         }
-        stats_data = data["stats"]
-        stats = TransferStats(
-            bytes_sent=dict(stats_data["bytes_sent"]),
-            bytes_delivered=dict(stats_data["bytes_delivered"]),
-            bytes_by_type=dict(stats_data["bytes_by_type"]),
-            messages_sent=stats_data["messages_sent"],
-            messages_delivered=stats_data["messages_delivered"],
-            messages_timed_out=stats_data["messages_timed_out"],
-            messages_dropped=stats_data.get("messages_dropped", 0),
-        )
         return cls(
             protocol=data["protocol"],
             success=data["success"],
             latency=data["latency"],
             outcomes=outcomes,
-            stats=stats,
+            stats=TransferStats(**data["stats"]),
             trace=TraceLog(),
             start_time=data["start_time"],
             end_time=data["end_time"],
@@ -210,9 +193,11 @@ class DirectoryAuthorityNode(ProtocolNode):
     """Base class for the per-protocol authority implementations.
 
     Holds the authority's identity, its vote, the shared key ring, and the
-    outcome record; provides the consensus computation + signing helper that
-    all three protocols share (they differ only in *which* votes reach the
-    aggregation and *when*).
+    outcome record; provides the consensus computation + signing helper and
+    the signature exchange's verify-and-count step that all three protocols
+    share (they differ only in *which* votes reach the aggregation and
+    *when*, and in whether success is declared at a round boundary or the
+    moment a majority has signed).
 
     Authorities are also the origin servers of the consensus-*distribution*
     layer: a run no longer terminates at signing.  Two seams carry that:
@@ -246,6 +231,8 @@ class DirectoryAuthorityNode(ProtocolNode):
         self.config = config
         self.outcome = AuthorityOutcome(authority_id=authority.authority_id)
         self.consensus: Optional[ConsensusDocument] = None
+        #: Verified signature records, by consensus digest then signer.
+        self._signatures: Dict[str, Dict[int, ConsensusSignature]] = {}
         self._client_service = None
         self._consensus_listeners: List[Any] = []
 
@@ -283,6 +270,53 @@ class DirectoryAuthorityNode(ProtocolNode):
         )
         self.consensus = consensus
         return consensus
+
+    # -- the signing exchange ------------------------------------------------
+    def store_signature(self, record: ConsensusSignature) -> bool:
+        """Verify ``record`` and file it under its digest; True when it is new."""
+        if not isinstance(record, ConsensusSignature) or not verify(self.ring, record.signature):
+            return False
+        digest = record.signature.message
+        key = digest.hex().upper() if isinstance(digest, bytes) else str(digest)
+        per_digest = self._signatures.setdefault(key, {})
+        if record.authority_id in per_digest:
+            return False
+        per_digest[record.authority_id] = record
+        return True
+
+    def has_signature_majority(self) -> bool:
+        """Count the signatures over our own consensus digest into the outcome."""
+        matching = self._signatures.get(self.consensus.digest_hex(), {})
+        self.outcome.signature_count = len(matching)
+        return len(matching) >= self.majority
+
+    def _finalize(self) -> None:
+        """End of a lock-step protocol's last round: succeed on a majority.
+
+        The lock-step protocols set this as their final timer and provide
+        ``_network_latency()``, their own notion of active network time.
+        """
+        if self.consensus is None:
+            self.record_failure("no consensus computed")
+            self.log("warn", "No consensus document at the end of the voting period.")
+            return
+        if self.has_signature_majority():
+            self.record_success(self.now, self._network_latency())
+            self.log(
+                "notice",
+                "Consensus is valid with %d of %d signatures."
+                % (self.outcome.signature_count, self.total_authorities),
+            )
+        else:
+            self.record_failure(
+                "only %d of %d required signatures"
+                % (self.outcome.signature_count, self.majority)
+            )
+            self.log(
+                "warn",
+                "Consensus does not have a majority of signatures: %d of %d."
+                % (self.outcome.signature_count, self.majority),
+            )
 
     # -- consensus distribution seams ---------------------------------------
     def attach_client_service(self, service) -> None:

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.crypto.signatures import verify
 from repro.directory.consensus_doc import ConsensusSignature
 from repro.directory.vote import VoteDocument
 from repro.protocols.base import DirectoryAuthorityNode
@@ -37,7 +36,6 @@ class CurrentProtocolAuthority(DirectoryAuthorityNode):
         self._start_time = self.now
         self.votes: Dict[int, VoteDocument] = {self.authority.authority_id: self.vote}
         self._vote_receipt_times: Dict[int, float] = {}
-        self._signatures: Dict[str, Dict[int, ConsensusSignature]] = {}
         self._signature_receipt_times: List[float] = []
         self._consensus_round_start: Optional[float] = None
         self._fetch_requested_from: List[str] = []
@@ -83,15 +81,7 @@ class CurrentProtocolAuthority(DirectoryAuthorityNode):
         self._vote_receipt_times[vote.authority_id] = now
 
     def _store_signature(self, record: ConsensusSignature, now: float) -> None:
-        if not isinstance(record, ConsensusSignature):
-            return
-        if not verify(self.ring, record.signature):
-            return
-        digest = record.signature.message
-        key = digest.hex().upper() if isinstance(digest, bytes) else str(digest)
-        per_digest = self._signatures.setdefault(key, {})
-        if record.authority_id not in per_digest:
-            per_digest[record.authority_id] = record
+        if self.store_signature(record):
             self._signature_receipt_times.append(now)
 
     # -- round 1 helpers -------------------------------------------------------
@@ -223,32 +213,6 @@ class CurrentProtocolAuthority(DirectoryAuthorityNode):
             ),
             timeout=self.config.connection_timeout,
         )
-
-    # -- finalisation ----------------------------------------------------------------------------
-    def _finalize(self) -> None:
-        if self.consensus is None:
-            self.record_failure("no consensus computed")
-            self.log("warn", "No consensus document at the end of the voting period.")
-            return
-        digest_key = self.consensus.digest_hex()
-        matching = self._signatures.get(digest_key, {})
-        self.outcome.signature_count = len(matching)
-        if len(matching) >= self.majority:
-            network_latency = self._network_latency()
-            self.record_success(self.now, network_latency)
-            self.log(
-                "notice",
-                "Consensus is valid with %d of %d signatures." % (len(matching), self.total_authorities),
-            )
-        else:
-            self.record_failure(
-                "only %d of %d required signatures" % (len(matching), self.majority)
-            )
-            self.log(
-                "warn",
-                "Consensus does not have a majority of signatures: %d of %d."
-                % (len(matching), self.majority),
-            )
 
     def _network_latency(self) -> Optional[float]:
         """The paper's "network time": vote-round plus signature-round activity."""

@@ -15,7 +15,7 @@ working at bandwidths where the two synchronous baselines fail.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 from repro.consensus.interfaces import (
     Action,
@@ -27,7 +27,6 @@ from repro.consensus.interfaces import (
 from repro.core.documents import Document
 from repro.core.icps import ICPSConfig, ICPSMessage, ICPSNode, ICPSOutput
 from repro.crypto.keys import KeyRing
-from repro.crypto.signatures import verify
 from repro.directory.authority import DirectoryAuthority
 from repro.directory.consensus_doc import ConsensusSignature
 from repro.directory.vote import VoteDocument
@@ -63,7 +62,6 @@ class PartialSyncAuthority(DirectoryAuthorityNode):
             ring=ring,
             keypair=authority.keypair,
         )
-        self._signatures: Dict[str, Dict[int, ConsensusSignature]] = {}
         self._authority_by_name = {auth.name: auth for auth in self.all_authorities}
 
     # -- lifecycle ------------------------------------------------------------
@@ -153,26 +151,20 @@ class PartialSyncAuthority(DirectoryAuthorityNode):
         self._check_completion()
 
     def _store_signature(self, record: ConsensusSignature) -> None:
-        if not isinstance(record, ConsensusSignature):
-            return
-        if not verify(self.ring, record.signature):
-            return
-        digest = record.signature.message
-        key = digest.hex().upper() if isinstance(digest, bytes) else str(digest)
-        per_digest = self._signatures.setdefault(key, {})
-        per_digest.setdefault(record.authority_id, record)
-        self._check_completion()
+        if self.store_signature(record):
+            self._check_completion()
 
     def _check_completion(self) -> None:
         if self.outcome.success or self.consensus is None:
             return
-        digest_key = self.consensus.digest_hex()
-        matching = self._signatures.get(digest_key, {})
-        self.outcome.signature_count = len(matching)
-        if len(matching) >= self.majority:
+        if self.has_signature_majority():
             self.record_success(self.now, network_latency=self.now - self._start_time)
             self.log(
                 "notice",
                 "Consensus is valid with %d of %d signatures (%.1f s after protocol start)."
-                % (len(matching), self.total_authorities, self.now - self._start_time),
+                % (
+                    self.outcome.signature_count,
+                    self.total_authorities,
+                    self.now - self._start_time,
+                ),
             )

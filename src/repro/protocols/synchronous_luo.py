@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.crypto.digest import sha256_digest
-from repro.crypto.signatures import SignatureChain, verify
+from repro.crypto.signatures import SignatureChain
 from repro.directory.consensus_doc import ConsensusSignature
 from repro.directory.vote import VoteDocument
 from repro.protocols.base import DirectoryAuthorityNode
@@ -52,7 +52,6 @@ class SynchronousLuoAuthority(DirectoryAuthorityNode):
         self._package_receipt_times: Dict[int, float] = {}
         self._vote_round_start: Optional[float] = None
         self._agreed_package: Optional[Dict[int, VoteDocument]] = None
-        self._signatures: Dict[str, Dict[int, ConsensusSignature]] = {}
         self._signature_receipt_times: List[float] = []
         self._signature_round_start: Optional[float] = None
 
@@ -97,15 +96,7 @@ class SynchronousLuoAuthority(DirectoryAuthorityNode):
             self._store_list(vote, now)
 
     def _store_signature(self, record: ConsensusSignature, now: float) -> None:
-        if not isinstance(record, ConsensusSignature):
-            return
-        if not verify(self.ring, record.signature):
-            return
-        digest = record.signature.message
-        key = digest.hex().upper() if isinstance(digest, bytes) else str(digest)
-        per_digest = self._signatures.setdefault(key, {})
-        if record.authority_id not in per_digest:
-            per_digest[record.authority_id] = record
+        if self.store_signature(record):
             self._signature_receipt_times.append(now)
 
     # -- round 2: pack and broadcast all received lists ---------------------------
@@ -206,31 +197,6 @@ class SynchronousLuoAuthority(DirectoryAuthorityNode):
             targets=[peer.name for peer in self.peers],
             timeout=self.config.connection_timeout,
         )
-
-    # -- finalisation ----------------------------------------------------------------------------
-    def _finalize(self) -> None:
-        if self.consensus is None:
-            self.record_failure("no consensus computed")
-            self.log("warn", "No consensus document at the end of the voting period.")
-            return
-        digest_key = self.consensus.digest_hex()
-        matching = self._signatures.get(digest_key, {})
-        self.outcome.signature_count = len(matching)
-        if len(matching) >= self.majority:
-            self.record_success(self.now, self._network_latency())
-            self.log(
-                "notice",
-                "Consensus is valid with %d of %d signatures." % (len(matching), self.total_authorities),
-            )
-        else:
-            self.record_failure(
-                "only %d of %d required signatures" % (len(matching), self.majority)
-            )
-            self.log(
-                "warn",
-                "Consensus does not have a majority of signatures: %d of %d."
-                % (len(matching), self.majority),
-            )
 
     def _network_latency(self) -> Optional[float]:
         """Sum of the active network time of the list, vote-package, and signature exchanges."""

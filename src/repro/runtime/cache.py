@@ -26,8 +26,9 @@ from repro.utils.validation import ensure
 #: On-disk entry format version; bump when the summary layout changes or
 #: when equal specs stop producing equal summaries (a transport-trajectory
 #: change), so that older entries read as misses instead of mis-hitting.
-#: An entry holds the spec (spec format 5) and its result summary (summary
-#: version 3, with the ``faults`` and ``clients`` blocks).
+#: An entry holds the spec's ``to_dict()`` (written for people reading the
+#: file; never read back) and its result summary (summary version 3, with the
+#: ``faults`` and ``clients`` blocks).
 CACHE_FORMAT_VERSION = 6
 
 

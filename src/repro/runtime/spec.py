@@ -22,23 +22,29 @@ run configuration is reified into data:
   :meth:`SweepSpec.grid` in the (bandwidth × relay count × protocol) order
   the paper's figures use.
 
+The format — what joins :meth:`RunSpec.key` and how a spec reads and writes
+as JSON — is derived from the dataclass field declarations by
+:mod:`repro.utils.records`: adding a run parameter is one field (plus its
+validation in ``__post_init__``), and every field is in the cache key by
+construction.
+
 The module deliberately imports nothing from :mod:`repro.protocols` at module
-level (the protocol runner imports *us*); the only lazy touch point is
-:meth:`RunSpec.protocol_config`, which materialises a
-``DirectoryProtocolConfig`` from the spec's override pairs.
+level (the protocol runner imports *us*); ``DirectoryProtocolConfig`` is
+imported lazily where config overrides are validated and materialised.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.clients.workload import ClientWorkload
 from repro.faults.plan import EMPTY_FAULT_PLAN, FaultPlan
 from repro.simnet.bandwidth import BandwidthSchedule
 from repro.simnet.linkmodel import link_model_names
+from repro.utils.records import record_from_dict, record_key, record_to_dict
 from repro.utils.validation import ensure, ensure_type
 
 #: Names accepted by the protocol runner, matching the paper's legend.
@@ -46,14 +52,6 @@ PROTOCOL_NAMES = ("current", "synchronous", "ours")
 
 #: Default cap on how many relays are materialised per vote in large sweeps.
 DEFAULT_CONTENT_RELAY_CAP = 120
-
-#: Serialization format version written by :meth:`RunSpec.to_dict`.  The
-#: format holds every :class:`RunSpec` field by name — ``transport`` is a
-#: link-model registry name, ``fault_plan`` the declarative fault layer — and
-#: ``client_workload`` only when the spec has one, so a client-free spec
-#: serializes (and, through :meth:`RunSpec.key`, hashes) as it did before
-#: the distribution layer existed.
-SPEC_FORMAT_VERSION = 5
 
 
 @dataclass(frozen=True)
@@ -101,34 +99,12 @@ class BandwidthOverride:
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-serializable form."""
-        return {
-            "authority_id": self.authority_id,
-            "base_mbps": self.base_mbps,
-            "windows": [list(window) for window in self.windows],
-        }
+        return record_to_dict(self)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "BandwidthOverride":
         """Inverse of :meth:`to_dict`."""
-        return cls(
-            authority_id=int(data["authority_id"]),
-            base_mbps=float(data["base_mbps"]),
-            windows=tuple(tuple(window) for window in data.get("windows", ())),
-        )
-
-
-def _canonical_value(value: Any) -> Any:
-    """Normalize a config-override value for hashing.
-
-    ``DirectoryProtocolConfig(connection_timeout=30)`` and ``...=30.0``
-    compare equal, so their specs must hash equally too: ints and floats
-    collapse to float (bools excepted — they are ints but mean flags).
-    """
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, (int, float)):
-        return float(value)
-    return value
+        return record_from_dict(cls, data)
 
 
 def overrides_from_config(config: Any) -> Tuple[Tuple[str, Any], ...]:
@@ -173,8 +149,8 @@ class RunSpec:
     bandwidth_overrides: Tuple[BandwidthOverride, ...] = ()
     fault_plan: FaultPlan = EMPTY_FAULT_PLAN
     #: Dir-client population fetching the signed consensus (the consensus-
-    #: distribution layer); None keeps the run client-free and the spec hash
-    #: identical to pre-v5 builds.
+    #: distribution layer); None keeps the run client-free.  Declared last:
+    #: :meth:`key` drops a None workload from the tail.
     client_workload: Optional[ClientWorkload] = None
 
     def __post_init__(self) -> None:
@@ -196,6 +172,16 @@ class RunSpec:
             "config_overrides",
             tuple(sorted((str(name), value) for name, value in self.config_overrides)),
         )
+        if self.config_overrides:
+            from repro.protocols.base import DirectoryProtocolConfig
+
+            known = {field_.name for field_ in dataclasses.fields(DirectoryProtocolConfig)}
+            unknown = [name for name, _value in self.config_overrides if name not in known]
+            ensure(
+                not unknown,
+                "unknown config override(s) %r; expected names among %r"
+                % (unknown, sorted(known)),
+            )
         object.__setattr__(self, "bandwidth_overrides", tuple(self.bandwidth_overrides))
         for override in self.bandwidth_overrides:
             ensure(
@@ -251,34 +237,15 @@ class RunSpec:
 
     # -- hashing and serialization ----------------------------------------
     def key(self) -> Tuple:
-        """Canonical tuple of everything that defines this run.
+        """Canonical tuple of everything that defines this run: every field.
 
-        The client workload is appended *only when present*: a spec without
-        one keys (and therefore hashes and caches) exactly as it did before
-        the distribution layer existed.
+        The one special case: a ``None`` client workload (the last field) is
+        dropped from the tail, so a client-free spec keys (and therefore
+        hashes and caches) exactly as it did before the distribution layer
+        existed.
         """
-        base = (
-            self.protocol,
-            self.relay_count,
-            float(self.bandwidth_mbps),
-            self.seed,
-            self.engine,
-            self.transport,
-            self.authority_count,
-            self.content_relay_cap,
-            float(self.max_time),
-            float(self.delta),
-            float(self.view_timeout),
-            tuple((name, _canonical_value(value)) for name, value in self.config_overrides),
-            tuple(
-                (o.authority_id, float(o.base_mbps), o.windows)
-                for o in self.bandwidth_overrides
-            ),
-            self.fault_plan.key(),
-        )
-        if self.client_workload is None:
-            return base
-        return base + (self.client_workload.key(),)
+        key = record_key(self)
+        return key if self.client_workload is not None else key[:-1]
 
     def spec_hash(self) -> str:
         """Stable content hash: equal specs hash equally across processes."""
@@ -287,56 +254,12 @@ class RunSpec:
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-serializable form (inverse of :meth:`from_dict`)."""
-        data = {
-            "format": SPEC_FORMAT_VERSION,
-            "protocol": self.protocol,
-            "relay_count": self.relay_count,
-            "bandwidth_mbps": self.bandwidth_mbps,
-            "seed": self.seed,
-            "engine": self.engine,
-            "transport": self.transport,
-            "authority_count": self.authority_count,
-            "content_relay_cap": self.content_relay_cap,
-            "max_time": self.max_time,
-            "delta": self.delta,
-            "view_timeout": self.view_timeout,
-            "config_overrides": [[name, value] for name, value in self.config_overrides],
-            "bandwidth_overrides": [o.to_dict() for o in self.bandwidth_overrides],
-            "fault_plan": self.fault_plan.to_dict(),
-        }
-        if self.client_workload is not None:
-            data["client_workload"] = self.client_workload.to_dict()
-        return data
+        return record_to_dict(self)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "RunSpec":
         """Rebuild a spec from :meth:`to_dict` output."""
-        return cls(
-            protocol=data["protocol"],
-            relay_count=int(data["relay_count"]),
-            bandwidth_mbps=float(data["bandwidth_mbps"]),
-            seed=int(data["seed"]),
-            engine=data["engine"],
-            transport=data["transport"],
-            authority_count=int(data["authority_count"]),
-            content_relay_cap=int(data["content_relay_cap"]),
-            max_time=float(data["max_time"]),
-            delta=float(data["delta"]),
-            view_timeout=float(data["view_timeout"]),
-            config_overrides=tuple(
-                (name, value) for name, value in data.get("config_overrides", ())
-            ),
-            bandwidth_overrides=tuple(
-                BandwidthOverride.from_dict(entry)
-                for entry in data.get("bandwidth_overrides", ())
-            ),
-            fault_plan=FaultPlan.from_dict(data.get("fault_plan", {})),
-            client_workload=(
-                ClientWorkload.from_dict(data["client_workload"])
-                if data.get("client_workload")
-                else None
-            ),
-        )
+        return record_from_dict(cls, data)
 
 
 @dataclass(frozen=True)

@@ -129,9 +129,8 @@ def test_batched_waves_match_under_random_fault_plans(seed):
 
 
 def test_batched_waves_match_with_large_gaussian_cohorts():
-    # Cohorts above the exact-Binomial limit take the Gaussian path; enough
-    # of them in one bucket (>= the numpy cutover) exercises the vectorized
-    # batch_gaussian_binomial expression against scalar per-cohort draws.
+    # Cohorts above the exact-Binomial limit take the Gaussian path (one
+    # z-score pull each), many of them sharing one bucket.
     workload = ClientWorkload(
         population=20_000,
         cohort_count=25,

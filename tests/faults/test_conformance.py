@@ -10,12 +10,10 @@ jitter, Byzantine modes).  The invariants hold for *every* protocol and
   dropped ≤ sent, and the injector's count matches the transport's;
 * safety — no authority outputs a consensus while a quorum is fully
   partitioned;
-* executor transparency — a faulted sweep is bit-identical at 1 and N
-  workers (N from ``REPRO_FAULTS_WORKERS``, default 2) and round-trips
-  through the ResultCache.
+* executor transparency — a faulted sweep is bit-identical at 1 and 2
+  workers and round-trips through the ResultCache.
 """
 
-import os
 import random
 
 from hypothesis import HealthCheck, given, settings
@@ -27,8 +25,8 @@ from repro.runtime.cache import ResultCache
 from repro.runtime.executor import SweepExecutor
 from repro.runtime.spec import PROTOCOL_NAMES, RunSpec
 
-#: Worker count for the parallel-determinism checks (CI runs a 2-worker leg).
-WORKERS = int(os.environ.get("REPRO_FAULTS_WORKERS", "2"))
+#: Worker count for the parallel-determinism checks.
+WORKERS = 2
 
 #: Small-but-real run shape shared by every conformance property.
 AUTHORITY_COUNT = 5
