@@ -2,7 +2,7 @@
 
 Future perf PRs should start from data, not vibes: this script cProfiles a
 single scaling-sweep cell (default: the headline ``fair`` run at 90
-authorities on the lazy engine) and dumps the top-N functions by cumulative
+authorities) and dumps the top-N functions by cumulative
 time.  It is how the lazy-advance PR found, for example, that vote
 re-serialisation — not the scheduler — had become the next bottleneck once
 rate recomputation was incremental.
@@ -10,18 +10,11 @@ rate recomputation was incremental.
 Usage::
 
     PYTHONPATH=src python benchmarks/profile_scaling.py
-    PYTHONPATH=src python benchmarks/profile_scaling.py --engine vector
     PYTHONPATH=src python benchmarks/profile_scaling.py \\
         --authorities 30 --transport fifo --sort tottime --top 40
     PYTHONPATH=src python benchmarks/profile_scaling.py --out cell.prof
     PYTHONPATH=src python benchmarks/profile_scaling.py \\
         --authorities 9 --clients 1000000 --cohorts 32
-    PYTHONPATH=src python benchmarks/profile_scaling.py \\
-        --authorities 120 --compare
-    PYTHONPATH=src python benchmarks/profile_scaling.py \\
-        --authorities 120 --transport tcp --engine vector
-    PYTHONPATH=src python benchmarks/profile_scaling.py \\
-        --authorities 120 --transport tcp --compare --repeats 5
     PYTHONPATH=src python benchmarks/profile_scaling.py \\
         --authorities 120 --phases
 
@@ -30,14 +23,8 @@ without it the report just prints.  The cell always executes in-process and
 uncached, so the profile measures simulation cost only.  ``--clients``
 attaches a consensus-distribution workload (``--cohorts`` cohorts, the
 Figure 13 defaults otherwise), making the client layer profilable exactly
-like the transport.  ``--compare`` skips the profiler and instead times the
-same cell on each engine (lazy and vector), printing a scalar-vs-vector
-speedup table (the quick sanity check before trusting a profile's relative
-numbers); with ``--transport tcp`` the vector row runs the tcp vector
-policy, so the table prices cohort ack ticks directly.  The scenario is
-built once before the first timed run, so no row pays the cold build the
-others get from the process memo; ``--repeats N`` times every engine N
-times, alternating which goes first, and prints medians with min–max.
+like the transport.  ``--phases`` skips the profiler and prints the run's
+phase buckets instead.
 """
 
 from __future__ import annotations
@@ -45,17 +32,10 @@ from __future__ import annotations
 import argparse
 import cProfile
 import pstats
-import statistics
-import time
-from typing import Dict, List, Optional, Sequence
+from typing import Optional, Sequence
 
-from repro.protocols.runner import execute_spec, scenario_cache_info, scenario_from_spec
+from repro.protocols.runner import execute_spec, scenario_cache_info
 from repro.runtime.spec import RunSpec
-from repro.simnet.flows import (
-    SHARED_ENGINES,
-    effective_shared_engine,
-    use_shared_engine,
-)
 from repro.utils import phases
 
 #: Default cohort count for --clients (the Figure 13 grid's).
@@ -94,7 +74,6 @@ def _cell_spec(
 def profile_cell(
     authorities: int = 90,
     transport: str = "fair",
-    engine: str = "lazy",
     protocol: str = "current",
     relay_count: int = 200,
     seed: int = 7,
@@ -107,13 +86,12 @@ def profile_cell(
         authorities, transport, protocol, relay_count, seed, max_time, clients, cohorts
     )
     profiler = cProfile.Profile()
-    with use_shared_engine(engine):
-        profiler.enable()
-        result = execute_spec(spec)
-        profiler.disable()
+    profiler.enable()
+    result = execute_spec(spec)
+    profiler.disable()
     print(
-        "cell: %s@%d transport=%s engine=%s success=%s messages=%d"
-        % (protocol, authorities, transport, engine, result.success, result.stats.messages_sent)
+        "cell: %s@%d transport=%s success=%s messages=%d"
+        % (protocol, authorities, transport, result.success, result.stats.messages_sent)
     )
     if result.client_summary:
         print(
@@ -128,80 +106,9 @@ def profile_cell(
     return profiler
 
 
-def compare_engines(
-    authorities: int = 90,
-    transport: str = "fair",
-    protocol: str = "current",
-    relay_count: int = 200,
-    seed: int = 7,
-    max_time: float = 600.0,
-    clients: int = 0,
-    cohorts: int = DEFAULT_COHORTS,
-    engines: Sequence[str] = SHARED_ENGINES,
-    repeats: int = 1,
-) -> Dict[str, List[float]]:
-    """Time the same cell ``repeats`` times per engine and print a speedup table.
-
-    The baseline row is the lazy engine (the default); each row reports its
-    median wall clock with min–max, the lazy/engine ratio of the medians and
-    the rate passes and flows rated per message (lazy only: the vector engine
-    does not count them).  The engines take turns going first, and the scenario's
-    ingredients are built before anything is timed — otherwise the first row
-    alone pays the cold build.  On a numpy-less install the ``vector`` row
-    runs the lazy fallback and says so.  Returns the wall clocks per engine.
-    """
-    spec = _cell_spec(
-        authorities, transport, protocol, relay_count, seed, max_time, clients, cohorts
-    )
-    scenario_from_spec(spec)
-    walls: Dict[str, List[float]] = {engine: [] for engine in engines}
-    rows = {}
-    for repeat in range(repeats):
-        for engine in engines if repeat % 2 == 0 else reversed(engines):
-            with use_shared_engine(engine):
-                effective = effective_shared_engine(transport)
-                started = time.perf_counter()
-                result = execute_spec(spec)
-                walls[engine].append(time.perf_counter() - started)
-            rows[engine] = (effective, result)
-    medians = {engine: statistics.median(times) for engine, times in walls.items()}
-    baseline = medians.get("lazy", medians[engines[0]])
-    print(
-        "engine comparison: %s@%d transport=%s (%d engines, %d repeats, baseline lazy)"
-        % (protocol, authorities, transport, len(engines), repeats)
-    )
-    header = "%-8s %-16s %10s %15s %8s %10s %10s %10s" % (
-        "engine", "effective", "median (s)", "min-max (s)", "lazy/x", "messages",
-        "passes/msg", "rated/msg",
-    )
-    print(header)
-    print("-" * len(header))
-    for engine in engines:
-        effective, result = rows[engine]
-        messages = result.stats.messages_sent
-        per_message = [
-            "-" if count is None else "%.2f" % (count / max(messages, 1))
-            for count in map(result.engine_counters.get, ("rate_passes", "flows_rated"))
-        ]
-        print(
-            "%-8s %-16s %10.2f %15s %8.2f %10d %10s %10s"
-            % (
-                engine,
-                effective if effective == engine else "%s (fallback)" % effective,
-                medians[engine],
-                "%.2f-%.2f" % (min(walls[engine]), max(walls[engine])),
-                baseline / medians[engine] if medians[engine] else 0.0,
-                messages,
-                *per_message,
-            )
-        )
-    return walls
-
-
 def phase_cell(
     authorities: int = 90,
     transport: str = "fair",
-    engine: str = "lazy",
     protocol: str = "current",
     relay_count: int = 200,
     seed: int = 7,
@@ -222,15 +129,13 @@ def phase_cell(
     spec = _cell_spec(
         authorities, transport, protocol, relay_count, seed, max_time, clients, cohorts
     )
-    with use_shared_engine(engine):
-        result, buckets, wall_s = phases.profile(execute_spec, spec)
+    result, buckets, wall_s = phases.profile(execute_spec, spec)
     print(
-        "cell: %s@%d transport=%s engine=%s success=%s messages=%d wall=%.2fs"
+        "cell: %s@%d transport=%s success=%s messages=%d wall=%.2fs"
         % (
             protocol,
             authorities,
             transport,
-            engine,
             result.success,
             result.stats.messages_sent,
             wall_s,
@@ -278,7 +183,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--authorities", type=int, default=90)
     parser.add_argument("--transport", default="fair")
-    parser.add_argument("--engine", default="lazy", choices=SHARED_ENGINES)
     parser.add_argument("--protocol", default="current")
     parser.add_argument(
         "--clients",
@@ -293,19 +197,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="cohort count for --clients",
     )
     parser.add_argument(
-        "--compare",
-        action="store_true",
-        help="time the cell once per engine and print a speedup table "
-        "instead of profiling",
-    )
-    parser.add_argument(
-        "--repeats",
-        type=int,
-        default=1,
-        help="with --compare: timed runs per engine, alternating which engine "
-        "goes first (median and min-max are printed)",
-    )
-    parser.add_argument(
         "--phases",
         action="store_true",
         help="run the cell with phase attribution (transport / protocol / "
@@ -318,22 +209,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--out", default=None, help="write raw pstats dump here")
     args = parser.parse_args(argv)
 
-    if args.compare:
-        compare_engines(
-            authorities=args.authorities,
-            transport=args.transport,
-            protocol=args.protocol,
-            clients=args.clients,
-            cohorts=args.cohorts,
-            repeats=args.repeats,
-        )
-        return 0
-
     if args.phases:
         phase_cell(
             authorities=args.authorities,
             transport=args.transport,
-            engine=args.engine,
             protocol=args.protocol,
             clients=args.clients,
             cohorts=args.cohorts,
@@ -343,7 +222,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     profiler = profile_cell(
         authorities=args.authorities,
         transport=args.transport,
-        engine=args.engine,
         protocol=args.protocol,
         clients=args.clients,
         cohorts=args.cohorts,

@@ -166,15 +166,25 @@ class LocalDriver:
         stop_when_all_decided: bool = True,
         max_events: int = 1_000_000,
     ) -> DriverResult:
-        """Run the event loop and return the collected decisions."""
+        """Run the event loop and return the collected decisions.
+
+        Events after ``until`` stay queued for a later ``run``.  Like
+        :meth:`repro.simnet.engine.Simulator.run`, ``max_events`` is an exact
+        bound: at most that many events execute, and the error is raised
+        only when a further event for a live node is still due.
+        """
         executed = 0
-        while self._queue:
+        queue = self._queue
+        while queue:
             if stop_when_all_decided and self._all_correct_decided():
                 break
-            time, _seq, kind, node, payload = heapq.heappop(self._queue)
+            time, _seq, kind, node, payload = queue[0]
             if time > until:
                 self._now = until
                 break
+            if executed >= max_events and node not in self.crashed:
+                raise RuntimeError("LocalDriver exceeded max_events=%d" % max_events)
+            heapq.heappop(queue)
             self._now = time
             if node in self.crashed:
                 continue
@@ -186,8 +196,6 @@ class LocalDriver:
                 actions = engine.on_timeout(payload)
             self._handle_actions(node, actions)
             executed += 1
-            if executed > max_events:
-                raise RuntimeError("LocalDriver exceeded max_events=%d" % max_events)
         return self.result()
 
     def _all_correct_decided(self) -> bool:

@@ -2,7 +2,7 @@
 
 Engines are pure state machines: inputs are ``start``, ``on_message``, and
 ``on_timeout`` calls; outputs are lists of :class:`Action` objects describing
-what the host environment should do (send a message, set a timer, record a
+what the host should do (send a message, set a timer, record a
 decision).  This inversion keeps the engines testable in isolation and lets
 the exact same code run under the local driver and the network simulator.
 """

@@ -43,22 +43,11 @@ class ResultCache:
     def path_for(self, spec: RunSpec) -> Path:
         """The file that does/would hold ``spec``'s cached summary.
 
-        The shared-scheduler engine is an execution flag, not a spec field,
-        but summaries differ between engines at float-rounding level — so a
-        run on the vector engine stores under a ``.vector`` suffix and never
-        hits (or feeds) entries produced by default runs.  What counts is
-        the engine that runs, not the one requested:
-        :func:`~repro.simnet.flows.effective_shared_engine` is the same rule
-        the scheduler factory applies, so a ``vector`` request that
-        downgrades (no numpy, no vector policy) or does not apply at all (a
-        model that is not shared) addresses the default entry.
+        The spec hash alone names it: a spec describes its whole run, and
+        every spec runs on the same scheduler.
         """
-        from repro.simnet.flows import effective_shared_engine
-
         digest = spec.spec_hash()
-        engine = effective_shared_engine(spec.transport)
-        suffix = "" if engine == "lazy" else ".%s" % engine
-        return self.root / digest[:2] / ("%s%s.json" % (digest, suffix))
+        return self.root / digest[:2] / ("%s.json" % digest)
 
     # -- store/load --------------------------------------------------------
     def get(self, spec: RunSpec) -> Optional[Dict[str, Any]]:

@@ -15,11 +15,10 @@ model), propagation latency, protocol timers, and per-connection timeouts.
   **fifo** per-uplink scheduling, or the sharing-free **latency-only** fast
   model for large sweeps;
 * :class:`~repro.simnet.flows.FlowScheduler` — flow lifecycle and
-  completion-time maintenance; shared models default to the lazy-advance
+  completion-time maintenance; shared models run the lazy-advance
   heap-driven engine (:mod:`repro.simnet.shared_sched`, O(touched flows)
-  per event), with the numpy structure-of-arrays engine
-  (:mod:`repro.simnet.vector_sched`) selectable via
-  ``REPRO_SHARED_ENGINE=vector``;
+  per event) unless a network is built with ``shared_engine="vector"``
+  (:mod:`repro.simnet.vector_sched`, numpy structure-of-arrays);
 * :class:`SimNetwork` — topology, fault seams, accounting, and the wiring
   that composes the above;
 * :class:`ProtocolNode` — the base class all protocol state machines extend
@@ -29,7 +28,7 @@ model), propagation latency, protocol timers, and per-connection timeouts.
 
 from repro.simnet.engine import EventHandle, Simulator
 from repro.simnet.bandwidth import BandwidthSchedule
-from repro.simnet.flows import Flow, FlowScheduler, resolve_shared_engine, use_shared_engine
+from repro.simnet.flows import Flow, FlowScheduler
 from repro.simnet.shared_sched import LazySharedLinkScheduler
 from repro.simnet.linkmodel import (
     FairShareLinkModel,
@@ -52,8 +51,6 @@ __all__ = [
     "Flow",
     "FlowScheduler",
     "LazySharedLinkScheduler",
-    "resolve_shared_engine",
-    "use_shared_engine",
     "LinkModel",
     "FairShareLinkModel",
     "FifoLinkModel",

@@ -12,18 +12,19 @@ one entry, :meth:`FlowScheduler.start_flows`: the network hands over each
 scheduler below turns the burst into one rate pass or one shared heap event.
 The schedulers cover the two coupling regimes a link model can declare — two
 engines for the shared regime, one for the independent one;
-:func:`effective_shared_engine` is the one rule that picks between them:
+:func:`make_flow_scheduler` builds the one a network asks for:
 
 :class:`~repro.simnet.shared_sched.LazySharedLinkScheduler` (``LinkModel.shared``)
-    The default engine for models where flow rates couple through link
-    occupancy (``fair``, ``fifo``, ``tcp``): lazy per-flow progress and one
-    pending heap event per flow, re-pushed only when the flow's rate
-    actually changes — O(touched flows × log F) per event.  It drives the
-    model's five bulk hooks and needs nothing else registered anywhere.  See
-    :mod:`repro.simnet.shared_sched`.
+    The engine for models where flow rates couple through link occupancy
+    (``fair``, ``fifo``, ``tcp``): lazy per-flow progress and one pending
+    heap event per flow, re-pushed only when the flow's rate actually
+    changes — O(touched flows × log F) per event.  It drives the model's
+    five bulk hooks and needs nothing else registered anywhere.  Every run a
+    spec describes uses it.  See :mod:`repro.simnet.shared_sched`.
 
-:class:`~repro.simnet.vector_sched.VectorSharedLinkScheduler` (``REPRO_SHARED_ENGINE=vector``)
-    The opt-in numpy structure-of-arrays engine for the same models: per-flow
+:class:`~repro.simnet.vector_sched.VectorSharedLinkScheduler` (``shared_engine="vector"``)
+    A numpy structure-of-arrays engine for ``fair`` and ``tcp``, built only
+    when a network is constructed with ``shared_engine="vector"``: per-flow
     state in slot arrays, one batched rate pass and one wake event per
     instant.  See :mod:`repro.simnet.vector_sched`.
 
@@ -43,12 +44,10 @@ id generator is needed.
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Mapping, Optional, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Optional
 
 from repro.simnet.engine import EventHandle, Simulator
-from repro.simnet.linkmodel import LinkModel, get_link_model
+from repro.simnet.linkmodel import LinkModel
 from repro.simnet.message import Message
 from repro.utils.validation import ValidationError
 
@@ -60,78 +59,6 @@ _COMPLETION_EPSILON_BYTES = 1e-6
 
 #: Slack when comparing virtual times.
 _TIME_EPSILON = 1e-9
-
-#: Environment variable selecting the shared-regime engine for networks that
-#: do not pass one explicitly (values: "lazy" or "vector").
-SHARED_ENGINE_ENV = "REPRO_SHARED_ENGINE"
-
-#: The shared-regime engines :func:`make_flow_scheduler` knows how to build.
-SHARED_ENGINES = ("lazy", "vector")
-
-
-def resolve_shared_engine(explicit: Optional[str] = None) -> str:
-    """The shared-regime engine *requested*: explicit argument, else the
-    ``REPRO_SHARED_ENGINE`` environment variable, else ``"lazy"``.
-
-    A request is not yet a selection — :func:`effective_shared_engine` turns
-    it into the engine that runs.
-    """
-    engine = explicit if explicit is not None else os.environ.get(SHARED_ENGINE_ENV, "lazy")
-    if engine not in SHARED_ENGINES:
-        raise ValidationError(
-            "unknown shared engine %r; expected one of %r" % (engine, SHARED_ENGINES)
-        )
-    return engine
-
-
-def effective_shared_engine(
-    transport: Union[str, LinkModel], requested: Optional[str] = None
-) -> str:
-    """The shared-regime engine a run over ``transport`` executes.
-
-    This is the one engine-selection rule: :func:`make_flow_scheduler` builds
-    what it returns and :class:`~repro.runtime.cache.ResultCache` keys on it,
-    so the scheduler that runs and the label a result is stored or reported
-    under cannot disagree.
-
-    * A model that is not ``shared`` runs the independent scheduler whatever
-      was requested; it reports the default, ``"lazy"``, so its results are
-      keyed and labelled as default runs.
-    * ``"vector"`` is honoured when numpy is importable and the model has a
-      policy in :data:`repro.simnet.vector_sched.VECTOR_POLICIES`; otherwise
-      the request downgrades to ``"lazy"``, which runs every shared model.
-    """
-    engine = resolve_shared_engine(requested)
-    model = transport if isinstance(transport, LinkModel) else get_link_model(transport)
-    if not model.shared:
-        return "lazy"
-    if engine == "vector":
-        from repro.simnet.vector_sched import VECTOR_POLICIES, vector_available
-
-        if not (vector_available() and model.name in VECTOR_POLICIES):
-            return "lazy"
-    return engine
-
-
-@contextmanager
-def use_shared_engine(engine: str) -> Iterator[None]:
-    """Force the shared-regime engine for networks built inside the block.
-
-    Spec-driven entry points (``execute_spec``) construct their own
-    ``SimNetwork``, so engine selection for conformance tests travels
-    through the environment rather than a parameter; this context manager
-    scopes it safely.
-    """
-    resolve_shared_engine(engine)  # validate before mutating the environment
-    previous = os.environ.get(SHARED_ENGINE_ENV)
-    os.environ[SHARED_ENGINE_ENV] = engine
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop(SHARED_ENGINE_ENV, None)
-        else:
-            os.environ[SHARED_ENGINE_ENV] = previous
 
 
 class Flow:
@@ -468,17 +395,21 @@ def make_flow_scheduler(
 ) -> FlowScheduler:
     """Build the scheduler matching ``model``'s coupling regime.
 
-    Uncoupled models get the independent scheduler.  For shared models
-    :func:`effective_shared_engine` decides between the lazy-advance engine
-    and the numpy structure-of-arrays engine from ``shared_engine`` (default:
-    the ``REPRO_SHARED_ENGINE`` environment variable, else ``"lazy"``).
+    Uncoupled models get the independent scheduler whatever ``shared_engine``
+    says.  A shared model gets the lazy engine for ``None`` or ``"lazy"``
+    and the numpy structure-of-arrays engine for ``"vector"``, which raises
+    :class:`ValidationError` when it cannot run the model.
     """
     if not model.shared:
         return IndependentFlowScheduler(model, simulator, links, complete, expire)
-    if effective_shared_engine(model, shared_engine) == "vector":
-        from repro.simnet.vector_sched import VectorSharedLinkScheduler
+    if shared_engine in (None, "lazy"):
+        from repro.simnet.shared_sched import LazySharedLinkScheduler
 
-        return VectorSharedLinkScheduler(model, simulator, links, complete, expire)
-    from repro.simnet.shared_sched import LazySharedLinkScheduler
+        return LazySharedLinkScheduler(model, simulator, links, complete, expire)
+    if shared_engine != "vector":
+        raise ValidationError(
+            "unknown shared engine %r; expected 'lazy' or 'vector'" % (shared_engine,)
+        )
+    from repro.simnet.vector_sched import VectorSharedLinkScheduler
 
-    return LazySharedLinkScheduler(model, simulator, links, complete, expire)
+    return VectorSharedLinkScheduler(model, simulator, links, complete, expire)

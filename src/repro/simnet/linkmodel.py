@@ -57,8 +57,9 @@ implements the five bulk hooks the lazy scheduler
 ``on_flows_added``, ``on_flows_removed``, ``movers_among``,
 ``on_link_rate_changed``, ``rates_of`` — over the scheduler's live indexes,
 which :meth:`LinkModel.bind` hands it once.  :data:`LINK_MODELS` is the only
-registry the lazy engine consults; the opt-in vector engine additionally
-needs a policy in :data:`repro.simnet.vector_sched.VECTOR_POLICIES`.  The
+registry the lazy engine consults; the vector engine, built only on an
+explicit request, runs the models in
+:data:`repro.simnet.vector_sched.VECTOR_POLICIES` and refuses the rest.  The
 from-scratch statement of the same arithmetic is the test-side reference
 model, ``tests/simnet/reference_sched.py``.
 """

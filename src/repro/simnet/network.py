@@ -152,9 +152,10 @@ class SimNetwork:
         ``transport`` selects the link model — a registry name (``"fair"``,
         ``"fifo"``, ``"tcp"``, ``"latency-only"``) or a :class:`LinkModel`
         instance for unregistered experiments.  ``shared_engine`` selects the
-        shared-regime scheduler engine (``"lazy"`` or ``"vector"``; default
-        from ``REPRO_SHARED_ENGINE``, else lazy) — see
-        :func:`repro.simnet.flows.effective_shared_engine`.
+        shared-regime scheduler engine: ``None`` or ``"lazy"`` (what every
+        spec run uses), or ``"vector"``, which raises ``ValidationError``
+        when it cannot run the model — see
+        :func:`repro.simnet.flows.make_flow_scheduler`.
         """
         model = transport if isinstance(transport, LinkModel) else get_link_model(transport)
         ensure(default_latency_s >= 0, "default latency must be non-negative")

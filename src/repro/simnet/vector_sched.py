@@ -1,16 +1,15 @@
 """Structure-of-arrays vectorized scheduling for shared link models.
 
-The lazy engine (:mod:`repro.simnet.shared_sched`) already scoped per-event
-work to *touched* flows, but it still executes that work one flow at a time
-in Python — a dict lookup, a few float multiplies, a heap push per flow.  At
-paper scale (120 authorities broadcasting votes) a single transport event
-touches an entire link occupancy set of ~100 flows, and the per-flow
-interpreter overhead dominates the run (DESIGN-transport.md has the last
-lazy-vs-vector timings; ``benchmarks/profile_scaling.py --compare`` takes
-new ones).
+The lazy engine (:mod:`repro.simnet.shared_sched`) scopes per-event work to
+*touched* flows, but it executes that work one flow at a time in Python — a
+dict lookup, a few float multiplies, a heap push per flow.  This engine
+batches it over numpy arrays instead.  No run a spec describes uses it: a
+network builds it only when constructed with ``shared_engine="vector"``,
+which ``perfbench``'s ``fair-vector`` / ``tcp-vector`` micro rows do
+(DESIGN-transport.md has the last lazy-vs-vector timings).
 
 :class:`VectorSharedLinkScheduler` keeps per-flow state in parallel numpy
-arrays instead — residual bytes, rate, last-update instant, weight, interned
+arrays — residual bytes, rate, last-update instant, weight, interned
 uplink/downlink ids, deadline and next-event target — and turns the two hot
 loops into array expressions:
 
@@ -42,14 +41,13 @@ order where the lazy engine interleaves per-flow events), so golden
 comparisons are stats/counts-level, never event-order.
 
 numpy is an optional dependency (the ``[perf]`` extra).  The module imports
-without it; :func:`vector_available` gates engine selection in
-:func:`repro.simnet.flows.make_flow_scheduler`, which silently falls back to
-the lazy engine so pure-Python installs keep working unchanged.
+without it and :func:`vector_available` says whether the engine can run; a
+:class:`VectorSharedLinkScheduler` built without numpy, or for a model with
+no entry in :data:`VECTOR_POLICIES`, raises ``ValidationError``.
 """
 
 from __future__ import annotations
 
-import heapq
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.simnet.flows import (
@@ -59,6 +57,7 @@ from repro.simnet.flows import (
     FlowScheduler,
 )
 from repro.simnet.linkmodel import _TICK_EPSILON
+from repro.utils.validation import ValidationError
 
 try:  # pragma: no cover - absence exercised by the no-numpy CI leg
     import numpy as _np
@@ -99,9 +98,6 @@ class _VectorPolicy:
     def grow_slots(self, capacity: int) -> None:
         """Slot arrays doubled; extend any policy-owned per-slot arrays."""
 
-    def grow_links(self, capacity: int) -> None:
-        """Link arrays doubled; extend any policy-owned per-link arrays."""
-
     def on_add(self, slot: int) -> None:
         """Observe an admission (slot arrays and indexes already filled)."""
         raise NotImplementedError
@@ -131,8 +127,8 @@ class _VectorPolicy:
         """Earliest future instant at which the policy itself changes rates.
 
         The scheduler folds this into its wake aim.  Memoryless policies
-        (fair, fifo) return ``inf``: their rates only change when flows or
-        link capacities do.
+        (fair) return ``inf``: their rates only change when flows or link
+        capacities do.
         """
         return float("inf")
 
@@ -197,155 +193,6 @@ class _FairVectorPolicy(_VectorPolicy):
         up = _np.where(s._agg[src], up_cap * weight, up_cap * weight / s._src_w[src])
         down = _np.where(s._agg[dst], down_cap * weight, down_cap * weight / s._dst_w[dst])
         return _np.minimum(up, down)
-
-
-class _FifoVectorPolicy(_VectorPolicy):
-    """Strict arrival-order uplinks with fair downlink sharing, batched.
-
-    The incremental structures are ``FifoLinkModel``'s — per-uplink arrival
-    queues (min-heaps over flow ids with lazy deletion), the served head per
-    uplink, per-downlink serving sets and weighted serving counts — held at
-    slot granularity, plus two policy-owned per-slot arrays: ``eligible``
-    (is the slot currently served) and ``conc`` (how many simultaneous
-    transfers it stands for).  Queued slots have rate exactly 0 and are only
-    touched at their own transitions.
-    """
-
-    def __init__(self, sched: "VectorSharedLinkScheduler") -> None:
-        super().__init__(sched)
-        self._eligible = _np.zeros(sched._capacity, dtype=bool)
-        self._conc = _np.zeros(sched._capacity, dtype=_np.float64)
-        self._serving_w = _np.zeros(sched._link_capacity, dtype=_np.float64)
-        #: Per non-aggregate uplink lid: arrival heap of (arrival_seq, slot).
-        self._queues: Dict[int, List[Tuple[int, int]]] = {}
-        #: Arrival seqs lazily deleted from their queue (expired while queued).
-        self._gone: Set[int] = set()
-        #: Served slot per non-aggregate uplink lid.
-        self._head: Dict[int, int] = {}
-        #: Served slots per downlink lid.
-        self._serving: Dict[int, Set[int]] = {}
-        self._touched: Set[int] = set()
-
-    def grow_slots(self, capacity: int) -> None:
-        grown = capacity - len(self._eligible)
-        self._eligible = _np.concatenate([self._eligible, _np.zeros(grown, dtype=bool)])
-        self._conc = _np.concatenate([self._conc, _np.zeros(grown, dtype=_np.float64)])
-
-    def grow_links(self, capacity: int) -> None:
-        grown = capacity - len(self._serving_w)
-        self._serving_w = _np.concatenate(
-            [self._serving_w, _np.zeros(grown, dtype=_np.float64)]
-        )
-
-    # -- transitions -------------------------------------------------------
-    def on_add(self, slot: int) -> None:
-        s = self._s
-        src = int(s._srcid[slot])
-        if s._agg[src]:
-            # Aggregate uplinks never queue: weight parallel per-client
-            # transfers, straight to serving.
-            self._conc[slot] = s._weight[slot]
-            self._serve(slot)
-            return
-        self._conc[slot] = 1.0
-        queue = self._queues.setdefault(src, [])
-        heapq.heappush(queue, (s._flow_at[slot].arrival_seq, slot))
-        if src in self._head:
-            # Queued behind the served flow: rate 0, nobody else affected.
-            self._touched.add(slot)
-            return
-        self._promote(src)
-
-    def on_remove(self, slot: int) -> None:
-        s = self._s
-        src = int(s._srcid[slot])
-        if s._agg[src]:
-            self._unserve(slot)
-            return
-        if self._head.get(src) == slot:
-            del self._head[src]
-            # The head is never lazy-deleted, so it sits at the heap root.
-            heapq.heappop(self._queues[src])
-            self._unserve(slot)
-            self._promote(src)
-            return
-        # Expired while queued: lazy-delete; its rate was already 0.
-        self._gone.add(s._flow_at[slot].arrival_seq)
-
-    def on_link_changed(self, side: str, lid: int) -> None:
-        s = self._s
-        if side == "uplink":
-            if s._agg[lid]:
-                self._touched.update(s._slots_by_src.get(lid, ()))
-            else:
-                head = self._head.get(lid)
-                if head is not None:
-                    self._touched.add(head)
-            return
-        self._touched.update(self._serving.get(lid, ()))
-
-    def has_touched(self) -> bool:
-        return bool(self._touched)
-
-    def take_touched(self) -> Set[int]:
-        touched = self._touched
-        self._touched = set()
-        return touched
-
-    def rates(self, slots):
-        s = self._s
-        out = _np.zeros(slots.size, dtype=_np.float64)
-        mask = self._eligible[slots]
-        if not mask.any():
-            return out
-        served = slots[mask]
-        src = s._srcid[served]
-        dst = s._dstid[served]
-        conc = self._conc[served]
-        up = s._up_cap[src] * conc
-        down_cap = s._down_cap[dst]
-        # Rates only on the eligible subset: queued slots keep 0 without ever
-        # entering the division (their serving counts may be stale/zero).
-        down = _np.where(
-            s._agg[dst], down_cap * conc, down_cap * conc / self._serving_w[dst]
-        )
-        out[mask] = _np.minimum(up, down)
-        return out
-
-    # -- machinery ---------------------------------------------------------
-    def _serve(self, slot: int) -> None:
-        dst = int(self._s._dstid[slot])
-        bucket = self._serving.setdefault(dst, set())
-        bucket.add(slot)
-        self._serving_w[dst] += self._conc[slot]
-        self._eligible[slot] = True
-        self._touched.update(bucket)
-
-    def _unserve(self, slot: int) -> None:
-        dst = int(self._s._dstid[slot])
-        bucket = self._serving[dst]
-        bucket.discard(slot)
-        self._eligible[slot] = False
-        if not bucket:
-            del self._serving[dst]
-            self._serving_w[dst] = 0.0
-            return
-        self._serving_w[dst] -= self._conc[slot]
-        self._touched.update(bucket)
-
-    def _promote(self, src: int) -> None:
-        queue = self._queues.get(src)
-        while queue:
-            arrival_seq, slot = queue[0]
-            if arrival_seq in self._gone:
-                heapq.heappop(queue)
-                self._gone.discard(arrival_seq)
-                continue
-            self._head[src] = slot
-            self._serve(slot)
-            return
-        if queue is not None and not queue:
-            del self._queues[src]
 
 
 class _TcpVectorPolicy(_FairVectorPolicy):
@@ -465,11 +312,9 @@ class _TcpVectorPolicy(_FairVectorPolicy):
         return _np.minimum(super().rates(slots), self._wrate[slots])
 
 
-#: LinkModel name -> vector policy class; the vector engine applies to
-#: models listed here, everything else falls back to the lazy engine.
+#: LinkModel name -> vector policy class: the models the vector engine runs.
 VECTOR_POLICIES = {
     "fair": _FairVectorPolicy,
-    "fifo": _FifoVectorPolicy,
     "tcp": _TcpVectorPolicy,
 }
 
@@ -485,8 +330,14 @@ class VectorSharedLinkScheduler(FlowScheduler):
     """
 
     def __init__(self, model, simulator, links, complete, expire) -> None:
-        if _np is None:  # pragma: no cover - guarded by make_flow_scheduler
-            raise RuntimeError("VectorSharedLinkScheduler requires numpy")
+        if _np is None:
+            raise ValidationError("the vector engine needs numpy (the [perf] extra)")
+        policy = VECTOR_POLICIES.get(model.name)
+        if policy is None:
+            raise ValidationError(
+                "the vector engine has no policy for %r; it runs %s"
+                % (model.name, ", ".join(sorted(VECTOR_POLICIES)))
+            )
         super().__init__(model, simulator, links, complete, expire)
         capacity = _INITIAL_SLOTS
         self._capacity = capacity
@@ -518,7 +369,7 @@ class VectorSharedLinkScheduler(FlowScheduler):
         #: (side, lid) -> pending breakpoint watcher (None: constant link).
         self._watchers: Dict[Tuple[str, int], Optional[object]] = {}
 
-        self._policy: _VectorPolicy = VECTOR_POLICIES[model.name](self)
+        self._policy: _VectorPolicy = policy(self)
         #: Admissions buffered until the instant is serviced (coalescing).
         self._adds: List[Flow] = []
         #: Completion/expiry callbacks deferred until rates are settled.
@@ -800,7 +651,6 @@ class VectorSharedLinkScheduler(FlowScheduler):
         self._dst_w = _np.concatenate([self._dst_w, zeros.copy()])
         self._agg = _np.concatenate([self._agg, _np.zeros(grown, dtype=bool)])
         self._link_capacity = capacity
-        self._policy.grow_links(capacity)
 
     # -- breakpoint watchers -----------------------------------------------
     def _arm_watcher(self, side: str, lid: int, now: float) -> None:

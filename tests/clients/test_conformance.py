@@ -14,8 +14,8 @@ Two regimes, as the model documents:
   tick, server selection by wave rotation): the runs must agree **exactly** —
   integer counts equal, time metrics to float tolerance (weighted flows
   change the order of float operations, not their values).  Hypothesis
-  drives random small workloads across both shared transports and both
-  shared engines, plus the sharing-free latency-only model.
+  drives random small workloads across both shared transports and every
+  shared engine that runs them, plus the sharing-free latency-only model.
 * **Poisson arrivals**: the cohort draws batch sizes from its own stream, so
   equality is distributional, not exact.  The property checks the structural
   invariants (population conservation, accounting inequalities) and that
@@ -24,15 +24,15 @@ Two regimes, as the model documents:
 
 import math
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.clients.workload import ClientWorkload
 from repro.protocols.runner import execute_spec
 from repro.runtime.spec import RunSpec
-from repro.simnet.flows import use_shared_engine
 
-from tests.simnet.reference_sched import use_engine
+from tests.simnet.reference_sched import RUN_CASES, VECTOR, use_engine
 
 #: Float tolerance for time metrics: weighted aggregation reorders float
 #: arithmetic (``(w·s)/(c·w/W)`` vs ``s/(c/W)``) without changing values
@@ -89,13 +89,13 @@ def deterministic_workloads(draw):
 @settings(max_examples=6, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     workload=deterministic_workloads(),
-    transport=st.sampled_from(("fair", "fifo", "latency-only")),
-    engine=st.sampled_from(("lazy", "reference", "vector")),
+    engine_transport=st.sampled_from(RUN_CASES),
     seed=st.integers(min_value=0, max_value=2**16),
 )
 def test_cohorts_match_individual_clients_exactly_under_deterministic_arrivals(
-    workload, transport, engine, seed
+    workload, engine_transport, seed
 ):
+    engine, transport = engine_transport
     spec = RunSpec(
         protocol="current",
         relay_count=20,
@@ -174,7 +174,8 @@ def test_poisson_runs_are_deterministic_per_seed_and_vary_across_seeds():
     assert run_client_metrics(spec.derive(seed=99)) != first
 
 
-def test_client_runs_agree_across_shared_engines():
+@pytest.mark.parametrize("engine", ["reference", VECTOR])
+def test_client_runs_agree_across_shared_engines(engine):
     # The lazy/reference/vector equivalence contract of the shared transport
     # extends to weighted client flows: identical integer accounting, float
     # metrics to rounding.
@@ -192,16 +193,14 @@ def test_client_runs_agree_across_shared_engines():
         max_time=800.0,
         client_workload=workload,
     )
-    with use_shared_engine("lazy"):
-        lazy = run_client_metrics(spec)
-    for engine in ("reference", "vector"):
-        with use_engine(engine):
-            other = run_client_metrics(spec)
-        for key in EXACT_METRIC_KEYS:
-            assert other[key] == lazy[key], (engine, key)
-        for key in FLOAT_METRIC_KEYS:
-            a, b = other[key], lazy[key]
-            if a is None or b is None:
-                assert a == b, (engine, key)
-            else:
-                assert math.isclose(a, b, rel_tol=1e-6, abs_tol=1e-9), (engine, key, a, b)
+    lazy = run_client_metrics(spec)
+    with use_engine(engine):
+        other = run_client_metrics(spec)
+    for key in EXACT_METRIC_KEYS:
+        assert other[key] == lazy[key], key
+    for key in FLOAT_METRIC_KEYS:
+        a, b = other[key], lazy[key]
+        if a is None or b is None:
+            assert a == b, key
+        else:
+            assert math.isclose(a, b, rel_tol=1e-6, abs_tol=1e-9), (key, a, b)

@@ -6,7 +6,6 @@ from repro.clients.workload import ClientWorkload
 from repro.experiments.figure13_clients import figure13_spec
 from repro.protocols.runner import execute_spec
 from repro.runtime.spec import BandwidthOverride, RunSpec
-from repro.simnet.flows import use_shared_engine
 
 
 def small_spec(**workload_kwargs):
@@ -152,8 +151,7 @@ def test_same_instant_fetches_share_one_rate_pass(protocol, rated_per_admitted):
         protocol, 10_000, cohort_count=4, mirror_count=16,
         residual_bandwidth_mbps=0.02, max_time=400.0,
     )
-    with use_shared_engine("lazy"):  # the engine that counts them
-        counters = execute_spec(spec).engine_counters
+    counters = execute_spec(spec).engine_counters
     admitted = counters["flows_admitted"]
     assert 10 * counters["admission_frontiers"] <= admitted
     assert counters["rate_passes"] <= 0.5 * admitted

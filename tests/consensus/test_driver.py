@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.consensus import EngineConfig, LocalDriver, make_engine
+from repro.consensus import ENGINE_REGISTRY, EngineConfig, LocalDriver, make_engine
 from repro.consensus.driver import (
     gst_delivery,
     partition_delivery,
@@ -60,6 +60,49 @@ def test_crashed_nodes_never_receive_or_act():
     result = driver.run(until=100)
     assert "n2" not in result.decisions
     assert not engines["n2"].decided
+
+
+def _crashed_leader_driver(engine_name):
+    # n0 leads view 0 and is crashed: only the correct nodes' view-0 timers,
+    # due at t=3.0, move the run on.
+    nodes = tuple("n%d" % index for index in range(4))
+    engines = {
+        name: make_engine(engine_name, EngineConfig(node_id=name, nodes=nodes, base_timeout=3.0))
+        for name in nodes
+    }
+    driver = LocalDriver(engines, crashed=("n0",))
+    driver.start({name: "v" for name in nodes})
+    return driver
+
+
+@pytest.mark.parametrize("engine_name", sorted(ENGINE_REGISTRY))
+def test_a_run_split_before_the_view_change_decides_like_one_run(engine_name):
+    whole = _crashed_leader_driver(engine_name).run(until=600)
+    assert set(whole.decisions) == {"n1", "n2", "n3"}
+    split = _crashed_leader_driver(engine_name)
+    # The first run stops short of the timers; the event it looked at past
+    # its horizon must still be queued for the second.
+    assert split.run(until=1.0, stop_when_all_decided=False).decisions == {}
+    assert split.run(until=600) == whole
+
+
+def test_max_events_is_an_exact_bound():
+    def good_case():
+        nodes = tuple("n%d" % index for index in range(4))
+        engines = {
+            name: make_engine("pbft", EngineConfig(node_id=name, nodes=nodes)) for name in nodes
+        }
+        driver = LocalDriver(engines)
+        driver.start({name: "v" for name in nodes})
+        return driver
+
+    # All decide before any timer fires: every executed event is a delivery.
+    events = good_case().run(until=100).messages_delivered
+    assert len(good_case().run(until=100, max_events=events).decisions) == 4
+    driver = good_case()
+    with pytest.raises(RuntimeError):
+        driver.run(until=100, max_events=events - 1)
+    assert driver.messages_delivered == events - 1
 
 
 def test_all_agree_with_no_decisions_is_true():

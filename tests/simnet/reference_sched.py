@@ -19,22 +19,51 @@ definition of per-flow congestion dynamics), advanced here whenever a flow's
 ack tick is due at a recompute.
 
 Tests select the model with :func:`use_reference_scheduler` (or
-:func:`use_engine` in an engine parametrisation); production code has no
-switch for it.
+:func:`use_engine` in an engine parametrisation, which reaches the vector
+engine the same way); production code has no switch for it.
 """
 
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from functools import partial
 from unittest import mock
 
+import pytest
+
 from repro.simnet import network as network_module
-from repro.simnet.flows import (
-    _COMPLETION_EPSILON_BYTES,
-    _TIME_EPSILON,
-    make_flow_scheduler,
-    use_shared_engine,
-)
+from repro.simnet.flows import _COMPLETION_EPSILON_BYTES, _TIME_EPSILON, make_flow_scheduler
 from repro.simnet.linkmodel import _TICK_EPSILON
+from repro.simnet.vector_sched import VECTOR_POLICIES, vector_available
+
+#: Skips a test, or one parametrisation value, on an install without numpy.
+needs_numpy = pytest.mark.skipif(
+    not vector_available(), reason="numpy not installed (the [perf] extra)"
+)
+
+#: The vector engine as a parametrisation value: skipped without numpy.
+VECTOR = pytest.param("vector", marks=needs_numpy)
+
+#: ``(engine, transport)`` pairs for hypothesis strategies over whole runs:
+#: every engine :func:`use_engine` can run here, the vector engine only on
+#: the transports it has a policy for.
+RUN_CASES = [
+    (engine, transport)
+    for engine in ("lazy", "reference") + (("vector",) if vector_available() else ())
+    for transport in ("fair", "fifo", "latency-only")
+    if engine != "vector" or transport in VECTOR_POLICIES
+]
+
+
+def engine_cases(engines, transports):
+    """``(engine, transport)`` parametrisation cases: the vector engine only
+    on the transports it has a policy for, and skipped without numpy."""
+    return [
+        pytest.param(engine, transport, marks=needs_numpy)
+        if engine == "vector"
+        else (engine, transport)
+        for engine in engines
+        for transport in transports
+        if engine != "vector" or transport in VECTOR_POLICIES
+    ]
 
 
 def occupancy(flows):
@@ -215,6 +244,29 @@ def use_reference_scheduler():
         yield
 
 
+@contextmanager
+def use_vector_engine():
+    """Build every network inside the block with ``shared_engine="vector"``.
+
+    ``SimNetwork`` passes ``shared_engine=None`` explicitly, so the wrapper
+    overrides the argument rather than defaulting it.
+    """
+
+    def factory(model, simulator, links, complete, expire, shared_engine=None):
+        return make_flow_scheduler(
+            model, simulator, links, complete, expire, shared_engine="vector"
+        )
+
+    with mock.patch.object(network_module, "make_flow_scheduler", factory):
+        yield
+
+
 def use_engine(engine):
-    """``use_shared_engine`` plus ``"reference"``, for engine parametrisations."""
-    return use_reference_scheduler() if engine == "reference" else use_shared_engine(engine)
+    """Networks built inside the block run ``engine``: ``"lazy"`` (the
+    default), ``"vector"`` or ``"reference"``."""
+    if engine == "reference":
+        return use_reference_scheduler()
+    if engine == "vector":
+        return use_vector_engine()
+    assert engine == "lazy", engine
+    return nullcontext()

@@ -25,7 +25,6 @@ from repro.experiments.figure13_clients import figure13_spec
 from repro.faults.plan import EMPTY_FAULT_PLAN
 from repro.protocols.runner import execute_spec
 from repro.runtime.spec import PROTOCOL_NAMES, RunSpec
-from repro.simnet.flows import use_shared_engine
 
 from tests.faults.test_conformance import random_fault_plan
 from tests.simnet.eager_admission import use_eager_admission
@@ -39,10 +38,9 @@ REL_TOLERANCE = 1e-9
 
 def frontier_and_eager(spec: RunSpec):
     """Run ``spec`` both ways, hold the summaries equal, return the frontier run."""
-    with use_shared_engine("lazy"):
-        frontier = execute_spec(spec)
-        with use_eager_admission():
-            eager = execute_spec(spec)
+    frontier = execute_spec(spec)
+    with use_eager_admission():
+        eager = execute_spec(spec)
     # Both ran what they are named for: eager settles once per call, the
     # frontier at most that often, and both admit the same flows.
     assert eager.engine_counters["admission_frontiers"] >= (

@@ -35,7 +35,7 @@ from repro.simnet.node import ProtocolNode
 from repro.utils import phases
 
 from tests.simnet.per_message import PerMessageNetwork, use_per_message_network
-from tests.simnet.reference_sched import use_engine
+from tests.simnet.reference_sched import RUN_CASES, use_engine
 
 #: Tolerance for derived time metrics: the batched path re-bases residual
 #: arithmetic differently from stale-event re-aims (algebraically equal,
@@ -88,13 +88,11 @@ def assert_summaries_conformant(batched: dict, reference: dict) -> None:
 @given(
     protocol=st.sampled_from(("current", "ours", "synchronous")),
     authorities=st.sampled_from((5, 9, 13)),
-    transport=st.sampled_from(("fair", "fifo", "latency-only")),
-    engine=st.sampled_from(("lazy", "reference", "vector")),
+    engine_transport=st.sampled_from(RUN_CASES),
     seed=st.integers(min_value=0, max_value=2**16),
 )
-def test_batched_dispatch_summary_conformance(
-    protocol, authorities, transport, engine, seed
-):
+def test_batched_dispatch_summary_conformance(protocol, authorities, engine_transport, seed):
+    engine, transport = engine_transport
     spec = RunSpec(
         protocol=protocol,
         relay_count=25,

@@ -25,7 +25,7 @@ from repro.protocols.runner import execute_spec
 from repro.runtime.spec import RunSpec
 from repro.simnet.bandwidth import BandwidthSchedule
 from repro.simnet.engine import Simulator
-from repro.simnet.flows import Flow, make_flow_scheduler, use_shared_engine
+from repro.simnet.flows import Flow, make_flow_scheduler
 from repro.simnet.linkmodel import LINK_MODELS, TcpLinkModel, get_link_model
 from repro.simnet.message import Message
 from repro.simnet.network import LinkConfig, SimNetwork
@@ -286,7 +286,7 @@ def _counted_run(protocol, transport, authorities):
         counts["ticks"] += 1
         return on_tick(self, flow)
 
-    with pytest.MonkeyPatch.context() as patch, use_shared_engine("lazy"):
+    with pytest.MonkeyPatch.context() as patch:
         # Only the run's own model class: tcp's ``rates_of`` calls fair's for
         # the capacity side, and that inner call is not a pass.
         model_class = LINK_MODELS[transport]

@@ -8,12 +8,7 @@ rate-policy tests below pin those, and the stateful comparison in
 
 import pytest
 
-from repro.simnet.flows import (
-    Flow,
-    IndependentFlowScheduler,
-    make_flow_scheduler,
-    use_shared_engine,
-)
+from repro.simnet.flows import Flow, IndependentFlowScheduler, make_flow_scheduler
 from repro.simnet.linkmodel import (
     FairShareLinkModel,
     LINK_MODELS,
@@ -106,28 +101,17 @@ def test_nameless_models_are_rejected():
 
 def test_scheduler_selection_follows_the_coupling_flag_and_engine():
     from repro.simnet.shared_sched import LazySharedLinkScheduler
-    from repro.simnet.vector_sched import VectorSharedLinkScheduler, vector_available
 
-    links = {}
-    # Shared models default to the lazy engine...
+    # Shared models run the lazy engine unless a network asks for vector
+    # (``test_vector_sched.py`` holds that request)...
     for name in ("fair", "fifo", "tcp"):
-        sched = make_flow_scheduler(get_link_model(name), None, links, None, None)
-        assert isinstance(sched, LazySharedLinkScheduler)
-    # ...the vector engine is selectable (flag and environment), downgrading
-    # to lazy without numpy...
-    expected = VectorSharedLinkScheduler if vector_available() else LazySharedLinkScheduler
-    sched = make_flow_scheduler(
-        get_link_model("fair"), None, links, None, None, shared_engine="vector"
-    )
-    assert isinstance(sched, expected)
-    with use_shared_engine("vector"):
-        sched = make_flow_scheduler(get_link_model("fair"), None, links, None, None)
-        assert isinstance(sched, expected)
-        # ...and uncoupled models keep per-flow scheduling whatever is asked.
-        sched = make_flow_scheduler(get_link_model("latency-only"), None, links, None, None)
+        for engine in (None, "lazy"):
+            sched = make_flow_scheduler(get_link_model(name), None, {}, None, None, engine)
+            assert isinstance(sched, LazySharedLinkScheduler)
+    # ...and uncoupled models keep per-flow scheduling whatever is asked.
+    for engine in (None, "lazy", "vector"):
+        sched = make_flow_scheduler(get_link_model("latency-only"), None, {}, None, None, engine)
         assert isinstance(sched, IndependentFlowScheduler)
-    sched = make_flow_scheduler(get_link_model("latency-only"), None, links, None, None)
-    assert isinstance(sched, IndependentFlowScheduler)
 
 
 def test_a_shared_model_that_implements_no_hooks_fails_on_first_use():
@@ -239,16 +223,7 @@ def test_fifo_model_orders_by_arrival_seq_not_flow_id():
     assert rates[10] == 0.0
 
 
-def _fifo_network_engines():
-    engines = ["lazy", "reference"]
-    from repro.simnet.vector_sched import vector_available
-
-    if vector_available():
-        engines.append("vector")
-    return engines
-
-
-@pytest.mark.parametrize("engine", _fifo_network_engines())
+@pytest.mark.parametrize("engine", ["lazy", "reference"])
 def test_fifo_scheduler_serves_flows_started_out_of_id_order(engine):
     # Start flows whose ids *descend* (as a future id source that recycles
     # or reorders ids could produce): every engine must serve them in start

@@ -10,7 +10,8 @@ every other float) within 1e-6 relative.  Hypothesis drives it across seeded
 random specs *including random fault plans*, for every protocol and both
 shared transports.
 
-The edge cases pin the failure modes a heap of per-flow estimates invites:
+The edge cases pin the failure modes a heap of per-flow estimates invites,
+on the lazy engine and (numpy present) the vector engine alike:
 
 * a flow whose rate drops to zero mid-transfer — its stale completion
   estimate must fire harmlessly, never complete the flow;
@@ -45,7 +46,7 @@ from repro.protocols.runner import execute_spec
 from repro.runtime.spec import PROTOCOL_NAMES, RunSpec
 from repro.simnet.bandwidth import BandwidthSchedule
 from repro.simnet.engine import Simulator
-from repro.simnet.flows import Flow, make_flow_scheduler, use_shared_engine
+from repro.simnet.flows import Flow, make_flow_scheduler
 from repro.simnet.linkmodel import TCP_DEFAULT_RTT_S, get_link_model
 from repro.simnet.message import Message
 from repro.simnet.network import LinkConfig, SimNetwork
@@ -53,7 +54,13 @@ from repro.simnet.node import ProtocolNode
 
 from tests.faults.test_conformance import random_fault_plan
 from tests.simnet.eager_admission import use_eager_admission
-from tests.simnet.reference_sched import fair_rates, use_engine, use_reference_scheduler
+from tests.simnet.reference_sched import (
+    VECTOR,
+    engine_cases,
+    fair_rates,
+    use_engine,
+    use_reference_scheduler,
+)
 from tests.simnet.test_transport_golden import run_transport_workload
 
 SHARED_TRANSPORTS = ("fair", "fifo")
@@ -90,9 +97,7 @@ def assert_equivalent(old, new, path="summary", rel_tol=REL_TOLERANCE):
 def run_reference_and_lazy(spec: RunSpec):
     with use_reference_scheduler():
         reference = execute_spec(spec).summary()
-    with use_shared_engine("lazy"):
-        lazy = execute_spec(spec).summary()
-    return reference, lazy
+    return reference, execute_spec(spec).summary()
 
 
 # -- conformance: reference model vs lazy engine -------------------------------
@@ -133,8 +138,7 @@ def test_lazy_engine_matches_reference_on_the_golden_workload(transport):
     # size and order, with timestamps within the float-rounding tolerance.
     with use_reference_scheduler():
         reference = run_transport_workload(transport)
-    with use_shared_engine("lazy"):
-        lazy = run_transport_workload(transport)
+    lazy = run_transport_workload(transport)
     assert reference["stats"] == lazy["stats"]
     assert len(reference["events"]) == len(lazy["events"])
     for expected, got in zip(reference["events"], lazy["events"]):
@@ -153,21 +157,21 @@ class _Sink(ProtocolNode):
         self._deliveries.append((message.msg_type, now))
 
 
-def _two_node_network(dst_schedule, transport="fair"):
+def _two_node_network(dst_schedule, transport, engine):
     deliveries = []
-    network = SimNetwork(transport=transport, default_latency_s=0.0)
+    network = SimNetwork(transport=transport, shared_engine=engine, default_latency_s=0.0)
     network.add_node(_Sink("src", deliveries), LinkConfig.symmetric_mbps(8.0))
     network.add_node(_Sink("dst", deliveries), LinkConfig.symmetric(dst_schedule))
     return network, deliveries
 
 
-@pytest.mark.parametrize("transport", SHARED_TRANSPORTS)
-def test_rate_dropping_to_zero_forever_strands_the_flow_without_completing_it(transport):
+@pytest.mark.parametrize("engine, transport", engine_cases(("lazy", "vector"), SHARED_TRANSPORTS))
+def test_rate_dropping_to_zero_forever_strands_the_flow_without_completing_it(engine, transport):
     # 1 MB/s for one second, then zero forever: the flow moves 1 MB of its
     # 2 MB and starves.  Its original completion estimate (t=2) is now a
     # stale heap entry — firing it must not complete the flow.
     schedule = BandwidthSchedule([0.0, 1.0], [1_000_000.0, 0.0])
-    network, deliveries = _two_node_network(schedule, transport)
+    network, deliveries = _two_node_network(schedule, transport, engine)
     timeouts = []
     network.send(
         "src", "dst", Message(msg_type="DOC", size_bytes=2_000_000),
@@ -179,27 +183,29 @@ def test_rate_dropping_to_zero_forever_strands_the_flow_without_completing_it(tr
     assert network.active_flow_count() == 1  # stranded
 
 
-@pytest.mark.parametrize("transport", SHARED_TRANSPORTS)
-def test_rate_dropping_to_zero_mid_transfer_defers_completion_to_recovery(transport):
+@pytest.mark.parametrize("engine, transport", engine_cases(("lazy", "vector"), SHARED_TRANSPORTS))
+def test_rate_dropping_to_zero_mid_transfer_defers_completion_to_recovery(engine, transport):
     # Zero capacity on [1, 100): the stale t=2 estimate fires during the
     # outage and must leave the flow incomplete; the remaining 1 MB moves
     # when capacity returns, finishing at t=101.
     schedule = BandwidthSchedule([0.0, 1.0, 100.0], [1_000_000.0, 0.0, 1_000_000.0])
-    network, deliveries = _two_node_network(schedule, transport)
+    network, deliveries = _two_node_network(schedule, transport, engine)
     network.send("src", "dst", Message(msg_type="DOC", size_bytes=2_000_000))
     network.simulator.run_until_idle(max_events=1_000)
     assert [kind for kind, _now in deliveries] == ["DOC"]
     assert deliveries[0][1] == pytest.approx(101.0, rel=1e-9)
 
 
-@pytest.mark.parametrize("transport", SHARED_TRANSPORTS)
-def test_deadline_exactly_on_a_bandwidth_breakpoint_times_out(transport):
+@pytest.mark.parametrize(
+    "engine, transport", engine_cases(("lazy", "vector"), ("fair", "fifo", "tcp"))
+)
+def test_deadline_exactly_on_a_bandwidth_breakpoint_times_out(engine, transport):
     # Zero capacity until t=10, full capacity after — and the deadline is
     # exactly t=10.  The breakpoint watcher and the deadline event land on
     # the same instant; the timeout must win deterministically (the flow
     # never moved a byte).
     schedule = BandwidthSchedule([0.0, 10.0], [0.0, 1_000_000.0])
-    network, deliveries = _two_node_network(schedule)
+    network, deliveries = _two_node_network(schedule, transport, engine)
     timeouts = []
     network.send(
         "src", "dst", Message(msg_type="DOC", size_bytes=500_000),
@@ -213,7 +219,7 @@ def test_deadline_exactly_on_a_bandwidth_breakpoint_times_out(transport):
     assert network.active_flow_count() == 0
 
 
-@pytest.mark.parametrize("engine", ["lazy", "vector", "reference"])
+@pytest.mark.parametrize("engine", ["lazy", VECTOR, "reference"])
 @pytest.mark.parametrize("trigger", ["breakpoint", "set_link", "set_link_an_ulp_early"])
 def test_a_link_rerated_to_zero_at_the_completion_instant_still_delivers(engine, trigger):
     # 1 MB at 1 MB/s is done at t=1.0 — the instant the sender's uplink drops
@@ -239,15 +245,16 @@ def test_a_link_rerated_to_zero_at_the_completion_instant_still_delivers(engine,
     assert network.active_flow_count() == 0
 
 
-def test_sub_ulp_residual_completes_instead_of_livelocking():
-    # The PR-3 live-lock shape under the lazy path: a residual above the
+@pytest.mark.parametrize("engine", ["lazy", VECTOR])
+def test_sub_ulp_residual_completes_instead_of_livelocking(engine):
+    # The PR-3 live-lock shape under the shared engines: a residual above the
     # byte epsilon whose transfer time is below one ulp of virtual time.
     # At t=2^20 one ulp is ~1.2e-10 s; 0.05 bytes at 1e9 B/s is 5e-11 s, so
     # the completion estimate rounds to *now* and the progress chip moves
     # nothing — `_is_complete`'s sub-ulp test must settle the flow.
     start = float(2**20)
     deliveries = []
-    network = SimNetwork(transport="fair", default_latency_s=0.0)
+    network = SimNetwork(transport="fair", shared_engine=engine, default_latency_s=0.0)
     fast = LinkConfig.symmetric(BandwidthSchedule.constant(1e9))
     network.add_node(_Sink("src", deliveries), fast)
     network.add_node(_Sink("dst", deliveries), fast)

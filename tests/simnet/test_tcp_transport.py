@@ -18,11 +18,9 @@ The model's contract has four faces, each pinned here:
   (cwnd back to 1, RTO doubling) — unit-pinned and hypothesis-driven over
   scripted loss/ack sequences.
 * **Engine wiring.**  ``transport="tcp"`` runs end-to-end on the lazy and
-  vector engines (each pinned by its own golden trace — the trajectories
-  differ by design, see ``test_transport_golden.py``) and on the reference
-  model; vector requests keep the vector engine when numpy is present and
-  the result cache suffixes their entries accordingly, downgrading to lazy
-  only on pure-Python installs.
+  (numpy present) vector engines — each pinned by its own golden trace, the
+  trajectories differ by design, see ``test_transport_golden.py`` — and on
+  the reference model.
 """
 
 import math
@@ -34,9 +32,7 @@ from hypothesis import strategies as st
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, LinkFault
 from repro.protocols.runner import execute_spec
-from repro.runtime.cache import ResultCache
 from repro.runtime.spec import RunSpec
-from repro.simnet.flows import effective_shared_engine, use_shared_engine
 from repro.simnet.linkmodel import (
     TCP_DUPACK_THRESHOLD,
     TCP_INITIAL_CWND,
@@ -49,7 +45,7 @@ from repro.simnet.message import Message
 from repro.simnet.network import LinkConfig, SimNetwork
 from repro.simnet.node import ProtocolNode
 
-from tests.simnet.reference_sched import tcp_rates, use_engine, use_reference_scheduler
+from tests.simnet.reference_sched import VECTOR, tcp_rates, use_engine, use_reference_scheduler
 from tests.simnet.test_transport_golden import run_transport_workload
 
 REL_TOLERANCE = 1e-6
@@ -86,7 +82,7 @@ def _active_rates(network):
 
 # -- fair-share convergence ----------------------------------------------------
 
-@pytest.mark.parametrize("engine", ["lazy", "vector"])
+@pytest.mark.parametrize("engine", ["lazy", VECTOR])
 @settings(max_examples=5, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     flow_count=st.integers(min_value=1, max_value=6),
@@ -100,10 +96,8 @@ def test_tcp_throughput_converges_to_the_fair_share_on_loss_free_links(
     # capacity/flow_count.  After slow-start ramp-up the tcp rate must sit
     # on the same value: the window cap converges to the share from above
     # and min(share, window rate) collapses to the share.  The property
-    # holds on the scalar lazy path and the SoA vector path alike (the
-    # vector request downgrades to lazy on numpy-less installs, which keeps
-    # this green there too).
-    with use_shared_engine(engine):
+    # holds on the scalar lazy path and the SoA vector path alike.
+    with use_engine(engine):
         tcp_net, _ = _fan_in_network("tcp", flow_count, sink_mbps)
         tcp_net.run(until=60.0)
         fair_net, _ = _fan_in_network("fair", flow_count, sink_mbps)
@@ -151,8 +145,7 @@ def test_reference_and_lazy_engine_agree_on_the_tcp_golden_workload():
     # within the conformance tolerance.
     with use_reference_scheduler():
         reference = run_transport_workload("tcp")
-    with use_shared_engine("lazy"):
-        lazy = run_transport_workload("tcp")
+    lazy = run_transport_workload("tcp")
     assert reference["stats"] == lazy["stats"]
     assert len(reference["events"]) == len(lazy["events"])
     for expected, got in zip(reference["events"], lazy["events"]):
@@ -226,8 +219,8 @@ def test_tcp_loss_event_draws_only_under_active_loss_faults():
 
 # -- engine wiring -------------------------------------------------------------
 
-@pytest.mark.parametrize("engine", ["lazy", "reference", "vector"])
-def test_tcp_spec_runs_end_to_end_on_every_engine_request(engine):
+@pytest.mark.parametrize("engine", ["lazy", "reference", VECTOR])
+def test_tcp_spec_runs_end_to_end_on_every_engine(engine):
     spec = RunSpec(
         protocol="current",
         relay_count=30,
@@ -240,38 +233,6 @@ def test_tcp_spec_runs_end_to_end_on_every_engine_request(engine):
         summary = execute_spec(spec).summary()
     assert summary["success"] is True
     assert summary["stats"]["messages_delivered"] > 0
-
-
-def test_vector_requests_keep_the_vector_engine_for_tcp():
-    # Since tcp grew a vector policy it resolves exactly like fair/fifo: a
-    # vector request keeps the vector engine when numpy is present and
-    # downgrades to lazy only on pure-Python installs.
-    from repro.simnet.vector_sched import vector_available
-
-    expected = "vector" if vector_available() else "lazy"
-    with use_shared_engine("vector"):
-        assert effective_shared_engine("tcp") == expected
-        assert effective_shared_engine("fair") == expected
-    # Default requests still resolve to lazy.
-    assert effective_shared_engine("tcp") == "lazy"
-
-
-def test_result_cache_keys_tcp_vector_requests_under_the_vector_suffix(tmp_path):
-    cache = ResultCache(tmp_path)
-    tcp_spec = RunSpec(protocol="current", relay_count=30, transport="tcp")
-    lazy_path = cache.path_for(tcp_spec)
-    with use_shared_engine("vector"):
-        from repro.simnet.vector_sched import vector_available
-
-        if vector_available():
-            # A tcp vector run stores under its own suffixed name — the old
-            # downgrade keyed these as lazy, which must never happen again.
-            vector_path = cache.path_for(tcp_spec)
-            assert vector_path.name.endswith(".vector.json")
-            assert vector_path != lazy_path
-        else:
-            # Pure-Python installs really do run lazy, and must hit lazy.
-            assert cache.path_for(tcp_spec) == lazy_path
 
 
 # -- Reno transitions ----------------------------------------------------------

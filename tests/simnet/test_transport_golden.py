@@ -11,10 +11,10 @@ committed under ``tests/data/`` and must reproduce *byte-identically*:
   (GOLDEN format 2, the lazy-advance scheduler of
   :mod:`repro.simnet.shared_sched`);
 * ``golden_transport_tcp_vector.json`` — the **vector** engine's tcp
-  trajectory (numpy-gated).  The vector engine advances whole due cohorts
+  trajectory (numpy-gated, reached through ``reference_sched.use_engine``).  The vector engine advances whole due cohorts
   per wake, which lands ack ticks on slightly different instants than the
   lazy engine's per-flow events, so tcp's second engine needs its own
-  anchor.  fair/fifo need no vector golden: their vector trajectories are
+  anchor.  fair needs no vector golden: its vector trajectory is
   conformance-checked against lazy in ``test_vector_sched.py`` instead.
 
 The goldens pin each engine's own float trajectory; that the trajectory is
@@ -41,10 +41,11 @@ from pathlib import Path
 import pytest
 
 from repro.simnet.bandwidth import BandwidthSchedule
-from repro.simnet.flows import use_shared_engine
 from repro.simnet.message import Message
 from repro.simnet.network import LinkConfig, SimNetwork
 from repro.simnet.node import ProtocolNode
+
+from tests.simnet.reference_sched import needs_numpy, use_engine
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 GOLDEN_TRANSPORTS = ("fair", "fifo", "tcp")
@@ -152,7 +153,7 @@ def run_transport_workload(transport: str) -> dict:
 
 
 def _record_for(transport: str, engine: str) -> dict:
-    with use_shared_engine(engine):
+    with use_engine(engine):
         record = run_transport_workload(transport)
     record["golden_format"] = GOLDEN_FORMAT
     return record
@@ -178,12 +179,9 @@ def test_transport_workload_reproduces_the_golden_trace_exactly(transport, engin
     assert _record_for(transport, engine) == golden
 
 
+@needs_numpy
 @pytest.mark.parametrize("transport", VECTOR_GOLDEN_TRANSPORTS)
 def test_vector_transport_workload_reproduces_the_golden_trace_exactly(transport):
-    from repro.simnet.vector_sched import vector_available
-
-    if not vector_available():
-        pytest.skip("vector engine needs numpy; downgrade path covered elsewhere")
     golden = json.loads(golden_path(transport, "vector").read_text())
     assert _record_for(transport, "vector") == golden
 
@@ -196,7 +194,7 @@ def test_fifo_protocol_run_reproduces_the_golden_summary_exactly(engine):
     entry = json.loads(fifo_run_path(engine).read_text())
     spec = RunSpec.from_dict(entry["spec"])
     assert spec == _fifo_run_spec()
-    with use_shared_engine(engine):
+    with use_engine(engine):
         summary = execute_spec(spec).summary()
     assert summary == entry["summary"]
 
@@ -216,7 +214,7 @@ def regenerate() -> None:  # pragma: no cover - maintenance entry point
         print("rebaselined", path)
     for engine in GOLDEN_ENGINES:
         spec = _fifo_run_spec()
-        with use_shared_engine(engine):
+        with use_engine(engine):
             summary = execute_spec(spec).summary()
         fifo_run_path(engine).write_text(
             json.dumps({"spec": spec.to_dict(), "summary": summary}, indent=2, sort_keys=True)

@@ -5,8 +5,9 @@ property: a flow of weight ``w`` carrying ``w × size`` bytes behaves exactly
 like ``w`` unit flows of ``size`` bytes started at the same instant.  These
 tests pin that equivalence directly on :class:`SimNetwork` — no protocol or
 client code — across the shared models on the lazy engine, the reference
-model and the vector engine, and the independent model, plus the aggregate-endpoint semantics (per-client capacity, no
-sharing) and the weighted message accounting.
+model and (numpy present) the vector engine, and the independent model,
+plus the aggregate-endpoint semantics (per-client capacity, no sharing) and
+the weighted message accounting.
 """
 
 import pytest
@@ -16,13 +17,9 @@ from repro.simnet.message import Message
 from repro.simnet.network import LinkConfig, SimNetwork
 from repro.simnet.node import ProtocolNode
 
-from tests.simnet.reference_sched import use_engine
+from tests.simnet.reference_sched import VECTOR, engine_cases, use_engine
 
 ENGINES = ("lazy", "reference")
-
-#: Every engine behind the seam.  "vector" downgrades to lazy on numpy-less
-#: installs, so these parametrizations stay meaningful (if redundant) there.
-ALL_ENGINES = ("lazy", "reference", "vector")
 
 #: An aggregate cohort the size of the extreme Figure-13 rows: one flow
 #: standing in for ten million clients.
@@ -160,9 +157,10 @@ def test_weighted_timeout_counts_every_aggregated_transfer(engine):
     assert network.stats.messages_delivered == 0
 
 
-@pytest.mark.parametrize("engine", ALL_ENGINES)
-@pytest.mark.parametrize("transport", ("fair", "fifo"))
-def test_extreme_weight_flow_is_not_stranded(transport, engine):
+@pytest.mark.parametrize(
+    "engine, transport", engine_cases(("lazy", "reference", "vector"), ("fair", "fifo"))
+)
+def test_extreme_weight_flow_is_not_stranded(engine, transport):
     # A weight-10^7 flow (the 100M-client rows split across ~10 cohorts)
     # pushes per-transfer byte counts small enough that naive float
     # accumulation of remaining bytes could strand a residual below one
@@ -199,7 +197,7 @@ def test_extreme_weight_flow_is_not_stranded(transport, engine):
     assert network.active_flow_count() == 0
 
 
-@pytest.mark.parametrize("engine", ALL_ENGINES)
+@pytest.mark.parametrize("engine", [*ENGINES, VECTOR])
 def test_extreme_weight_flow_shares_fairly_with_unit_flow(engine):
     # Under fair sharing a weight-10^7 flow must not starve (or be starved
     # by) a competing unit flow, and neither may strand bytes.
