@@ -8,11 +8,11 @@ A deliberately small, deterministic event loop:
   ``(time, seq, handle)`` tuples so ordering uses C-level tuple comparison
   rather than a Python ``__lt__`` call per sift step;
 * cancelled events stay in the heap but are skipped, which keeps cancellation
-  O(1) — and once more than half of the heap is cancelled corpses the heap is
-  compacted in one O(n) pass (amortized O(1) per cancellation), so
-  cancel-heavy workloads (e.g. the lazy transport scheduler invalidating
-  per-flow completion estimates on every rate change) keep the heap bounded
-  by the number of live events.
+  O(1), and :meth:`Simulator.reschedule` moves an event with one push,
+  leaving its old entry behind the same way.  Once such retired entries are
+  more than half of the heap it is compacted in one O(n) pass (amortized O(1)
+  each), so re-aim-heavy workloads (the lazy transport scheduler moving flow
+  events earlier) keep the heap bounded by the number of live events.
 
 Every protocol, transport flow, and timer in the library is ultimately an
 event in this loop, which is what makes whole-experiment runs reproducible
@@ -55,6 +55,7 @@ class EventHandle:
         if self.cancelled or self._executed:
             return
         self.cancelled = True
+        self.seq = 0  # the heap entry whose seq is not its handle's is retired
         if self._owner is not None:
             self._owner._note_cancelled()
 
@@ -78,6 +79,7 @@ class Simulator:
         self._pending = 0
         self._cancelled_in_heap = 0
         self._compactions = 0
+        self._rescheduled = self._cancelled = 0
         # Open micro-batches: (time, key) -> list of queued items, drained by
         # one heap event each (see schedule_batch).
         self._batches: Dict[Tuple[float, Any], List[Any]] = {}
@@ -99,10 +101,13 @@ class Simulator:
         return self._pending
 
     def counters(self) -> Dict[str, int]:
-        """What the loop did and holds: events executed and pending, cancelled
-        corpses still in the heap, the heap's length including them, and how
-        often the corpses were swept out."""
+        """Events scheduled (each now executed, cancelled or pending),
+        rescheduled, cancelled, executed and pending; retired entries still in
+        the heap, the heap's length including them, and compaction passes."""
         return {
+            "scheduled": self._processed_events + self._cancelled + self._pending,
+            "rescheduled": self._rescheduled,
+            "cancelled": self._cancelled,
             "executed": self._processed_events,
             "pending": self._pending,
             "cancelled_in_heap": self._cancelled_in_heap,
@@ -138,6 +143,19 @@ class Simulator:
         heapq.heappush(self._heap, (time, seq, handle))
         self._pending += 1
         return handle
+
+    def reschedule(self, handle: EventHandle, time: float) -> None:
+        """Move the pending event ``handle`` to ``time``: exactly a cancel
+        plus a schedule of its callback (a fresh ``(time, seq)``, kept on the
+        same handle), for one heap push — the old entry is left retired."""
+        if handle.seq == 0 or handle._executed or time < self._now - 1e-12:
+            raise SimulationError("can only move a pending event, and not into the past")
+        self._serial = seq = self._serial + 1
+        handle.time = time = max(time, self._now)
+        handle.seq = seq
+        heapq.heappush(self._heap, (time, seq, handle))
+        self._rescheduled += 1
+        self._note_retired()
 
     def schedule_in(self, delay: float, callback: Callable[..., None], *args: Any) -> EventHandle:
         """Schedule ``callback(*args)`` after ``delay`` seconds of virtual time."""
@@ -202,15 +220,17 @@ class Simulator:
 
     # -- heap hygiene ----------------------------------------------------------
     def _note_cancelled(self) -> None:
-        """Account one freshly cancelled heap entry; compact when they dominate.
+        self._pending -= 1
+        self._cancelled += 1
+        self._note_retired()
+
+    def _note_retired(self) -> None:
+        """Account one freshly retired heap entry; compact when they dominate.
 
         Each compaction pass is O(heap) but removes at least half of it, so
-        cancellations pay amortized O(1): a cancel-heavy workload (the lazy
-        transport scheduler re-pushing completion estimates on every rate
-        change) keeps the heap within a small constant factor of the live
-        event count instead of growing with the total cancellation history.
+        retirements pay amortized O(1) and the heap stays within a small
+        constant factor of the live event count.
         """
-        self._pending -= 1
         self._cancelled_in_heap += 1
         if (
             len(self._heap) >= self._COMPACT_MIN_SIZE
@@ -219,9 +239,9 @@ class Simulator:
             self._compact()
 
     def _compact(self) -> None:
-        """Drop every cancelled entry and re-heapify (order is unchanged:
+        """Drop every retired entry and re-heapify (order is unchanged:
         entries keep their ``(time, seq)`` keys)."""
-        self._heap = [entry for entry in self._heap if not entry[2].cancelled]
+        self._heap = [entry for entry in self._heap if entry[1] == entry[2].seq]
         heapq.heapify(self._heap)
         self._cancelled_in_heap = 0
         self._compactions += 1
@@ -230,13 +250,13 @@ class Simulator:
     def _fire_next(self, until: Optional[float] = None, fire: bool = True) -> bool:
         """Whether a live event is due by ``until``; pops and runs it when ``fire``.
 
-        The single place cancelled heap entries are skipped and the single
+        The single place retired heap entries are skipped and the single
         place an event executes; :meth:`step` and :meth:`run` both loop on it.
         """
         heap = self._heap
         while heap:
-            time, _seq, handle = heap[0]
-            if handle.cancelled:
+            time, seq, handle = heap[0]
+            if seq != handle.seq:
                 heapq.heappop(heap)
                 self._cancelled_in_heap -= 1
                 continue

@@ -17,8 +17,8 @@ engines for the shared regime, one for the independent one;
 :class:`~repro.simnet.shared_sched.LazySharedLinkScheduler` (``LinkModel.shared``)
     The engine for models where flow rates couple through link occupancy
     (``fair``, ``fifo``, ``tcp``): lazy per-flow progress and one pending
-    heap event per flow, re-pushed only when the flow's rate actually
-    changes — O(touched flows × log F) per event.  It drives the model's
+    heap event per flow, moved only when the flow's target comes earlier —
+    O(touched flows × log F) per event.  It drives the model's
     five bulk hooks and needs nothing else registered anywhere.  Every run a
     spec describes uses it.  See :mod:`repro.simnet.shared_sched`.
 

@@ -134,12 +134,17 @@ class LinkModel:
     # ``movers_among``, ``on_link_rate_changed``), the rate ``rates_of`` would
     # report must be unchanged by the observed transition — that is what makes
     # skipping the untouched flows exact rather than approximate.
+    #
+    # Optional wake pair, for per-flow state on its own clock (tcp's ticks):
+    # the flow's one event is aimed no later than ``next_wake(flow)``, where
+    # ``wake(flow, now)`` moves that state and the flow alone is re-rated —
+    # so a wake may move only its flow's rate and its own ``next_wake``.
+    next_wake = None
+    wake = None
+
     def bind(self, scheduler) -> None:
         """Take the lazy scheduler's live indexes; called once, at its
         construction.  The scheduler owns and maintains all of them."""
-        #: The scheduler itself, for a model with events of its own (tcp's
-        #: ack ticks).
-        self._scheduler = scheduler
         self._by_src: Dict[str, Dict[int, Flow]] = scheduler._by_src
         self._by_dst: Dict[str, Dict[int, Flow]] = scheduler._by_dst
         #: Current uplink/downlink capacity per *active* link side (seeded on
@@ -504,9 +509,7 @@ _TICK_EPSILON = 1e-9
 class _TcpFlowState:
     """Per-flow Reno congestion state (cwnd and friends, in MSS units)."""
 
-    __slots__ = (
-        "cwnd", "ssthresh", "srtt", "devrtt", "rto", "base_rtt", "next_tick", "dupacks", "tick",
-    )
+    __slots__ = ("cwnd", "ssthresh", "srtt", "devrtt", "rto", "base_rtt", "next_tick", "dupacks")
 
     def __init__(self, base_rtt: float, now: float) -> None:
         self.cwnd = TCP_INITIAL_CWND
@@ -517,9 +520,6 @@ class _TcpFlowState:
         self.rto = min(max(self.srtt + 4.0 * self.devrtt, TCP_MIN_RTO_S), TCP_MAX_RTO_S)
         self.next_tick = now + self.srtt
         self.dupacks = 0
-        #: The pending ack-tick event (lazy engine only; the vector engine
-        #: and the reference model wake on ``next_tick`` themselves).
-        self.tick = None
 
     def window_rate(self, weight: int) -> float:
         """The window-limited send rate: ``weight × cwnd × MSS / estRTT``."""
@@ -534,11 +534,12 @@ class TcpLinkModel(FairShareLinkModel):
     :class:`FairShareLinkModel` — occupancy-coupled equal splits with the
     same touched sets — capped by the window-limited rate ``cwnd × MSS /
     estRTT``; the congestion state advances at *ack ticks* (one per
-    estimated RTT).  On the lazy engine the model keeps one pending
-    simulator event per flow at its next tick (:meth:`_on_tick`), which
-    advances only that flow's congestion state and re-aims only that flow: a
-    window change never moves a neighbour's fair share, so the fair
-    touched-set contract carries over unchanged.  Tick frequency is
+    estimated RTT).  On the lazy engine the ticks are the model's wakes
+    (:meth:`next_wake` / :meth:`wake`), riding the flow's one pending event;
+    a due tick advances only that flow's congestion state and re-rates only
+    that flow: a window change never moves a neighbour's fair share, so the
+    fair touched-set contract carries over unchanged, and a share rise whose
+    completion lands past the next tick costs no heap work.  Tick frequency is
     self-limiting — the queue-delay RTT sample inflates ``estRTT`` as the
     window grows (roughly ``sqrt`` of transfer progress); the per-message
     tick count is pinned in ``tests/simnet/test_flow_waves.py``.  The vector
@@ -627,8 +628,8 @@ class TcpLinkModel(FairShareLinkModel):
         ``granted`` is the rate the transport actually assigned over the
         round (default: ``flow.rate``, which the scalar engines keep
         current; the vector engine passes its slot-array rate instead).
-        This is the **one** Reno state machine — the lazy engine's ticks
-        (:meth:`_on_tick`), the vector engine's ``_TcpVectorPolicy`` and the
+        This is the **one** Reno state machine — the lazy engine's wakes
+        (:meth:`wake`), the vector engine's ``_TcpVectorPolicy`` and the
         test-side reference scheduler all drive transitions through this
         method, so they cannot drift apart.
         """
@@ -677,40 +678,35 @@ class TcpLinkModel(FairShareLinkModel):
             state.cwnd += 1.0
         state.next_tick = now + state.srtt
 
-    # -- lazy-engine hooks: fair shares, window cap, one tick per flow --------
+    # -- lazy-engine hooks: fair shares, window cap, one wake per tick --------
     def on_flows_added(self, flows: List[Flow]) -> Iterable[Flow]:
-        now = self._scheduler.simulator.now
+        # Unrated until now, so ``last_update`` is still the admission instant.
         for flow in flows:
-            self._arm_tick(flow, self.state_of(flow, now))
+            self.state_of(flow, flow.last_update)
         return super().on_flows_added(flows)
 
     def on_flows_removed(self, flows: List[Flow]) -> Dict[int, Flow]:
-        # Per-flow teardown (tick cancel, window-state drop), then the fair
-        # batch union for the capacity side.
+        # Window states go, then fair's batch union for the capacity side.
         for flow in flows:
-            self._states.pop(flow.flow_id).tick.cancel()
+            del self._states[flow.flow_id]
         return super().on_flows_removed(flows)
 
     def rates_of(self, flows: List[Flow], now: float) -> List[float]:
-        # Fair shares in bulk, then the per-flow window cap on top.
+        # Fair shares in bulk, then the window cap on top (inlined per flow).
         shares = super().rates_of(flows, now)
-        state_of = self.state_of
-        return [
-            min(share, state_of(flow, now).window_rate(flow.weight))
-            for flow, share in zip(flows, shares)
-        ]
+        states = self._states
+        rates = []
+        for flow, share in zip(flows, shares):
+            state = states[flow.flow_id]
+            window = flow.weight * state.cwnd * TCP_MSS_BYTES / state.srtt
+            rates.append(share if share <= window else window)
+        return rates
 
-    def _arm_tick(self, flow: Flow, state: _TcpFlowState) -> None:
-        state.tick = self._scheduler.simulator.schedule(state.next_tick, self._on_tick, flow)
+    def next_wake(self, flow: Flow) -> float:
+        return self._states[flow.flow_id].next_tick
 
-    def _on_tick(self, flow: Flow) -> None:
-        scheduler = self._scheduler
-        scheduler._settle_admissions()
-        now = scheduler.simulator.now
-        state = self.state_of(flow, now)
-        self.advance_flow(flow, state, now)
-        self._arm_tick(flow, state)
-        scheduler._apply_rate_changes([flow], now)
+    def wake(self, flow: Flow, now: float) -> None:
+        self.advance_flow(flow, self._states[flow.flow_id], now)
 
 
 class LatencyOnlyLinkModel(LinkModel):

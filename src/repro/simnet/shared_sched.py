@@ -13,12 +13,12 @@ test-side reference model (``tests/simnet/reference_sched.py``);
   started/finished or a link capacity moved.  Between touches the rate is
   constant, so one multiply covers the whole untouched span.
 * **Heap-driven next events.**  Every flow owns at most one pending simulator
-  event at ``min(completion estimate, deadline)``; every link side with
-  active flows owns one *watcher* event at its next bandwidth breakpoint.
-  When a flow's rate changes, its estimate is invalidated (the engine's O(1)
-  ``EventHandle.cancel``) and a fresh one is pushed; stale heap entries are
-  skipped like any cancelled event, and the engine compacts the heap once
-  corpses dominate.
+  event at ``min(completion estimate, deadline, model wake)``; every link
+  side with active flows owns one *watcher* event at its next bandwidth
+  breakpoint.  An event a rate change made too early stays and re-aims when
+  it fires; one that must come earlier moves in place (the engine's one-push
+  ``Simulator.reschedule``), and the engine skips and compacts the entries
+  moved away from like cancelled ones.
 * **Same-instant batches.**  Arrivals and departures are each rated once per
   *frontier*, against final occupancy.  ``start_flows`` only indexes its
   burst; the first admission of an instant schedules one event at ``now``,
@@ -43,8 +43,8 @@ through five bulk hooks (``on_flows_added``, ``on_flows_removed``,
 ``movers_among``, ``on_link_rate_changed``, ``rates_of``); what each shipped
 model's touched set is (``fair``: the flows the moved link side can bind;
 ``fifo``: the promoted flow and its downlink's served flows; ``tcp``:
-``fair``'s, plus one flow per ack tick) is stated on its class in
-:mod:`repro.simnet.linkmodel`.
+``fair``'s, plus the woken flow alone at each ack tick, the model's wake) is
+stated on its class in :mod:`repro.simnet.linkmodel`.
 
 Float semantics, stated plainly: lazy accumulation changes chip
 segmentation (``remaining -= rate * elapsed`` does not distribute over a
@@ -79,13 +79,13 @@ class LazySharedLinkScheduler(FlowScheduler):
 
     Structurally the shared-regime twin of
     :class:`~repro.simnet.flows.IndependentFlowScheduler`: every flow owns at
-    most one pending event at ``min(completion estimate, deadline)``, plus
-    one *watcher* event per active link side at its next bandwidth
+    most one pending event at ``min(completion estimate, deadline, wake)``,
+    plus one *watcher* event per active link side at its next bandwidth
     breakpoint.  What the independent scheduler never needs — reacting to
     neighbours — is delegated to the link model's bulk hooks
     (:class:`~repro.simnet.linkmodel.LinkModel`), which return the (small)
     set of flows whose rate an event actually changed; only those are
-    advanced and re-pushed.
+    advanced and re-aimed.
     """
 
     def __init__(self, model, simulator, links, complete, expire) -> None:
@@ -105,6 +105,9 @@ class LazySharedLinkScheduler(FlowScheduler):
         #: them.
         self._admission_frontiers = 0
         self._flows_admitted = 0
+        #: Flow events that fired at the model's wake, and its wake hooks.
+        self._wakes = 0
+        self._next_wake, self._wake = model.next_wake, model.wake
         model.bind(self)
 
     # -- interface ---------------------------------------------------------
@@ -114,6 +117,7 @@ class LazySharedLinkScheduler(FlowScheduler):
             "flows_rated": self._flows_rated,
             "admission_frontiers": self._admission_frontiers,
             "flows_admitted": self._flows_admitted,
+            "wakes": self._wakes,
         }
 
     def start_flows(self, flows: List[Flow], now: float) -> None:
@@ -158,10 +162,10 @@ class LazySharedLinkScheduler(FlowScheduler):
         """Rate the open admission frontier, if any, in one pass.
 
         Its own event and the first statement of every other transition
-        (``_on_flow_event``, ``_on_link_event``, ``on_link_replaced``, a tcp
-        ack tick): whichever comes first finds the flows.  A frontier event
-        overtaken that way finds nothing, or what was admitted since — still
-        at its instant, since it fires before the clock can move.
+        (``_on_flow_event``, tcp ack ticks included, ``_on_link_event``,
+        ``on_link_replaced``): whichever comes first finds the flows.  A
+        frontier event overtaken that way finds nothing, or what was admitted
+        since — still at its instant, since it fires before the clock can move.
         """
         flows = self._admitted
         if flows:
@@ -201,35 +205,44 @@ class LazySharedLinkScheduler(FlowScheduler):
         self._flows_rated += len(flows)
         rates = self.model.rates_of(flows, now)
         for flow, new_rate in zip(flows, rates):
-            if new_rate == flow.rate and flow.pending is not None:
+            pending = flow.pending
+            if new_rate != flow.rate:
+                # Chip progress under the old rate before switching: each
+                # rate change is a mandatory chip boundary (everything between
+                # them is one multiply).  This is _advance inlined — the
+                # hottest loop in a shared run; keep the two in sync.
+                elapsed = now - flow.last_update
+                if elapsed > 0 and flow.rate > 0:
+                    flow.remaining = max(0.0, flow.remaining - flow.rate * elapsed)
+                flow.last_update = now
+                flow.rate = new_rate
+                # A pending event is never later than the deadline or the next
+                # wake, so the new estimate alone decides what _aim would do.
+                if pending is not None and new_rate > 0:
+                    estimate = now + flow.remaining / new_rate
+                    if estimate < pending.time:
+                        self.simulator.reschedule(pending, estimate)
+                    continue
+            elif pending is not None:
                 continue
-            # Chip progress under the old rate before switching: ``remaining``
-            # integrates a piecewise-constant rate, so each rate change is a
-            # mandatory chip boundary (everything between them is one multiply).
-            # This is _advance inlined — the hottest loop in a shared run
-            # makes millions of these chips, and the method-call overhead is
-            # measurable; keep the two in sync.
-            elapsed = now - flow.last_update
-            if elapsed > 0 and flow.rate > 0:
-                flow.remaining = max(0.0, flow.remaining - flow.rate * elapsed)
-            flow.last_update = now
-            flow.rate = new_rate
             self._aim(flow, now)
 
     def _aim(self, flow: Flow, now: float) -> None:
-        """Keep ``flow``'s pending event unless its target moved *earlier*.
+        """Keep ``flow``'s pending event unless its target — the earliest of
+        completion estimate, deadline and model wake — moved *earlier*.
 
         A pending event that is now too early is harmless — it fires, finds
         the flow incomplete, and re-aims — so rate *drops* (a later arrival
         diluting the flows already on its link) cost no heap traffic at all.
-        Only a target that moved earlier than the pending event forces a
-        cancel + re-push, and stale entries are skipped/compacted by the
-        engine.  Same-instant arrivals do not dilute each other this way: an
-        admission frontier aims each of its flows once, at final occupancy.
+        Only a target that moved earlier than the pending event moves it, with
+        one ``Simulator.reschedule`` push.  Same-instant arrivals do not
+        dilute each other this way: an admission frontier aims each of its
+        flows once, at final occupancy.
         """
         candidates = []
         if flow.rate > 0:
-            candidates.append(now + flow.remaining / flow.rate)
+            # From the last chip, which a wake that left the rate alone skips.
+            candidates.append(flow.last_update + flow.remaining / flow.rate)
         elif flow.remaining <= _COMPLETION_EPSILON_BYTES:
             # Re-rated to zero at the very instant it finished (an outage or
             # a breakpoint landing on the completion): the transfer is done,
@@ -237,6 +250,8 @@ class LazySharedLinkScheduler(FlowScheduler):
             candidates.append(now)
         if flow.deadline is not None:
             candidates.append(flow.deadline)
+        if self._next_wake is not None:
+            candidates.append(self._next_wake(flow))
         if not candidates:
             # Starved with no deadline: the link watcher revives it if the
             # capacity ever comes back; until then there is nothing to wait
@@ -248,11 +263,10 @@ class LazySharedLinkScheduler(FlowScheduler):
         target = min(candidates)
         if target < now:
             target = now
-        if flow.pending is not None:
-            if flow.pending.time <= target:
-                return
-            flow.pending.cancel()
-        flow.pending = self.simulator.schedule(target, self._on_flow_event, flow)
+        if flow.pending is None:
+            flow.pending = self.simulator.schedule(target, self._on_flow_event, flow)
+        elif target < flow.pending.time:
+            self.simulator.reschedule(flow.pending, target)
 
     def _advance(self, flow: Flow, now: float) -> None:
         # Inlined in _apply_rate_changes (hot path) — keep the two in sync.
@@ -269,12 +283,21 @@ class LazySharedLinkScheduler(FlowScheduler):
         self._settle_admissions()
         flow.pending = None
         now = self.simulator.now
+        last_update, remaining = flow.last_update, flow.remaining
         self._advance(flow, now)
         if self._is_complete(flow, now):
             self._finish_batch(flow, now)
             return
         if flow.deadline is not None and now >= flow.deadline - _TIME_EPSILON:
             self._finish_expired(flow, now)
+            return
+        if self._wake is not None and self._next_wake(flow) <= now:
+            # The model's wake is due.  Undo the chip first: a wake that
+            # leaves the rate alone leaves the completion instant as it was.
+            flow.last_update, flow.remaining = last_update, remaining
+            self._wakes += 1
+            self._wake(flow, now)
+            self._apply_rate_changes((flow,), now)
             return
         # Fired early — the rate dropped since this event was pushed, or the
         # residual was too small to predict exactly (float rounding).  Re-aim

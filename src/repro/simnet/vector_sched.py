@@ -208,8 +208,8 @@ class _TcpVectorPolicy(_FairVectorPolicy):
       free), so due ticks are found with one vectorized comparison and the
       whole due cohort of an instant advances in one pass (a synchronized
       broadcast wave keeps identical congestion trajectories, so its ticks
-      coalesce for the entire run), where the lazy engine pays one simulator
-      heap event per flow per ack round;
+      coalesce for the entire run), where the lazy engine pays one event
+      firing and one rate pass per flow per ack round;
     * ``_wrate`` — each slot's window-limited rate ``weight·cwnd·MSS/estRTT``,
       refreshed whenever a slot's state advances, so :meth:`rates` is the
       fair share pass plus one elementwise ``minimum`` against the window
@@ -218,7 +218,7 @@ class _TcpVectorPolicy(_FairVectorPolicy):
     State *transitions* are never reimplemented here: each due slot is
     advanced through :meth:`repro.simnet.linkmodel.TcpLinkModel.advance_flow`
     (fed the slot array's granted rate), the same Reno machine
-    the lazy engine (``TcpLinkModel._on_tick``) drives — loss
+    the lazy engine (``TcpLinkModel.wake``) drives — loss
     draws included, which keeps the per-pair ``tcp_loss_event`` streams and
     their consumption order (flow-id order within an instant, matching
     ``_settle_due``) deterministic.  Like the scalar engines, tcp makes no

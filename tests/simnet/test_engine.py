@@ -146,9 +146,8 @@ def test_max_events_allows_exactly_that_many_events():
 
 
 def test_cancel_heavy_workload_keeps_heap_size_bounded():
-    # The lazy transport scheduler cancels and re-pushes a completion
-    # estimate per rate change; without compaction the heap grows with the
-    # total cancellation history instead of the live event count.
+    # Without compaction the heap grows with the total cancellation history
+    # instead of the live event count.
     sim = Simulator()
     live = [sim.schedule(1000.0 + i, lambda: None) for i in range(10)]
     for round_number in range(200):
@@ -159,6 +158,24 @@ def test_cancel_heavy_workload_keeps_heap_size_bounded():
         # constant factor of the live entries.
         assert len(sim._heap) <= max(2 * (len(live) + 50), Simulator._COMPACT_MIN_SIZE)
     assert sim.pending_events == len(live)
+
+
+def test_reschedule_heavy_workload_keeps_heap_size_bounded():
+    # The lazy transport scheduler moves a flow's event earlier on every
+    # share rise; each move leaves a retired entry behind, swept like a
+    # cancelled one.
+    sim = Simulator()
+    fired = []
+    handles = [sim.schedule(1000.0 + i, fired.append, i) for i in range(10)]
+    for _ in range(200):
+        for handle in handles:
+            sim.reschedule(handle, handle.time - 1.0)
+        assert len(sim._heap) <= max(2 * len(handles) + 1, Simulator._COMPACT_MIN_SIZE)
+    assert sim.pending_events == len(handles)
+    counters = sim.counters()
+    assert (counters["scheduled"], counters["rescheduled"], counters["cancelled"]) == (10, 2000, 0)
+    assert sim.run_until_idle() == 809.0
+    assert fired == list(range(10))
 
 
 def test_compaction_preserves_event_order():

@@ -1,11 +1,13 @@
 """The event loop against an executable reference model.
 
 ``ReferenceSimulator`` is the specification of :class:`Simulator` in the
-plainest form that can run: one list kept sorted by ``(time, seq)``.  The
-stateful test drives it and the real loop with the same random sequence of
-schedule / cancel / schedule-from-a-callback / ``schedule_batch`` /
-``run(until, max_events)`` / ``step()`` calls and requires the same firing
-order, clock and counters after every call.
+plainest form that can run: one list kept sorted by ``(time, seq)``, where a
+reschedule is a drop plus a schedule with a fresh serial.  The stateful test
+drives it and the real loop with the same random sequence of schedule /
+cancel / reschedule (from outside or from a callback) /
+schedule-from-a-callback / ``schedule_batch`` / ``run(until, max_events)`` /
+``step()`` calls and requires the same firing order, clock and counters after
+every call.
 """
 
 import hypothesis.strategies as st
@@ -22,20 +24,38 @@ class ReferenceSimulator:
         self.now, self.serial, self.processed_events = 0.0, 0, 0
         self.queue = []  # [time, seq, callback, args], sorted by (time, seq)
         self.batches = {}
+        self.scheduled = self.rescheduled = self.cancelled = 0
 
     pending_events = property(lambda self: len(self.queue))
+
+    def _is_pending(self, entry):
+        return any(e is entry for e in self.queue)
 
     def schedule(self, time, callback, *args):
         if time < self.now - 1e-12:
             raise SimulationError("in the past")
         self.serial += 1
+        self.scheduled += 1
         entry = [max(time, self.now), self.serial, callback, args]
         self.queue.append(entry)
         self.queue.sort(key=lambda e: (e[0], e[1]))
         return entry
 
     def cancel(self, entry):
+        if self._is_pending(entry):
+            self.cancelled += 1
         self.queue = [e for e in self.queue if e is not entry]
+
+    def reschedule(self, entry, time):
+        """Drop ``entry`` and schedule its callback again at ``time``, under
+        a fresh serial, in the same entry (so the caller's handle stays
+        good)."""
+        if not self._is_pending(entry) or time < self.now - 1e-12:
+            raise SimulationError("not pending, or in the past")
+        self.serial += 1
+        self.rescheduled += 1
+        entry[0], entry[1] = max(time, self.now), self.serial
+        self.queue.sort(key=lambda e: (e[0], e[1]))
 
     def schedule_batch(self, time, key, drain, item):
         if (time, key) not in self.batches:
@@ -66,12 +86,14 @@ DELAYS = st.sampled_from([0.0, 0.0, 0.25, 0.5, 1.0, 2.5])
 
 #: What a callback does when it fires, built from the same few moves the
 #: machine makes from outside: spawn a child (delay 0 is schedule-at-``now``),
-#: cancel some earlier handle, or queue a batch item.
+#: cancel or reschedule some earlier handle (the firing one included, which
+#: is refused), or queue a batch item.
 PLANS = st.recursive(
     st.just(("noop",)),
     lambda inner: st.one_of(
         st.tuples(st.just("spawn"), DELAYS, inner),
         st.tuples(st.just("cancel"), st.integers(0, 40)),
+        st.tuples(st.just("reschedule"), st.integers(0, 40), DELAYS),
         st.tuples(st.just("batch"), DELAYS, st.sampled_from("xy")),
     ),
     max_leaves=4,
@@ -95,6 +117,10 @@ class _Side:
         if self.handles:
             self.cancel(self.handles[index % len(self.handles)])
 
+    def reschedule_index(self, index, time):
+        if self.handles:
+            self.sim.reschedule(self.handles[index % len(self.handles)], time)
+
     def fire(self, label, plan):
         now = self.sim.now
         self.log.append((label, now))
@@ -102,6 +128,8 @@ class _Side:
             self.schedule(now + plan[1], label + ".c", plan[2])
         elif plan[0] == "cancel":
             self.cancel_index(plan[1])
+        elif plan[0] == "reschedule":
+            self.reschedule_index(plan[1], now + plan[2])
         elif plan[0] == "batch":
             self.batch(now + plan[1], plan[2], label)
 
@@ -137,6 +165,12 @@ class EngineAgainstReference(RuleBasedStateMachine):
     def cancel(self, index):
         self.both(lambda side: side.cancel_index(index))
 
+    # A handle that was cancelled, has fired or is firing is refused, and so
+    # is an instant in the past; one moved before may be moved again.
+    @rule(index=st.integers(0, 40), delay=st.one_of(DELAYS, st.sampled_from([-1.0, -1e-13])))
+    def reschedule(self, index, delay):
+        self.both(lambda side: side.reschedule_index(index, side.sim.now + delay))
+
     @rule(delay=st.one_of(DELAYS, st.just(-1.0)), key=st.sampled_from("xy"))
     def schedule_batch(self, delay, key):
         self.labels += 1
@@ -168,7 +202,13 @@ class EngineAgainstReference(RuleBasedStateMachine):
         counters = real.sim.counters()
         assert counters["executed"] == real.sim.processed_events
         assert counters["pending"] == real.sim.pending_events
+        # Rescheduled-away entries count as retired, like cancelled ones.
         assert counters["heap_size"] == counters["pending"] + counters["cancelled_in_heap"]
+        assert (counters["scheduled"], counters["rescheduled"], counters["cancelled"]) == (
+            reference.sim.scheduled,
+            reference.sim.rescheduled,
+            reference.sim.cancelled,
+        )
 
 
 EngineAgainstReference.TestCase.settings = settings(

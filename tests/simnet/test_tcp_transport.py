@@ -33,6 +33,9 @@ from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, LinkFault
 from repro.protocols.runner import execute_spec
 from repro.runtime.spec import RunSpec
+from repro.simnet.bandwidth import BandwidthSchedule
+from repro.simnet.engine import Simulator
+from repro.simnet.flows import Flow, make_flow_scheduler
 from repro.simnet.linkmodel import (
     TCP_DUPACK_THRESHOLD,
     TCP_INITIAL_CWND,
@@ -40,6 +43,7 @@ from repro.simnet.linkmodel import (
     TCP_MAX_RTO_S,
     TCP_MIN_RTO_S,
     TcpLinkModel,
+    get_link_model,
 )
 from repro.simnet.message import Message
 from repro.simnet.network import LinkConfig, SimNetwork
@@ -233,6 +237,82 @@ def test_tcp_spec_runs_end_to_end_on_every_engine(engine):
         summary = execute_spec(spec).summary()
     assert summary["success"] is True
     assert summary["stats"]["messages_delivered"] > 0
+
+
+# -- one heap event per flow -----------------------------------------------------
+
+def _bare_tcp_scheduler(links):
+    """The lazy scheduler on tcp without a network (no deliveries, no timers:
+    every heap entry is the scheduler's) and the list it settles flows into."""
+    simulator = Simulator()
+    settled = []
+    scheduler = make_flow_scheduler(
+        get_link_model("tcp"), simulator, links, settled.append, settled.append
+    )
+    return simulator, scheduler, settled
+
+
+def _start(simulator, scheduler, *transfers):
+    now = simulator.now
+    flows = [
+        Flow(simulator.next_serial(), src, dst, Message("DOC", size_bytes=size), now,
+             None if timeout is None else now + timeout, None, None)
+        for src, dst, size, timeout in transfers
+    ]
+    scheduler.start_flows(flows, now)
+    return flows
+
+
+def test_a_live_tcp_flow_owns_exactly_one_heap_event():
+    # Fan-in onto a sink whose downlink dips on [2, 4): the sink's downlink
+    # has a breakpoint watcher, the sources' constant links have none.
+    sink = BandwidthSchedule.constant_mbps(8.0).with_window_mbps(2.0, 4.0, 2.0)
+    links = {"sink": LinkConfig.symmetric(sink)}
+    links.update({name: LinkConfig.symmetric_mbps(16.0) for name in ("a", "b", "c")})
+    simulator, scheduler, settled = _bare_tcp_scheduler(links)
+    _start(simulator, scheduler, ("a", "sink", 3_000_000, None), ("b", "sink", 600_000, 5.0))
+    for step in range(1, 400):
+        # Drained through this instant: no admission frontier is open.
+        simulator.run(until=0.05 * step)
+        flows = list(scheduler._flows.values())
+        watchers = sum(handle is not None for handle in scheduler._watchers.values())
+        assert all(flow.pending is not None for flow in flows)
+        assert simulator.pending_events == len(flows) + watchers
+        counters = simulator.counters()
+        assert counters["heap_size"] == counters["pending"] + counters["cancelled_in_heap"]
+        if step == 14:
+            _start(simulator, scheduler, ("c", "sink", 1_500_000, None))
+    assert len(settled) == 3
+    assert scheduler.counters()["wakes"] > 0
+
+
+def test_a_share_rise_past_the_next_tick_costs_no_heap_push():
+    # Two flows share the sink's 1 MB/s downlink.  Once the small one leaves,
+    # the big one's fair share doubles; its pending event is its next ack
+    # tick, earlier than the new completion, so the departure moves nothing
+    # on the heap.
+    links = {"sink": LinkConfig.symmetric_mbps(8.0)}
+    links.update({name: LinkConfig.symmetric_mbps(64.0) for name in ("big", "small")})
+    simulator, scheduler, settled = _bare_tcp_scheduler(links)
+    big, small = _start(
+        simulator, scheduler, ("big", "sink", 50_000_000, None), ("small", "sink", 3_000_000, None)
+    )
+    simulator.run(until=0.0)  # the admission frontier creates the window states
+    state = scheduler.model._states[big.flow_id]
+
+    def pushes():
+        counters = simulator.counters()
+        return counters["scheduled"] + counters["rescheduled"]
+
+    while not settled:
+        before, rate_before = pushes(), big.rate
+        assert simulator.step()
+    assert settled == [small]
+    # Share-bound before: the fair half of the sink, under the window cap.
+    assert rate_before == 500_000.0 < state.window_rate(big.weight)
+    assert big.rate > rate_before
+    assert big.pending.time == state.next_tick < big.last_update + big.remaining / big.rate
+    assert pushes() == before
 
 
 # -- Reno transitions ----------------------------------------------------------
