@@ -29,11 +29,6 @@ from __future__ import annotations
 import math
 from typing import Optional, Sequence
 
-try:  # pragma: no cover - absence exercised by the no-numpy CI leg
-    import numpy as _np
-except ImportError:  # pragma: no cover - absence exercised by the no-numpy CI leg
-    _np = None
-
 
 def binomial_from_uniform(count: int, probability: float, u: float) -> int:
     """Exact Binomial(``count``, ``probability``) sample from one uniform.
@@ -81,12 +76,15 @@ def batch_gaussian_binomial(
     it; it goes in the ``benchmark`` PR that retires that micro row, together
     with the vector transport engine.
 
-    Returns None when numpy is unavailable.  Matches the scalar expression
-    exactly: the products associate identically, ``sqrt`` is IEEE-exactly
-    rounded in both, and ``np.rint`` rounds half to even like Python's
-    ``round``.
+    Returns None when numpy is unavailable; numpy is imported here, not at
+    module level, so no run a spec describes loads it.  Matches the scalar
+    expression exactly: the products associate identically, ``sqrt`` is
+    IEEE-exactly rounded in both, and ``np.rint`` rounds half to even like
+    Python's ``round``.
     """
-    if _np is None:
+    try:
+        import numpy as _np
+    except ImportError:  # pragma: no cover - absence exercised by the no-numpy CI leg
         return None
     n = _np.asarray(eligible, dtype=_np.float64)
     p = _np.asarray(probability, dtype=_np.float64)

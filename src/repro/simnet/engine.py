@@ -21,6 +21,7 @@ bit-for-bit.
 
 from __future__ import annotations
 
+import gc
 import heapq
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -80,9 +81,9 @@ class Simulator:
         self._cancelled_in_heap = 0
         self._compactions = 0
         self._rescheduled = self._cancelled = 0
-        # Open micro-batches: (time, key) -> list of queued items, drained by
-        # one heap event each (see schedule_batch).
-        self._batches: Dict[Tuple[float, Any], List[Any]] = {}
+        # Open micro-batches: (time, key) -> (drain event, queued items), each
+        # drained by its one heap event (see schedule_batch).
+        self._batches: Dict[Tuple[float, Any], Tuple[EventHandle, List[Any]]] = {}
 
     # -- time --------------------------------------------------------------
     @property
@@ -170,8 +171,9 @@ class Simulator:
     # -- micro-batching --------------------------------------------------------
     def schedule_batch(
         self, time: float, key: Any, drain: Callable[[List[Any]], None], item: Any
-    ) -> None:
-        """Queue ``item`` for the micro-batch at ``(time, key)``.
+    ) -> Tuple[float, Any]:
+        """Queue ``item`` for the micro-batch at ``(time, key)``; returns that
+        slot, which :meth:`unbatch` takes.
 
         Handlers that opt in (the network's delivery path) coalesce all
         same-instant work sharing a key — e.g. every message arriving at one
@@ -192,13 +194,30 @@ class Simulator:
         if batch is None:
             # Scheduled before the batch is opened: a refused instant (in the
             # past) must not leave an open batch that no event will drain.
-            self.schedule(time, self._drain_batch, slot, drain)
-            self._batches[slot] = [item]
+            self._batches[slot] = (self.schedule(time, self._drain_batch, slot, drain), [item])
         else:
-            batch.append(item)
+            batch[1].append(item)
+        return slot
+
+    def unbatch(self, slot: Tuple[float, Any], item: Any) -> None:
+        """Withdraw ``item`` (by identity) from the open batch at ``slot``.
+
+        The batch keeps its place in the event order; withdrawing its last
+        item cancels its event, so an emptied batch keeps no run alive.
+        """
+        handle, items = self._batches[slot]
+        for index, queued in enumerate(items):
+            if queued is item:
+                del items[index]
+                break
+        else:
+            raise SimulationError("item is not queued in batch %r" % (slot,))
+        if not items:
+            del self._batches[slot]
+            handle.cancel()
 
     def _drain_batch(self, slot: Tuple[float, Any], drain: Callable[[List[Any]], None]) -> None:
-        drain(self._batches.pop(slot))
+        drain(self._batches.pop(slot)[1])
 
     def schedule_window(
         self,
@@ -284,6 +303,12 @@ class Simulator:
         clock alone).  ``max_events`` is an exact bound protecting against
         runaway protocols in tests: at most ``max_events`` events execute,
         and the error is raised only when a further live event is still due.
+
+        The cyclic garbage collector is paused for the length of the run and
+        left as it was found, also when the run raises or is nested in a
+        callback.  The loop makes no cyclic garbage — reference counting
+        frees everything it drops (``tests/simnet/test_collector.py``) — so
+        the collector's passes over the live heap would change nothing.
         """
         executed = 0
         # The run loop is the outermost `transport` phase bucket: everything
@@ -292,6 +317,9 @@ class Simulator:
         measured = phases.ENABLED
         if measured:
             phases.enter(phases.TRANSPORT)
+        paused = gc.isenabled()
+        if paused:
+            gc.disable()
         try:
             while self._fire_next(until, executed < max_events):
                 if executed >= max_events:
@@ -300,6 +328,8 @@ class Simulator:
                     )
                 executed += 1
         finally:
+            if paused:
+                gc.enable()
             if measured:
                 phases.leave()
         if until is not None and self._now < until:

@@ -30,10 +30,11 @@ engines for the shared regime, one for the independent one;
 
 :class:`IndependentFlowScheduler` (``not LinkModel.shared``)
     For models where a flow's rate depends on its own two links only
-    (``latency-only``).  Every flow is aimed at one pending event at the
-    minimum of its completion estimate, its deadline, and its links' next
-    bandwidth breakpoints; flows of one burst that land on the same instant
-    share that event, flow events cost O(1) and never touch other flows,
+    (``latency-only``).  Such a flow's trajectory is known when it is
+    admitted, so the scheduler plans it then: a completing flow hands its
+    completion instant to the network, which queues the delivery at once,
+    and an expiring flow gets one heap event at its deadline.  A message
+    costs one heap event, its delivery, and no flow ever touches another,
     which is what makes 10×-paper node counts tractable.
 
 Flow ids come from the simulator's serial counter
@@ -44,9 +45,10 @@ id generator is needed.
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Optional
 
-from repro.simnet.engine import EventHandle, Simulator
+from repro.simnet.engine import Simulator
 from repro.simnet.linkmodel import LinkModel
 from repro.simnet.message import Message
 from repro.utils.validation import ValidationError
@@ -113,7 +115,8 @@ class Flow:
         self.weight = weight
         self.last_update = start_time
         # The scheduler's claim on the flow's next event: the event's handle
-        # (shared engines) or a wave of same-instant flows (independent).
+        # (shared engines), or what withdraws a planned settle — the queued
+        # delivery's batch slot and item, or the expiry's handle (independent).
         self.pending: Optional[Any] = None
         self.on_timeout = on_timeout
         self.on_delivered = on_delivered
@@ -136,11 +139,16 @@ class FlowScheduler:
         The event loop flows schedule themselves on.
     links:
         Live ``node name -> LinkConfig`` mapping owned by the network;
-        :meth:`on_link_replaced` must be called when an entry is swapped.
+        :meth:`before_link_replaced` and :meth:`on_link_replaced` must be
+        called around swapping an entry.
     complete / expire:
         Network callbacks fired when a flow finishes or times out.  The
         network owns delivery latency, fault filtering, and accounting; the
-        scheduler owns *when*.
+        scheduler owns *when*.  The shared engines call ``complete(flow)`` at
+        the completion instant; the independent one plans ahead and calls
+        ``complete(flow, at)`` at admission, keeping what it returns — the
+        ``(slot, item)`` of the queued delivery, for
+        :meth:`~repro.simnet.engine.Simulator.unbatch` — to withdraw it.
     """
 
     def __init__(
@@ -148,7 +156,7 @@ class FlowScheduler:
         model: LinkModel,
         simulator: Simulator,
         links: Mapping[str, "LinkConfig"],
-        complete: Callable[[Flow], None],
+        complete: Callable[..., Any],
         expire: Callable[[Flow], None],
     ) -> None:
         self.model = model
@@ -255,134 +263,216 @@ class FlowScheduler:
         one).  Admitting it whole is what lets the lazy engine rate it — with
         every other batch of its instant — once against final occupancy, the
         vector engine buffer it for one service pass, and the independent
-        scheduler share heap events across it.
+        scheduler remember it with one list append.
         """
         raise NotImplementedError
+
+    def before_link_replaced(self, name: str, now: float) -> None:
+        """``links[name]`` is about to be swapped; it still holds the outgoing
+        config.  Only a scheduler that planned ahead on it needs to act."""
 
     def on_link_replaced(self, name: str, now: float) -> None:
         """React to ``links[name]`` having been swapped mid-run."""
         raise NotImplementedError
 
 
-class _Wave:
-    """One heap event shared by the flows that are due at the same instant.
-
-    ``aimed`` counts the member flows whose ``pending`` is still this wave.
-    A flow that is re-aimed or settled before the event fires gives up its
-    claim; the event is cancelled only when the last claim goes, never on
-    behalf of a sibling.
-    """
-
-    __slots__ = ("flows", "aimed", "handle")
-
-    def __init__(self, flow: Flow) -> None:
-        self.flows = [flow]
-        self.aimed = 1
-        self.handle: Optional[EventHandle] = None
-
-
 class IndependentFlowScheduler(FlowScheduler):
-    """Scheduler for link models whose flow rates never couple (latency-only).
+    """Planner for link models whose flow rates never couple (latency-only).
 
-    Each flow is aimed at exactly one pending event — the earliest of its
-    completion estimate, its deadline, and its links' next bandwidth
-    breakpoints — so a flow starting or finishing costs O(1) regardless of
-    how many other transfers are in flight.  Flows refreshed in one pass (a
-    ``send_many`` burst, a replaced link's flows, the members of a firing
-    wave) that land on the same instant share one :class:`_Wave`: on
-    homogeneous links a broadcast to N-1 peers is one heap event, not N-1.
-    Event order stays exactly ``(time, seq)``; DESIGN-transport.md has the
+    A flow's rate depends on its own two links only, so the instant it
+    settles depends only on their schedules and is known at admission.
+    :meth:`start_flows` walks each flow forward with the arithmetic an event
+    at each of its instants would apply — completion estimate, deadline, its
+    links' next bandwidth breakpoints — until it settles.  A completing flow
+    hands its completion instant to the network, which queues the delivery at
+    once; an expiring flow expires at once if its deadline is now and
+    otherwise gets one heap event there; a starved flow (rate 0, no deadline,
+    no breakpoint) gets nothing.  DESIGN-transport.md has the exactness
     argument.
+
+    Nothing is indexed per flow: a burst is remembered with one list append,
+    as ``[latest settle instant, flows]``, and settled bursts are dropped
+    lazily.  What is remembered serves :meth:`active_count` and
+    ``set_link``, which re-plans the flows on the replaced link that settle
+    after ``now``.
     """
+
+    #: Remembered bursts are pruned once there are this many (and then once
+    #: they double again), so a prune costs amortised O(1) per admission.
+    _PRUNE_MIN = 256
+
+    def __init__(self, model, simulator, links, complete, expire) -> None:
+        super().__init__(model, simulator, links, complete, expire)
+        self._bursts: List[List[Any]] = []
+        self._prune_at = self._PRUNE_MIN
+        # Where the current plan of each re-planned flow starts: (instant,
+        # last_update, remaining, rate).  A flow missing here is on the plan
+        # made when it was admitted at its start time.
+        self._plan_starts: Dict[int, tuple] = {}
+        # (burst, flow) pairs withdrawn by before_link_replaced, waiting for
+        # the new config.
+        self._replanning: List[tuple] = []
+        self._planned = self._replanned = self._planned_expiries = 0
+
+    def active_count(self) -> int:
+        now = self.simulator.now
+        return sum(
+            1
+            for latest, flows in self._bursts
+            if latest > now
+            for flow in flows
+            if self._settles_after(flow, now)
+        )
+
+    def counters(self) -> Dict[str, int]:
+        """Flows planned at admission, flows re-planned by ``set_link``, and
+        the expiries among all plans made (at once or by an event)."""
+        return {
+            "planned": self._planned,
+            "replanned": self._replanned,
+            "planned_expiries": self._planned_expiries,
+        }
 
     def start_flows(self, flows: List[Flow], now: float) -> None:
-        waves: Dict[float, _Wave] = {}
-        for flow in flows:
-            self._add(flow)
-            self._refresh(flow, now, waves)
+        self._bursts.append([self._plan(flows, now), flows])
+        self._planned += len(flows)
+        if len(self._bursts) >= self._prune_at:
+            self._prune(now)
+
+    def before_link_replaced(self, name: str, now: float) -> None:
+        """Withdraw the planned settle of every remembered flow on ``name``
+        that settles after ``now``, and rebuild its state at ``now`` by
+        replaying its plan on the outgoing config (still in ``links``)."""
+        for burst in self._bursts:
+            if burst[0] > now:
+                for flow in burst[1]:
+                    if (flow.src == name or flow.dst == name) and self._settles_after(flow, now):
+                        self._replanning.append((burst, flow))
+        for _burst, flow in self._replanning:
+            self._withdraw(flow)
+            start = self._plan_starts.get(flow.flow_id)
+            if start is None:
+                start = (flow.start_time, flow.start_time, float(flow.message.size_bytes), 0.0)
+            instant, flow.last_update, flow.remaining, flow.rate = start
+            self._plan([flow], instant, stop=now)
 
     def on_link_replaced(self, name: str, now: float) -> None:
-        waves: Dict[float, _Wave] = {}
-        # A flow is on the node's uplink or its downlink, never both.
-        for flow in [*self._by_src.get(name, {}).values(), *self._by_dst.get(name, {}).values()]:
-            self._refresh(flow, now, waves)
+        """Plan the flows :meth:`before_link_replaced` withdrew on the new config."""
+        replanning, self._replanning = self._replanning, []
+        for burst, flow in replanning:
+            self._plan_starts[flow.flow_id] = (now, flow.last_update, flow.remaining, flow.rate)
+            settle = self._plan([flow], now)
+            if settle > burst[0]:
+                burst[0] = settle
+        self._replanned += len(replanning)
 
     # -- machinery ---------------------------------------------------------
-    def _refresh(self, flow: Flow, now: float, waves: Dict[float, _Wave]) -> None:
-        """Advance one flow to ``now``, settle it, or aim it at its next event.
+    def _plan(self, flows: List[Flow], start: float, stop: Optional[float] = None) -> float:
+        """Step each flow from ``start`` until it settles; returns the latest
+        settle instant (``start`` at least, ``inf`` with a starved flow).
 
-        ``waves`` holds the waves this pass has opened, by instant.  Settling
-        a flow runs code that may schedule events, and a wave must not span
-        those (its members would fire out of scheduling order), so it closes
-        them: later flows of the pass open fresh ones.
+        A flow's state — ``last_update``, ``remaining``, ``rate`` — is read
+        from its fields.  Each step is what an event at that instant would do
+        to it: advance and clamp the residual, test completion
+        (:meth:`_is_complete`'s test) and the deadline, re-rate, and aim at
+        the earliest of completion, deadline and both links' next
+        breakpoints.  A completion calls ``complete(flow, at)``; an expiry
+        runs at once at ``start`` and gets its heap event later; a starved
+        flow gets nothing.  The fields are left as the last step left them.
+        With ``stop``, only the steps before ``stop`` run and nothing
+        settles: the replay of a plan up to a link swap.
         """
-        elapsed = now - flow.last_update
-        if elapsed > 0 and flow.rate > 0:
-            # Clamped like the shared scheduler's advance: the completion
-            # event lands at fl(now + remaining/rate), whose rounding error
-            # grows with virtual time — by t ≈ 3000 s a 31 MB/s flow can
-            # overshoot its residual by ~1e-5 bytes, past the byte epsilon.
-            remaining = flow.remaining - flow.rate * elapsed
-            flow.remaining = remaining if remaining > 0.0 else 0.0
-        flow.last_update = now
+        latest = start
+        flow_rate = self.model.flow_rate
+        links = self._links
+        complete = self._complete
+        for flow in flows:
+            now, last, remaining, rate = start, flow.last_update, flow.remaining, flow.rate
+            deadline = flow.deadline
+            uplink = links[flow.src].uplink
+            downlink = links[flow.dst].downlink
+            while True:
+                if stop is not None and now >= stop:
+                    flow.last_update, flow.remaining, flow.rate = last, remaining, rate
+                    break
+                elapsed = now - last
+                if elapsed > 0 and rate > 0:
+                    # Clamped like the shared scheduler's advance: the
+                    # completion instant is fl(now + remaining/rate), whose
+                    # rounding error grows with virtual time — by t ≈ 3000 s
+                    # a 31 MB/s flow can overshoot its residual by ~1e-5
+                    # bytes, past the byte epsilon.
+                    remaining -= rate * elapsed
+                    if not remaining > 0.0:
+                        remaining = 0.0
+                last = now
+                if remaining <= _COMPLETION_EPSILON_BYTES or (
+                    rate > 0 and now + remaining / rate <= now
+                ):
+                    flow.last_update, flow.remaining, flow.rate = now, 0.0, rate
+                    flow.pending = complete(flow, now)
+                    break
+                if deadline is not None and now >= deadline - _TIME_EPSILON:
+                    flow.last_update, flow.remaining, flow.rate = now, remaining, rate
+                    self._planned_expiries += 1
+                    if now > start:
+                        flow.pending = self.simulator.schedule(now, self._expire, flow)
+                    else:
+                        flow.pending = None
+                        self._expire(flow)
+                    break
 
-        wave = flow.pending
-        if wave is not None:
-            flow.pending = None
-            wave.aimed -= 1
-            if not wave.aimed:
-                wave.handle.cancel()
+                rate = flow_rate(flow, links, now)
+                target = now + remaining / rate if rate > 0 else deadline
+                if deadline is not None and deadline < target:
+                    target = deadline
+                change = uplink.next_change_after(now)
+                if change is not None and (target is None or change < target):
+                    target = change
+                change = downlink.next_change_after(now)
+                if change is not None and (target is None or change < target):
+                    target = change
+                if target is None:
+                    # Zero rate forever and no deadline: the transfer can
+                    # never finish nor abort, like a starved shared-model flow.
+                    flow.last_update, flow.remaining, flow.rate = now, remaining, rate
+                    flow.pending = None
+                    now = math.inf
+                    break
+                if target < now:
+                    target = now
+                now = target
+            if now > latest:
+                latest = now
+        return latest
 
-        if self._is_complete(flow, now):
-            self._remove(flow)
-            self._clamp_residual(flow)
-            waves.clear()
-            self._complete(flow)
-            return
-        deadline = flow.deadline
-        if deadline is not None and now >= deadline - _TIME_EPSILON:
-            self._remove(flow)
-            waves.clear()
-            self._expire(flow)
-            return
+    @staticmethod
+    def _settles_after(flow: Flow, now: float) -> bool:
+        """Whether a planned flow is still in flight at ``now``: it settles
+        (completes or expires) later, or never — a starved flow, the only
+        kind left with bytes to move and no deadline."""
+        return flow.last_update > now or (flow.deadline is None and flow.remaining > 0.0)
 
-        flow.rate = rate = self.model.flow_rate(flow, self._links, now)
-        # Earliest of completion, deadline and both links' next breakpoints.
-        target = now + flow.remaining / rate if rate > 0 else deadline
-        if deadline is not None and deadline < target:
-            target = deadline
-        change = self._links[flow.src].uplink.next_change_after(now)
-        if change is not None and (target is None or change < target):
-            target = change
-        change = self._links[flow.dst].downlink.next_change_after(now)
-        if change is not None and (target is None or change < target):
-            target = change
-        if target is None:
-            # Zero rate forever and no deadline: the transfer can never
-            # finish nor abort, exactly like a starved shared-model flow.
-            return
-        if target < now:
-            target = now
+    def _withdraw(self, flow: Flow) -> None:
+        """Take back a flow's planned settle: its queued delivery or its
+        expiry event (a starved flow has neither)."""
+        if flow.remaining == 0.0:
+            self.simulator.unbatch(*flow.pending)
+        elif flow.pending is not None:
+            flow.pending.cancel()
+        flow.pending = None
 
-        wave = waves.get(target)
-        if wave is None:
-            wave = waves[target] = _Wave(flow)
-            wave.handle = self.simulator.schedule(target, self._on_wave_event, wave)
-        else:
-            wave.flows.append(flow)
-            wave.aimed += 1
-        flow.pending = wave
-
-    def _on_wave_event(self, wave: _Wave) -> None:
-        now = self.simulator.now
-        waves: Dict[float, _Wave] = {}
-        for flow in wave.flows:
-            # Still aimed at this event?  A flow that was re-aimed (link
-            # replaced) or settled since is someone else's, or nobody's.
-            if flow.pending is wave:
-                flow.pending = None
-                self._refresh(flow, now, waves)
-        wave.handle = None  # the handle's args hold the wave: drop the cycle
+    def _prune(self, now: float) -> None:
+        """Drop the remembered bursts whose every flow has settled."""
+        kept = []
+        for burst in self._bursts:
+            if burst[0] > now:
+                kept.append(burst)
+            elif self._plan_starts:
+                for flow in burst[1]:
+                    self._plan_starts.pop(flow.flow_id, None)
+        self._bursts = kept
+        self._prune_at = max(self._PRUNE_MIN, 2 * len(kept))
 
 
 def make_flow_scheduler(

@@ -44,8 +44,8 @@ Four models ship in the registry:
 ``"latency-only"``
     No sharing at all: every flow moves at the full ``min(uplink, downlink)``
     capacity regardless of concurrency.  Flows never interact, which lets
-    the scheduler maintain one O(1) completion event per flow instead of any
-    global recompute — the model to reach node counts far beyond paper scale
+    the scheduler plan each flow's completion when it is admitted instead of
+    any global recompute — the model to reach node counts far beyond paper scale
     (``perfbench``'s ``event_floor`` workload runs it at 200 authorities).
 
 A model is one class, registered by name via :func:`register_link_model`;
@@ -104,7 +104,7 @@ class LinkModel:
         True when flow rates couple through link occupancy, so flow events
         require re-rating neighbours (a shared-regime scheduler).  False when
         a flow's rate depends on its own two links only (the independent
-        scheduler: per-flow completion events, no recompute).
+        scheduler: each flow planned at admission, no recompute).
     """
 
     name: str = ""

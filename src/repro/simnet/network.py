@@ -240,11 +240,20 @@ class SimNetwork:
         return self._latency.get((a, b), self._default_latency)
 
     def set_link(self, name: str, link: LinkConfig) -> None:
-        """Replace a node's link configuration (e.g. to apply an attack schedule)."""
+        """Replace a node's link configuration mid-run; in-flight transfers
+        on it continue at the new capacity from ``now``.
+
+        No experiment calls this: an attack is a bandwidth schedule built
+        before the run (:meth:`~repro.attack.ddos.DDoSAttackPlan.bandwidth_overrides`),
+        whose throttling window is in the node's link from :meth:`add_node`
+        on.  It stays for live link changes.
+        """
         if name not in self._nodes:
             raise UnknownNodeError("unknown node %r" % name)
+        now = self.simulator.now
+        self._scheduler.before_link_replaced(name, now)
         self._links[name] = link
-        self._scheduler.on_link_replaced(name, self.simulator.now)
+        self._scheduler.on_link_replaced(name, now)
 
     # -- node timers ---------------------------------------------------------
     def schedule_node_timer(
@@ -409,10 +418,12 @@ class SimNetwork:
         return {**self.simulator.counters(), **self._scheduler.counters()}
 
     # -- scheduler callbacks -----------------------------------------------------
-    def _complete_flow(self, flow: Flow) -> None:
-        """A flow finished moving bytes; deliver after propagation latency."""
-        self._schedule_delivery(
-            flow.src, flow.dst, flow.message, flow.on_delivered, flow.weight, flow.start_time
+    def _complete_flow(self, flow: Flow, at: Optional[float] = None) -> Tuple[Tuple, Tuple]:
+        """A flow finished moving bytes at ``at`` (default: now); deliver
+        after propagation latency.  Returns the delivery's batch slot and
+        item, which withdraw it (see :meth:`_schedule_delivery`)."""
+        return self._schedule_delivery(
+            flow.src, flow.dst, flow.message, flow.on_delivered, flow.weight, flow.start_time, at
         )
 
     def _expire_flow(self, flow: Flow) -> None:
@@ -430,24 +441,27 @@ class SimNetwork:
         on_delivered: Optional[Callable[[Message, str, float], None]],
         weight: int,
         sent_at: Optional[float],
-    ) -> None:
-        """Schedule one delivery, coalescing same-instant arrivals per node.
+        at: Optional[float] = None,
+    ) -> Tuple[Tuple, Tuple]:
+        """Schedule one delivery of a transfer that ends at ``at`` (default:
+        now), coalescing same-instant arrivals per node.
 
         Every message arriving at ``destination`` at the same instant shares
         **one** heap event keyed ``(time, node)`` (a symmetric broadcast
         round completes N-1 transfers into each node at identical instants,
         so this turns O(N²) delivery events per round into O(N)).  Within
-        the batch, deliveries run in the order their per-message events
-        would have fired.
+        the batch, deliveries run in the order they were scheduled.  Returns
+        the batch slot and the queued item, for
+        :meth:`~repro.simnet.engine.Simulator.unbatch`.
         """
-        now = self.simulator.now
+        now = self.simulator.now if at is None else at
         # Propagation latency (sender != destination: send() refuses
         # self-sends) plus any fault-injected jitter.
         latency = self._latency.get((sender, destination), self._default_latency)
         if self._fault_injector is not None:
             latency += self._fault_injector.delivery_jitter(sender, destination, now)
         item = (sender, destination, message, on_delivered, weight, sent_at)
-        self.simulator.schedule_batch(now + latency, destination, self._deliver, item)
+        return self.simulator.schedule_batch(now + latency, destination, self._deliver, item), item
 
     def _deliver(self, items: Iterable[Tuple]) -> None:
         """Hand over the deliveries of one heap event, in order."""

@@ -77,12 +77,13 @@ __all__ = ["LazySharedLinkScheduler"]
 class LazySharedLinkScheduler(FlowScheduler):
     """Heap-driven scheduler for occupancy-coupled link models.
 
-    Structurally the shared-regime twin of
-    :class:`~repro.simnet.flows.IndependentFlowScheduler`: every flow owns at
-    most one pending event at ``min(completion estimate, deadline, wake)``,
-    plus one *watcher* event per active link side at its next bandwidth
-    breakpoint.  What the independent scheduler never needs — reacting to
-    neighbours — is delegated to the link model's bulk hooks
+    Every flow owns at most one pending event at ``min(completion estimate,
+    deadline, wake)``, plus one *watcher* event per active link side at its
+    next bandwidth breakpoint — the steps
+    :class:`~repro.simnet.flows.IndependentFlowScheduler` walks through at
+    admission, which a shared model cannot, since a neighbour can move a
+    flow's rate at any event.  Reacting to neighbours is delegated to the
+    link model's bulk hooks
     (:class:`~repro.simnet.linkmodel.LinkModel`), which return the (small)
     set of flows whose rate an event actually changed; only those are
     advanced and re-aimed.

@@ -24,13 +24,16 @@ class PerMessageNetwork(SimNetwork):
             for destination in destinations
         ]
 
-    def _schedule_delivery(self, sender, destination, message, on_delivered, weight, sent_at):
-        now = self.simulator.now
+    def _schedule_delivery(
+        self, sender, destination, message, on_delivered, weight, sent_at, at=None
+    ):
+        now = self.simulator.now if at is None else at
         latency = self.latency(sender, destination)
         if self.fault_injector is not None:
             latency += self.fault_injector.delivery_jitter(sender, destination, now)
         item = (sender, destination, message, on_delivered, weight, sent_at)
-        self.simulator.schedule(now + latency, self._deliver, (item,))
+        # A batch of its own per delivery: one event each, still withdrawable.
+        return self.simulator.schedule_batch(now + latency, object(), self._deliver, item), item
 
 
 def use_per_message_network():

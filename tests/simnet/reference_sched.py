@@ -1,19 +1,19 @@
 """The flow-scheduler reference model: every flow, from scratch, every event.
 
 This is the specification of the shared-regime schedulers
-(:mod:`repro.simnet.shared_sched`, :mod:`repro.simnet.vector_sched`) in the
-plainest form that can run.  At each transport event it advances *every*
-active flow to ``now``, settles the finished and the expired, recounts link
-occupancy from the flow list, rates *every* remaining flow from that recount,
-and keeps one simulator event at the earliest instant anything can change —
-a completion, a deadline, a bandwidth breakpoint, a tcp ack tick.  Nothing is
-scoped, cached or incremental, so there is nothing to get out of sync; it is
-O(F) per event and O(F²) per run, which is why it lives here and not in
-``src/``.
+(:mod:`repro.simnet.shared_sched`, :mod:`repro.simnet.vector_sched`), and of
+the ``latency-only`` planner, in the plainest form that can run.  At each
+transport event it advances *every* active flow to ``now``, settles the
+finished and the expired, recounts link occupancy from the flow list, rates
+*every* remaining flow from that recount, and keeps one simulator event at
+the earliest instant anything can change — a completion, a deadline, a
+bandwidth breakpoint, a tcp ack tick.  Nothing is scoped, cached or
+incremental, so there is nothing to get out of sync; it is O(F) per event
+and O(F²) per run, which is why it lives here and not in ``src/``.
 
-The rate functions state each shared link model's arithmetic once, readably:
-``fair`` and ``fifo`` are pure functions of the flow list; ``tcp`` is the
-fair share capped by the window rate of the production Reno machine
+The rate functions state each link model's arithmetic once, readably:
+``fair``, ``fifo`` and ``latency-only`` are pure functions of the flow list;
+``tcp`` is the fair share capped by the window rate of the production Reno machine
 (:meth:`repro.simnet.linkmodel.TcpLinkModel.advance_flow`, the single
 definition of per-flow congestion dynamics), advanced here whenever a flow's
 ack tick is due at a recompute.
@@ -138,7 +138,16 @@ def tcp_rates(flows, links, now, model):
     return rates
 
 
-REFERENCE_RATES = {"fair": fair_rates, "fifo": fifo_rates}
+def latency_only_rates(flows, links, now):
+    """``latency-only``: every flow at the slower of its own two links, unshared."""
+    return {
+        flow.flow_id: flow.weight
+        * min(links[flow.src].uplink.rate_at(now), links[flow.dst].downlink.rate_at(now))
+        for flow in flows
+    }
+
+
+REFERENCE_RATES = {"fair": fair_rates, "fifo": fifo_rates, "latency-only": latency_only_rates}
 
 
 class ReferenceFlowScheduler:
@@ -169,6 +178,9 @@ class ReferenceFlowScheduler:
             self._arrivals += 1
             self._flows[flow.flow_id] = flow
         self._recompute()
+
+    def before_link_replaced(self, name, now):
+        pass
 
     def on_link_replaced(self, name, now):
         self._recompute()

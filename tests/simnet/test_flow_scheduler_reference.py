@@ -1,17 +1,19 @@
-"""The shared-regime flow schedulers against the executable reference model.
+"""The flow schedulers against the executable reference model.
 
 ``ReferenceFlowScheduler`` (``reference_sched.py``) advances every flow and
 rates every flow from a fresh occupancy recount at every event.  The stateful
 test drives it, the lazy engine and (numpy present, on ``fair``) the vector
-engine with the same random sequence of same-instant admission bursts (up to eight random
+engine — or, on ``latency-only``, the planner, whose completions are queued
+when they are planned and withdrawn when a link swap re-plans them — with the
+same random sequence of same-instant admission bursts (up to eight random
 transfers, or one node's broadcast to / fan-in from up to seven others;
 weights 1–3, two aggregate endpoints, deadlines; in one ``start_flows`` call,
 in several with nothing between them — one admission frontier on the lazy
 engine — or with a follow-up scheduled ahead of them for the reference's next
 event, so a lazy transition finds a frontier waiting), link replacements
 (constant rates, outages, schedules with a future breakpoint) and clock
-advances (to the reference's next event, or by a fixed step), on ``fair`` and
-on ``fifo``.  Eight nodes start on unequal, partly asymmetric capacities, so
+advances (to the reference's next event, or by a fixed step), on ``fair``, on
+``fifo`` and on ``latency-only``.  Eight nodes start on unequal, partly asymmetric capacities, so
 link buckets of five and more flows and flows whose binding side flips
 between uplink and downlink are routine — the ground the fair model's
 share-aware touched sets have to hold.  After every step it requires of each
@@ -27,7 +29,8 @@ production engine:
 * every admitted flow exactly one of completed, expired or in flight — so
   bytes completed + expired + in flight = bytes admitted — with every
   residual inside ``[0, size]``;
-* ``_src_weight`` / ``_dst_weight`` equal to a from-scratch recount.
+* on the shared engines, ``_src_weight`` / ``_dst_weight`` equal to a
+  from-scratch recount.
 """
 
 import math
@@ -86,20 +89,42 @@ class _Side:
                 BandwidthSchedule.constant(up), BandwidthSchedule.constant(down), name.startswith("agg")
             )
         self.log, self.settled, self.admitted = [], {}, {}
-        callbacks = (lambda flow: self.settle("done", flow), lambda flow: self.settle("late", flow))
+        callbacks = (self.complete, lambda flow: self.settle("late", flow))
         model = get_link_model(transport)
-        self.scheduler = (
-            ReferenceFlowScheduler(model, self.simulator, self.links, *callbacks)
-            if engine == "reference"
-            else make_flow_scheduler(
+        if engine == "reference":
+            self.scheduler = ReferenceFlowScheduler(model, self.simulator, self.links, *callbacks)
+        elif engine == "planner":
+            self.scheduler = make_flow_scheduler(model, self.simulator, self.links, *callbacks)
+        else:
+            self.scheduler = make_flow_scheduler(
                 model, self.simulator, self.links, *callbacks, shared_engine=engine
             )
-        )
+
+    def complete(self, flow, at=None):
+        if at is None:
+            self.settle("done", flow)
+            return None
+        # Planned ahead: settle at ``at`` through a batch of its own, which a
+        # re-plan withdraws, as the network queues a delivery.
+        drain = lambda flows: self.settle("done", flows[0])  # noqa: E731
+        return self.simulator.schedule_batch(at, flow.flow_id, drain, flow), flow
 
     def settle(self, kind, flow):
         assert flow.flow_id not in self.settled
         self.settled[flow.flow_id] = (kind, self.simulator.now)
         self.log.append(self.simulator.now)
+
+    def in_flight(self):
+        """Admitted flows that have not settled, by id."""
+        if self.engine != "planner":
+            return self.scheduler._flows
+        now = self.simulator.now
+        return {
+            flow.flow_id: flow
+            for _latest, flows in self.scheduler._bursts
+            for flow in flows
+            if self.scheduler._settles_after(flow, now)
+        }
 
     def admit(self, transfers, first_id, now):
         flows = []
@@ -113,15 +138,19 @@ class _Side:
         self.scheduler.start_flows(flows, now)
 
     def replace_link(self, name, schedule, now):
+        self.scheduler.before_link_replaced(name, now)
         self.links[name] = LinkConfig(schedule, schedule, name.startswith("agg"))
         self.scheduler.on_link_replaced(name, now)
 
 
 class FlowSchedulersAgainstReference(RuleBasedStateMachine):
-    @initialize(transport=st.sampled_from(["fair", "fifo"]))
+    @initialize(transport=st.sampled_from(["fair", "fifo", "latency-only"]))
     def build(self, transport):
-        vector = vector_available() and transport == "fair"
-        engines = ["reference", "lazy"] + (["vector"] if vector else [])
+        if transport == "latency-only":
+            engines = ["reference", "planner"]
+        else:
+            vector = vector_available() and transport == "fair"
+            engines = ["reference", "lazy"] + (["vector"] if vector else [])
         self.reference, *self.engines = [_Side(engine, transport) for engine in engines]
         self.now, self.next_id = 0.0, 1
 
@@ -238,12 +267,14 @@ class FlowSchedulersAgainstReference(RuleBasedStateMachine):
     @invariant()
     def bytes_and_occupancy_are_conserved(self):
         for side in (self.reference, *self.engines):
-            in_flight = side.scheduler._flows
+            in_flight = side.in_flight()
             assert side.settled.keys() | in_flight.keys() == side.admitted.keys(), side.engine
             assert not side.settled.keys() & in_flight.keys(), side.engine
             for flow_id, flow in in_flight.items():
                 assert 0.0 <= flow.remaining <= side.admitted[flow_id], (side.engine, flow_id)
         for side in self.engines:
+            if side.engine == "planner":
+                continue  # nothing shared, so no occupancy to keep
             up, down = occupancy(side.scheduler._flows.values())
             assert side.scheduler._src_weight == up, side.engine
             assert side.scheduler._dst_weight == down, side.engine

@@ -250,9 +250,9 @@ def test_flows_never_deliver_with_negative_residual(transport):
     residuals = []
     completer = network._complete_flow
 
-    def spying_complete(flow):
+    def spying_complete(flow, at=None):
         residuals.append(flow.remaining)
-        completer(flow)
+        return completer(flow, at)
 
     network._scheduler._complete = spying_complete
     # Awkward sizes and competing flows maximise float chipping.

@@ -123,7 +123,9 @@ def run_transport_workload(transport: str) -> dict:
     simulator.schedule(1.0, send, "d", "e", "PKG", 2_000_000, 12.0)
     simulator.schedule(2.0, send, "e", "a", "VOTE", 100_000)
     simulator.schedule(3.0, send, "b", "c", "PING", 0)
-    # Mid-run link replacement (how attack schedules are applied live).
+    # Mid-run link replacement.  No experiment calls set_link — an attack is
+    # a schedule from DDoSAttackPlan.bandwidth_overrides(), in the link from
+    # the start — but the transport keeps supporting live replacement.
     simulator.schedule(4.0, network.set_link, "b", LinkConfig.symmetric_mbps(1.0))
     simulator.schedule(4.5, send, "b", "d", "DOC", 500_000)
 
