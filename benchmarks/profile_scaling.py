@@ -144,13 +144,20 @@ def phase_cell(
     # The layer number behind the transport bucket: heap events are the
     # engine's unit of work, so events/message says whether a transport
     # change did less work or the same work faster.
-    executed = result.engine_counters["executed"]
+    counters = result.engine_counters
+    messages = max(result.stats.messages_sent, 1)
     print(
         "events: %d executed, %.2f per message (%d compactions)"
-        % (
-            executed,
-            executed / max(result.stats.messages_sent, 1),
-            result.engine_counters["compactions"],
+        % (counters["executed"], counters["executed"] / messages, counters["compactions"])
+    )
+    # The shared scheduler's own work per message (zero on latency-only,
+    # whose transfers are planned at admission): what a rate-pass, tcp-tick
+    # or departure-walk change moves.
+    print(
+        "scheduler: %.2f flows rated, %.2f wakes, %.2f departure scans per message"
+        % tuple(
+            counters.get(name, 0) / messages
+            for name in ("flows_rated", "wakes", "departure_scans")
         )
     )
     # Scenario ingredients built vs. taken from the process-wide memo: one

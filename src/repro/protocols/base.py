@@ -110,9 +110,9 @@ class ProtocolRunResult:
     #: counts, fetch success rate, p50/p99 time-to-fresh, staleness-seconds.
     client_summary: Dict[str, Any] = field(default_factory=dict)
     #: :meth:`repro.simnet.network.SimNetwork.engine_counters` at the end of
-    #: the run: events executed and heap state, plus ``rate_passes``,
-    #: ``flows_rated``, ``admission_frontiers`` and ``flows_admitted`` on the
-    #: lazy shared engine.  Like the trace, not part of :meth:`summary`: it
+    #: the run: events executed and heap state, plus the scheduler's own
+    #: counts (rate passes, admission frontiers, wakes, departure scans on the
+    #: lazy shared engine).  Like the trace, not part of :meth:`summary`: it
     #: describes the engine, not the simulated outcome.
     engine_counters: Dict[str, int] = field(default_factory=dict)
 

@@ -19,7 +19,7 @@ engines for the shared regime, one for the independent one;
     (``fair``, ``fifo``, ``tcp``): lazy per-flow progress and one pending
     heap event per flow, moved only when the flow's target comes earlier —
     O(touched flows × log F) per event.  It drives the model's
-    five bulk hooks and needs nothing else registered anywhere.  Every run a
+    four bulk hooks and needs nothing else registered anywhere.  Every run a
     spec describes uses it.  See :mod:`repro.simnet.shared_sched`.
 
 :class:`~repro.simnet.vector_sched.VectorSharedLinkScheduler` (``shared_engine="vector"``)

@@ -52,10 +52,10 @@ A model is one class, registered by name via :func:`register_link_model`;
 the name travels on :class:`~repro.runtime.spec.RunSpec` (field
 ``transport``) and therefore joins the spec hash and result-cache key.  An
 independent model implements :meth:`LinkModel.flow_rate`.  A shared model
-implements the five bulk hooks the lazy scheduler
+implements the four bulk hooks the lazy scheduler
 (:class:`~repro.simnet.shared_sched.LazySharedLinkScheduler`) drives —
-``on_flows_added``, ``on_flows_removed``, ``movers_among``,
-``on_link_rate_changed``, ``rates_of`` — over the scheduler's live indexes,
+``on_flows_added``, ``on_flows_removed``, ``on_link_rate_changed``,
+``rates_of`` — over the scheduler's live indexes,
 which :meth:`LinkModel.bind` hands it once.  :data:`LINK_MODELS` is the only
 registry the lazy engine consults; the vector engine, built only on an
 explicit request, runs the models in
@@ -67,13 +67,16 @@ model, ``tests/simnet/reference_sched.py``.
 from __future__ import annotations
 
 import heapq
-from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Set, Tuple, Type
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Mapping, Optional, Set, Tuple, Type
 
 from repro.utils.validation import ValidationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simnet.flows import Flow
     from repro.simnet.network import LinkConfig
+
+#: The scheduler's claim on a neighbour due now (``LinkModel.on_flows_removed``).
+Claim = Optional[Callable[["Flow"], bool]]
 
 
 class LinkModel:
@@ -131,9 +134,9 @@ class LinkModel:
     # bulk, so it can maintain whatever occupancy structures the policy needs.
     #
     # Contract: for every flow not in the touched set (of ``on_flows_added``,
-    # ``movers_among``, ``on_link_rate_changed``), the rate ``rates_of`` would
-    # report must be unchanged by the observed transition — that is what makes
-    # skipping the untouched flows exact rather than approximate.
+    # ``on_flows_removed``, ``on_link_rate_changed``), the rate ``rates_of``
+    # would report must be unchanged by the observed transition — that is what
+    # makes skipping the untouched flows exact rather than approximate.
     #
     # Optional wake pair, for per-flow state on its own clock (tcp's ticks):
     # the flow's one event is aimed no later than ``next_wake(flow)``, where
@@ -142,9 +145,14 @@ class LinkModel:
     next_wake = None
     wake = None
 
+    #: Neighbours visited by departure walks (``_visit``).
+    departure_scans = 0
+
     def bind(self, scheduler) -> None:
         """Take the lazy scheduler's live indexes; called once, at its
         construction.  The scheduler owns and maintains all of them."""
+        #: Drops a departing flow from those indexes (``FlowScheduler._remove``).
+        self._remove: Callable[[Flow], None] = scheduler._remove
         self._by_src: Dict[str, Dict[int, Flow]] = scheduler._by_src
         self._by_dst: Dict[str, Dict[int, Flow]] = scheduler._by_dst
         #: Current uplink/downlink capacity per *active* link side (seeded on
@@ -168,20 +176,36 @@ class LinkModel:
         return the touched flows, the burst's own among them."""
         raise NotImplementedError
 
-    def on_flows_removed(self, flows: List[Flow]) -> Dict[int, Flow]:
-        """Observe a same-instant departure batch; return its neighbourhood by
-        id — every flow it can re-rate or, if due now, take along.
+    def on_flows_removed(self, batch: List[Flow], now: float, claim: Claim = None) -> Iterable[Flow]:
+        """Walk a same-instant departure batch; return its touched set.
 
-        The caller has already dropped every flow in ``flows`` from the
-        scheduler indexes; the result may still name members of the batch
-        itself, which the caller skips.
+        ``batch`` holds departing flows still in the scheduler indexes, and
+        the model walks it as a queue: each flow leaves the indexes
+        (``_remove``) when its turn comes, and the neighbours its departure
+        can re-rate are visited.  A neighbour whose pending event is due at
+        ``now`` is offered to ``claim``, which advances it and says whether
+        it is done; the model appends what ``claim`` takes to ``batch``, to
+        depart in its turn.  Without ``claim`` (an expiry) nothing joins.
+        The touched set is the whole batch's, as one transition, and holds
+        no member of the batch.
         """
         raise NotImplementedError
 
-    def movers_among(self, survivors: Dict[int, Flow], departed: List[Flow]) -> Iterable[Flow]:
-        """The touched set of a whole departure batch: the ``survivors`` of
-        its neighbourhoods that losing ``departed`` can re-rate."""
-        return survivors.values()
+    def _visit(
+        self, neighbours: Dict[int, Flow], floor: Optional[float], now: float, claim: Claim,
+        batch: List[Flow], movers: Dict[int, Flow],
+    ) -> None:
+        """A departure walk's visit: each of ``neighbours`` due ``now`` goes to
+        ``claim`` and, taken, joins ``batch``; any other with ``rate >= floor``
+        (``floor`` None: none) joins ``movers``, until its own turn if it is a
+        batch member waiting for one."""
+        self.departure_scans += len(neighbours)
+        for other in neighbours.values():
+            pending = other.pending
+            if pending is not None and pending.time == now and claim is not None and claim(other):
+                batch.append(other)
+            elif floor is not None and other.rate >= floor:
+                movers[other.flow_id] = other
 
     def on_link_rate_changed(self, side: str, name: str) -> Iterable[Flow]:
         """Observe a capacity change on one link side; return touched flows."""
@@ -206,61 +230,71 @@ class FairShareLinkModel(LinkModel):
     ``rate = min(uplink/|src flows|, downlink/|dst flows|)`` is a pure local
     function of the flow's two links, so the scheduler's own indexes *are*
     the occupancy state.  A capacity change touches every flow on the link;
-    an occupancy change only the flows the moved side can bind
-    (:meth:`_movers`) — an uplink-bound broadcast burst re-rates itself, not
-    the flows whose downlinks it joined.
+    an occupancy change only the flows the moved side can bind: on a shared
+    side of capacity ``c`` whose weighted occupancy went ``before -> after``,
+    a stored rate below ``floor = c / max(before, after)`` was not set by
+    that side and still is not (DESIGN-transport.md, "Share-aware touched
+    sets") — an uplink-bound broadcast burst re-rates itself, not the flows
+    whose downlinks it joined.  Aggregate sides have no divisor and move
+    nobody; zero capacity makes the floor 0.0 and moves every flow.
     """
 
     name = "fair"
     shared = True
 
     def on_flows_added(self, flows: List[Flow]) -> Iterable[Flow]:
-        return self._movers(flows, departed=False).values()
-
-    def movers_among(self, survivors: Dict[int, Flow], departed: List[Flow]) -> Iterable[Flow]:
-        return self._movers(departed, departed=True).values()
-
-    def _movers(self, flows: List[Flow], departed: bool) -> Dict[int, Flow]:
-        """Flows whose rate can have moved when ``flows`` joined (already in
-        the indexes; themselves included — rate 0.0, no event yet) or left
-        (already out of them) at one instant.
-
-        A shared link side of capacity ``c`` whose weighted occupancy went
-        ``before -> after`` offers every flow at least ``floor = c /
-        max(before, after)`` at both ends, so a stored rate below the floor
-        was not set by that side and still is not (proof: DESIGN-transport.md,
-        "Share-aware touched sets").  Aggregate sides have no divisor and are
-        not scanned; zero capacity makes the floor 0.0 and yields the bucket.
-        """
+        # Floors ``c / after``; the burst, unrated yet (rate 0.0), moves itself.
         links = self._links
-        gone_up: Dict[str, int] = {}
-        gone_down: Dict[str, int] = {}
-        for flow in flows:
-            gone = flow.weight if departed else 0
-            gone_up[flow.src] = gone_up.get(flow.src, 0) + gone
-            gone_down[flow.dst] = gone_down.get(flow.dst, 0) + gone
-        movers = {} if departed else {flow.flow_id: flow for flow in flows}
-        for src, gone in gone_up.items():
-            bucket = self._by_src.get(src)
-            if bucket and not links[src].aggregate:
-                floor = self._up_cap[src] / (self._src_weight[src] + gone)
-                for flow in bucket.values():
-                    if flow.rate >= floor:
-                        movers[flow.flow_id] = flow
-        for dst, gone in gone_down.items():
-            bucket = self._by_dst.get(dst)
-            if bucket and not links[dst].aggregate:
-                floor = self._down_cap[dst] / (self._dst_weight[dst] + gone)
-                for flow in bucket.values():
-                    if flow.rate >= floor:
-                        movers[flow.flow_id] = flow
-        return movers
+        movers = {flow.flow_id: flow for flow in flows}
+        for names, index, cap, occupancy in (
+            (dict.fromkeys(flow.src for flow in flows), self._by_src, self._up_cap, self._src_weight),
+            (dict.fromkeys(flow.dst for flow in flows), self._by_dst, self._down_cap, self._dst_weight),
+        ):
+            for name in names:
+                if not links[name].aggregate:
+                    floor = cap[name] / occupancy[name]
+                    for flow in index[name].values():
+                        if flow.rate >= floor:
+                            movers[flow.flow_id] = flow
+        return movers.values()
+
+    def on_flows_removed(self, batch: List[Flow], now: float, claim: Claim = None) -> Iterable[Flow]:
+        # One visit per link side of the batch, uplink before downlink, when
+        # the queue first reaches it: only the flow at hand has left the side
+        # by then (an earlier departure from it would have reached it first),
+        # so occupancy plus its weight is ``before`` — the floor of the whole
+        # batch as one transition.  A later visit would claim nothing:
+        # claimability cannot change inside one batch.
+        links = self._links
+        seen_src: Set[str] = set()
+        seen_dst: Set[str] = set()
+        movers: Dict[int, Flow] = {}
+        for flow in batch:  # a queue: ``_visit`` appends the claimed
+            self._remove(flow)
+            movers.pop(flow.flow_id, None)
+            for name, seen, index, cap, occupancy in (
+                (flow.src, seen_src, self._by_src, self._up_cap, self._src_weight),
+                (flow.dst, seen_dst, self._by_dst, self._down_cap, self._dst_weight),
+            ):
+                if name in seen:
+                    continue
+                seen.add(name)
+                bucket = index.get(name)
+                if bucket:
+                    floor = None if links[name].aggregate else cap[name] / (occupancy[name] + flow.weight)
+                    self._visit(bucket, floor, now, claim, batch, movers)
+        return movers.values()
 
     def on_link_rate_changed(self, side: str, name: str) -> Iterable[Flow]:
         index = self._by_src if side == "uplink" else self._by_dst
         return list(index.get(name, {}).values())
 
     def rates_of(self, flows: List[Flow], now: float) -> List[float]:
+        return self._shares(flows, None)
+
+    def _shares(self, flows: List[Flow], windows: Optional[Dict[int, "_TcpFlowState"]]) -> List[float]:
+        """Fair shares, each capped in the same loop by its window rate when
+        ``windows`` (tcp's congestion states by flow id) is given."""
         # Per-link capacity and occupancy are loop invariants of a rate
         # pass; resolve each link's (cap, divisor) once instead of per flow.
         # ``divisor`` is None for aggregate links (per-client capacity, no
@@ -294,34 +328,13 @@ class FairShareLinkModel(LinkModel):
                 )
             cap, divisor = state
             down_share = cap * weight if divisor is None else cap * weight / divisor
-            append(up_share if up_share <= down_share else down_share)
+            share = up_share if up_share <= down_share else down_share
+            if windows is not None:
+                congestion = windows[flow.flow_id]
+                window = weight * congestion.cwnd * TCP_MSS_BYTES / congestion.srtt
+                share = share if share <= window else window
+            append(share)
         return rates
-
-    def on_flows_removed(self, flows: List[Flow]) -> Dict[int, Flow]:
-        # Occupancy lives in the scheduler-maintained indexes, which the
-        # caller already updated for the whole batch: the neighbourhood is the
-        # departed flows' links' *remaining* members, read once per link
-        # (not once per departure — O(B·link) for a B-way burst leaving one
-        # uplink).
-        touched: Dict[int, Flow] = {}
-        seen_src: Set[str] = set()
-        seen_dst: Set[str] = set()
-        by_src = self._by_src
-        by_dst = self._by_dst
-        for flow in flows:
-            src = flow.src
-            if src not in seen_src:
-                seen_src.add(src)
-                bucket = by_src.get(src)
-                if bucket:
-                    touched.update(bucket)
-            dst = flow.dst
-            if dst not in seen_dst:
-                seen_dst.add(dst)
-                bucket = by_dst.get(dst)
-                if bucket:
-                    touched.update(bucket)
-        return touched
 
 
 class FifoLinkModel(LinkModel):
@@ -377,21 +390,26 @@ class FifoLinkModel(LinkModel):
                 touched[other.flow_id] = other
         return touched.values()
 
-    def on_flows_removed(self, flows: List[Flow]) -> Dict[int, Flow]:
+    def on_flows_removed(self, batch: List[Flow], now: float, claim: Claim = None) -> Iterable[Flow]:
         # One departure at a time, in batch order: each one moves the
-        # serving sets the next one reads.
-        touched: Dict[int, Flow] = {}
-        for flow in flows:
+        # serving sets the next one reads, and what it touched is visited
+        # before the next one departs — all of it a mover (floor 0.0).
+        movers: Dict[int, Flow] = {}
+        for flow in batch:  # a queue: ``_visit`` appends the claimed
+            self._remove(flow)
+            movers.pop(flow.flow_id, None)
             if self._links[flow.src].aggregate:
-                touched.update(self._unserve(flow))
+                touched = self._unserve(flow)
             elif self._head.get(flow.src) is flow:
-                touched.update(self._demote(flow))
+                touched = self._demote(flow)
                 for other in self._promote(flow.src):
                     touched[other.flow_id] = other
             else:
                 # Expired while queued: lazy-delete; its rate was already 0.
                 self._gone.add(flow.arrival_seq)
-        return touched
+                continue
+            self._visit(touched, 0.0, now, claim, batch, movers)
+        return movers.values()
 
     def on_link_rate_changed(self, side: str, name: str) -> Iterable[Flow]:
         if side == "uplink":
@@ -685,22 +703,16 @@ class TcpLinkModel(FairShareLinkModel):
             self.state_of(flow, flow.last_update)
         return super().on_flows_added(flows)
 
-    def on_flows_removed(self, flows: List[Flow]) -> Dict[int, Flow]:
-        # Window states go, then fair's batch union for the capacity side.
-        for flow in flows:
+    def on_flows_removed(self, batch: List[Flow], now: float, claim: Claim = None) -> Iterable[Flow]:
+        # Fair's walk reads no window; the batch's window states go after it.
+        movers = super().on_flows_removed(batch, now, claim)
+        for flow in batch:
             del self._states[flow.flow_id]
-        return super().on_flows_removed(flows)
+        return movers
 
     def rates_of(self, flows: List[Flow], now: float) -> List[float]:
-        # Fair shares in bulk, then the window cap on top (inlined per flow).
-        shares = super().rates_of(flows, now)
-        states = self._states
-        rates = []
-        for flow, share in zip(flows, shares):
-            state = states[flow.flow_id]
-            window = flow.weight * state.cwnd * TCP_MSS_BYTES / state.srtt
-            rates.append(share if share <= window else window)
-        return rates
+        # Fair shares capped by the window rate, in one loop.
+        return self._shares(flows, self._states)
 
     def next_wake(self, flow: Flow) -> float:
         return self._states[flow.flow_id].next_tick

@@ -31,16 +31,16 @@ test-side reference model (``tests/simnet/reference_sched.py``);
   (``tests/simnet/eager_admission.py``) and to flow-by-flow admission through
   ``PerMessageNetwork`` (``tests/simnet/per_message.py``).  Its dual on the
   way out: the first completion of an instant claims every neighbour due at
-  that instant (``_finish_batch``) and the movers among the survivors are
-  rated once.
+  that instant (``_finish_batch``) in one walk over the batch's link sides,
+  which also collects the movers, rated once.
 
 Per-event cost becomes O(touched flows × log F) instead of O(all flows):
 the *touched* set is exactly the set whose instantaneous rate can have
 changed.  Enumerating it, and rating it, is the link model's job — this
 module holds the scheduler only.  The model is bound to the scheduler's live
 indexes once (:meth:`~repro.simnet.linkmodel.LinkModel.bind`) and driven
-through five bulk hooks (``on_flows_added``, ``on_flows_removed``,
-``movers_among``, ``on_link_rate_changed``, ``rates_of``); what each shipped
+through four bulk hooks (``on_flows_added``, ``on_flows_removed``,
+``on_link_rate_changed``, ``rates_of``); what each shipped
 model's touched set is (``fair``: the flows the moved link side can bind;
 ``fifo``: the promoted flow and its downlink's served flows; ``tcp``:
 ``fair``'s, plus the woken flow alone at each ack tick, the model's wake) is
@@ -119,6 +119,7 @@ class LazySharedLinkScheduler(FlowScheduler):
             "admission_frontiers": self._admission_frontiers,
             "flows_admitted": self._flows_admitted,
             "wakes": self._wakes,
+            "departure_scans": self.model.departure_scans,  # the model's walks
         }
 
     def start_flows(self, flows: List[Flow], now: float) -> None:
@@ -214,7 +215,8 @@ class LazySharedLinkScheduler(FlowScheduler):
                 # hottest loop in a shared run; keep the two in sync.
                 elapsed = now - flow.last_update
                 if elapsed > 0 and flow.rate > 0:
-                    flow.remaining = max(0.0, flow.remaining - flow.rate * elapsed)
+                    remaining = flow.remaining - flow.rate * elapsed
+                    flow.remaining = remaining if remaining > 0.0 else 0.0
                 flow.last_update = now
                 flow.rate = new_rate
                 # A pending event is never later than the deadline or the next
@@ -273,7 +275,8 @@ class LazySharedLinkScheduler(FlowScheduler):
         # Inlined in _apply_rate_changes (hot path) — keep the two in sync.
         elapsed = now - flow.last_update
         if elapsed > 0 and flow.rate > 0:
-            flow.remaining = max(0.0, flow.remaining - flow.rate * elapsed)
+            remaining = flow.remaining - flow.rate * elapsed
+            flow.remaining = remaining if remaining > 0.0 else 0.0
         flow.last_update = now
 
     # -- flow events -------------------------------------------------------
@@ -315,10 +318,12 @@ class LazySharedLinkScheduler(FlowScheduler):
         them one event at a time re-rates each departure's whole link
         neighbourhood — O(N³) flow touches per wave at N authorities, the
         dominant cost of the lazy engine at scale.  Instead, the first
-        completion to fire claims the wave: departures expose their touched
-        neighbours, neighbours whose pending event is also due *now* and
-        whose transfer is done join the batch (their events are cancelled),
-        and the survivors are rated once at the end against final occupancy.
+        completion to fire claims the wave: the model's departure walk
+        (``on_flows_removed``) visits each link side of the batch once,
+        offering neighbours due *now* to :meth:`_claim` — those whose
+        transfer is done join the batch, their events cancelled — and
+        collecting the movers, which are rated once at the end against final
+        occupancy.
 
         Occupancy-equivalent to finishing them one event at a time — every
         intermediate rate that would assign lives for zero width at ``now``
@@ -327,32 +332,35 @@ class LazySharedLinkScheduler(FlowScheduler):
         ulp simply fire on their own; the batch is an optimisation, never a
         correctness requirement.
         """
-        model = self.model
-        live = self._flows
         batch = [trigger]
-        frontier = batch
-        survivors: Dict[int, Flow] = {}
-        while frontier:
-            for flow in frontier:
-                self._remove(flow)
-            touched = model.on_flows_removed(frontier)
-            next_frontier: List[Flow] = []
-            for other in touched.values():
-                if other.flow_id not in live:
-                    continue
-                pending = other.pending
-                if pending is not None and pending.time == now:
-                    self._advance(other, now)
-                    if self._is_complete(other, now):
-                        pending.cancel()
-                        other.pending = None
-                        next_frontier.append(other)
-                        survivors.pop(other.flow_id, None)
-                        continue
-                survivors[other.flow_id] = other
-            frontier = next_frontier
-            batch.extend(next_frontier)
-        self._apply_rate_changes(model.movers_among(survivors, batch), now)
+        self._depart(batch, now, self._claim)
+        # Callbacks fire last, once the neighbourhood is consistent, so
+        # protocol code reacting to a delivery observes final rates.
+        for flow in batch:
+            self._clamp_residual(flow)
+            self._complete(flow)
+
+    def _claim(self, flow: Flow) -> bool:
+        """Advance a neighbour due now; whether it is done, its event cancelled."""
+        now = self.simulator.now
+        self._advance(flow, now)
+        if self._is_complete(flow, now):
+            flow.pending.cancel()
+            flow.pending = None
+            return True
+        return False
+
+    def _finish_expired(self, flow: Flow, now: float) -> None:
+        self._depart([flow], now, None)
+        # The callback fires after the neighbourhood is consistent, so
+        # protocol code reacting to a timeout (e.g. re-sending) observes
+        # final rates.
+        self._expire(flow)
+
+    def _depart(self, batch: List[Flow], now: float, claim) -> None:
+        """Walk ``batch`` out (``claim`` may extend it), rate its movers once,
+        and retire the capacity caches and watchers of the sides it idled."""
+        self._apply_rate_changes(self.model.on_flows_removed(batch, now, claim), now)
         for flow in batch:
             if flow.src not in self._by_src:
                 self._up_cap.pop(flow.src, None)
@@ -360,26 +368,6 @@ class LazySharedLinkScheduler(FlowScheduler):
             if flow.dst not in self._by_dst:
                 self._down_cap.pop(flow.dst, None)
                 self._drop_watcher("downlink", flow.dst)
-        # Callbacks fire last, once the neighbourhood is consistent, so
-        # protocol code reacting to a delivery observes final rates.
-        for flow in batch:
-            self._clamp_residual(flow)
-            self._complete(flow)
-
-    def _finish_expired(self, flow: Flow, now: float) -> None:
-        self._remove(flow)
-        touched = self.model.on_flows_removed([flow])
-        self._apply_rate_changes(self.model.movers_among(touched, [flow]), now)
-        if flow.src not in self._by_src:
-            del self._up_cap[flow.src]
-            self._drop_watcher("uplink", flow.src)
-        if flow.dst not in self._by_dst:
-            del self._down_cap[flow.dst]
-            self._drop_watcher("downlink", flow.dst)
-        # The callback fires after the neighbourhood is consistent, so
-        # protocol code reacting to a timeout (e.g. re-sending) observes
-        # final rates.
-        self._expire(flow)
 
     # -- breakpoint watchers -----------------------------------------------
     def _arm_watcher(self, side: str, name: str, now: float) -> None:

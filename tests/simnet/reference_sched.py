@@ -18,6 +18,11 @@ The rate functions state each link model's arithmetic once, readably:
 definition of per-flow congestion dynamics), advanced here whenever a flow's
 ack tick is due at a recompute.
 
+:func:`two_pass_departure` is narrower: the lazy engine's departure batch
+stated as two plain passes over one bucket state, the specification of the
+single walk ``FairShareLinkModel.on_flows_removed`` makes
+(``test_departure_walk.py``).
+
 Tests select the model with :func:`use_reference_scheduler` (or
 :func:`use_engine` in an engine parametrisation, which reaches the vector
 engine the same way); production code has no switch for it.
@@ -148,6 +153,83 @@ def latency_only_rates(flows, links, now):
 
 
 REFERENCE_RATES = {"fair": fair_rates, "fifo": fifo_rates, "latency-only": latency_only_rates}
+
+
+def two_pass_departure(trigger, flows, links, up_cap, down_cap, now):
+    """The lazy engine's ``fair`` departure batch in two plain passes.
+
+    The specification of ``FairShareLinkModel.on_flows_removed``'s one walk,
+    stated the way the engine used to run it: a *frontier loop* drops a
+    frontier from the indexes, gathers its link sides' whole remaining
+    neighbourhood, and claims each neighbour whose event is due at ``now``
+    and whose transfer is done — advancing every due one it visits — into
+    the next frontier, keeping the rest as ``survivors``; then a *second
+    scan* of every link side the batch left finds the movers: on a
+    non-aggregate side of capacity ``c``, the flows with ``rate >= c /
+    occupancy before the batch``.
+
+    ``flows`` are the in-flight flows in admission order, ``trigger`` among
+    them (its own event has fired: it is not offered again).  A flow's event
+    is due when ``flow.pending.time == now``.  Nothing is mutated.  Returns
+    ``(batch, movers, residuals)``: the batch's flow ids in claim order, the
+    set of mover ids, and every flow's ``(last_update, remaining)`` after the
+    loop's advances.
+    """
+    residuals = {flow.flow_id: (flow.last_update, flow.remaining) for flow in flows}
+    due = {f.flow_id for f in flows if f is not trigger and f.pending is not None and f.pending.time == now}
+    by_src, by_dst = {}, {}
+    for flow in flows:
+        by_src.setdefault(flow.src, {})[flow.flow_id] = flow
+        by_dst.setdefault(flow.dst, {})[flow.flow_id] = flow
+    up, down = occupancy(flows)
+
+    def claim(flow):
+        """Advance a due flow to ``now``; whether it is done (the scheduler's
+        ``_advance`` and ``_is_complete``)."""
+        last, remaining = residuals[flow.flow_id]
+        if now - last > 0 and flow.rate > 0:
+            remaining = max(0.0, remaining - flow.rate * (now - last))
+        residuals[flow.flow_id] = (now, remaining)
+        return remaining <= _COMPLETION_EPSILON_BYTES or (
+            flow.rate > 0 and now + remaining / flow.rate <= now
+        )
+
+    batch, frontier, survivors = [trigger], [trigger], {}
+    while frontier:
+        for flow in frontier:
+            del by_src[flow.src][flow.flow_id]
+            del by_dst[flow.dst][flow.flow_id]
+        touched, seen_src, seen_dst = {}, set(), set()
+        for flow in frontier:
+            if flow.src not in seen_src:
+                seen_src.add(flow.src)
+                touched.update(by_src[flow.src])
+            if flow.dst not in seen_dst:
+                seen_dst.add(flow.dst)
+                touched.update(by_dst[flow.dst])
+        frontier = []
+        for other in touched.values():
+            if other.flow_id in due and claim(other):
+                due.discard(other.flow_id)  # its event is cancelled
+                frontier.append(other)
+                survivors.pop(other.flow_id, None)
+            else:
+                survivors[other.flow_id] = other
+        batch.extend(frontier)
+
+    movers = set()
+    for side, index, before, cap in (
+        ("src", by_src, up, up_cap),
+        ("dst", by_dst, down, down_cap),
+    ):
+        for name in dict.fromkeys(getattr(flow, side) for flow in batch):
+            if not links[name].aggregate:
+                floor = cap[name] / before[name]
+                movers.update(fid for fid, flow in index[name].items() if flow.rate >= floor)
+    # Every mover is a survivor: the second scan reads the sides the first
+    # one gathered.
+    assert movers <= set(survivors)
+    return [flow.flow_id for flow in batch], movers, residuals
 
 
 class ReferenceFlowScheduler:

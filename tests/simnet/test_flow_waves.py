@@ -13,9 +13,11 @@ destination, an event per delivery), and require the same deliveries from
 both.
 
 The last test carries the same idea over to whole protocol runs and to the
-shared transports: heap events, flows rated, tcp ack ticks and tcp heap
-pushes per message on the lazy engine, and the share of the rated flows whose
-rate moved, which is what a seconds budget on such a run stands for.
+shared transports: heap events, flows rated, tcp ack ticks, tcp heap pushes
+and neighbours visited by departure walks per message on the lazy engine, and
+the share of the rated flows whose rate moved, which is what a seconds budget
+on such a run stands for.  The rate passes, flows rated, ticks and heap
+pushes of its seed-7 runs are pinned exactly.
 """
 
 import functools
@@ -302,8 +304,8 @@ def _counted_run(protocol, transport, authorities):
     """
     counts = Counter()
     with pytest.MonkeyPatch.context() as patch:
-        # Only the run's own model class: tcp's ``rates_of`` calls fair's for
-        # the capacity side, and that inner call is not a pass.
+        # The run's own model class: one ``rates_of`` call per pass (tcp's
+        # rates the fair shares and the window caps in one loop).
         model_class = LINK_MODELS[transport]
         if model_class.shared:
             patch.setattr(model_class, "rates_of", _counting_moved(model_class.rates_of, counts))
@@ -323,10 +325,12 @@ def _counted_run(protocol, transport, authorities):
     counts["messages"] = result.stats.messages_sent
     counts["events"] = counters["executed"]
     counts["pushes"] = counters["scheduled"] + counters["rescheduled"]
-    # Counted by the scheduler itself; the uncoupled path has no rate passes
-    # and no wakes.
+    # Counted by the scheduler itself; the uncoupled path has no rate passes,
+    # no wakes and no departure walks.
     counts["rated"] = counters.get("flows_rated", 0)
     counts["ticks"] = counters.get("wakes", 0)
+    for name in ("departure_scans", *_PINNED_COUNTERS):
+        counts[name] = counters.get(name, 0)
     return counts
 
 
@@ -393,6 +397,45 @@ _RATE_PASS_BOUNDS = {
 }
 
 
+#: Ceilings on neighbours visited by departure walks per message on the
+#: shared transports, a notch above the seed-7 runs.  A batch visits each of
+#: its link sides once, claiming and collecting movers in one pass:
+#: ``current`` reads 2.79 / 4.38 / 7.07 on fair at 15 / 30 / 60 and 11.26 /
+#: 24.67 on tcp at 15 / 30; ``ours`` 3.79 / 9.43 / 18.78 and 13.68 / 37.17.
+#: A join scan followed by a second scan for movers read 3.99 / 7.36 / 13.69,
+#: 22.52 / 49.35, 6.69 / 18.43 / 38.07 and 27.13 / 73.86.
+_DEPARTURE_SCAN_CEILING = {
+    ("current", "fair", 15): 3.0,
+    ("current", "fair", 30): 4.6,
+    ("current", "fair", 60): 7.4,
+    ("current", "tcp", 15): 12.0,
+    ("current", "tcp", 30): 26.0,
+    ("ours", "fair", 15): 4.0,
+    ("ours", "fair", 30): 10.0,
+    ("ours", "fair", 60): 20.0,
+    ("ours", "tcp", 15): 14.5,
+    ("ours", "tcp", 30): 39.0,
+}
+
+
+#: Counters a change to how a departure is walked must leave exactly as they
+#: are, and their seed-7 values: the same flows rated in the same passes, the
+#: same ack ticks, the same heap pushes.
+_PINNED_COUNTERS = ("rate_passes", "flows_rated", "wakes", "scheduled", "rescheduled")
+_SEED7_COUNTERS = {
+    ("current", "fair", 15): (335, 1043, 0, 1867, 4),
+    ("current", "fair", 30): (1337, 4332, 0, 7554, 6),
+    ("current", "fair", 60): (5362, 17736, 0, 30441, 48),
+    ("current", "tcp", 15): (1998, 1890, 1050, 2913, 0),
+    ("current", "tcp", 30): (8268, 7840, 4350, 11898, 2),
+    ("ours", "fair", 15): (145, 1049, 0, 1650, 56),
+    ("ours", "fair", 30): (285, 6899, 0, 6599, 1044),
+    ("ours", "fair", 60): (567, 48326, 0, 25814, 11096),
+    ("ours", "tcp", 15): (2375, 2310, 1554, 3176, 0),
+    ("ours", "tcp", 30): (10834, 18217, 7689, 13986, 1886),
+}
+
+
 @pytest.mark.parametrize("protocol", ["current", "ours"])
 @pytest.mark.parametrize(
     "transport, authorities",
@@ -417,8 +460,12 @@ def test_a_run_stays_under_its_counted_floor(protocol, transport, authorities):
         assert run["pushes"] <= _PUSH_CEILING[protocol, authorities] * messages
     if transport == "latency-only":
         assert run["rated"] == 0  # flows never interact: nothing to rate
+        assert run["departure_scans"] == 0
         return
-    rated_per_message, moved_per_rated = _RATE_PASS_BOUNDS[protocol, transport, authorities]
+    case = protocol, transport, authorities
+    assert run["departure_scans"] <= _DEPARTURE_SCAN_CEILING[case] * messages
+    assert tuple(run[name] for name in _PINNED_COUNTERS) == _SEED7_COUNTERS[case]
+    rated_per_message, moved_per_rated = _RATE_PASS_BOUNDS[case]
     assert run["rated"] <= rated_per_message * messages
     # The useful-work ratio: a pass that rates flows whose rate cannot have
     # moved shows here before it shows in seconds.

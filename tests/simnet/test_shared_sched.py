@@ -23,9 +23,11 @@ on the lazy engine and (numpy present) the vector engine alike:
   virtual time — the PR-3 live-lock shape, now under the lazy path.
 
 The next section pins the edges of the fair model's share-aware touched sets
-(``FairShareLinkModel._movers``): a bare lazy scheduler whose every in-flight rate
-must equal the reference's from-scratch ``fair_rates`` after each admission
-and each settlement, with the flows each step rated counted.
+(``FairShareLinkModel.on_flows_added`` / ``on_flows_removed``): a bare lazy
+scheduler whose every in-flight rate must equal the reference's ``fair_rates``,
+recounted from the flow list, after each admission and each settlement, with
+the flows each step rated counted — and the order a symmetric wave's one
+batch is claimed in.
 
 The last section pins the admission frontier on the same bare scheduler:
 same-instant ``start_flows`` calls are indexed at once and rated in one pass,
@@ -509,6 +511,22 @@ def test_a_burst_onto_idle_links_rates_itself():
     assert set(checked.rates().values()) == {MB / 3}
     assert checked.run() == 0
     assert [time for _s, _d, time in checked.settled] == [pytest.approx(0.27)] * 3
+
+
+def test_a_symmetric_wave_finishes_as_one_batch_in_discovery_order():
+    # Every node sends one equal message to every other, on equal links:
+    # twelve flows at MB/3, aimed at one bit-identical instant.  The first to
+    # fire claims the rest through its uplink, then its downlink, and so on
+    # in claim order; the callbacks fire in that order, which is the order
+    # every delivery of a broadcast wave is handed to the network in.
+    names = "abcd"
+    checked = _CheckedScheduler({name: _link(MB) for name in names})
+    checked.start(*((src, dst, 100_000) for src in names for dst in names if src != dst))
+    assert checked.run() == 12  # the frontier's pass; the batch has no movers
+    assert len({time for *_pair, time in checked.settled}) == 1
+    assert ["".join(pair) for *pair, _time in checked.settled] == [
+        "ab", "ac", "ad", "cb", "db", "bc", "dc", "bd", "cd", "ca", "da", "ba",
+    ]
 
 
 def test_a_window_limited_tcp_flow_sits_out_an_occupancy_change_on_its_link():
