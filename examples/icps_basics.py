@@ -6,25 +6,27 @@ Interactive Consistency under Partial Synchrony is a general functionality:
 document vector, even if up to ``f < n/3`` nodes misbehave and the network
 temporarily loses synchrony.  This example runs four ICPS nodes on the local
 driver, once in the good case and once with an equivocating Byzantine node,
-and checks the four properties of Definition 5.1.
+and checks the four properties of Definition 5.1; it exits non-zero if any
+check fails.
 
 Run with:  python examples/icps_basics.py
 """
 
+import sys
+
 from repro.attack.adversary import EquivocatingICPSAdversary
 from repro.consensus import LocalDriver
-from repro.core import (
-    Document,
-    ICPSConfig,
-    ICPSNode,
-    check_agreement,
-    check_common_set_validity,
-    check_termination,
-    check_value_validity,
-)
+from repro.core import Document, ICPSConfig, ICPSNode
+from repro.core.properties import check_all_properties
 from repro.crypto.keys import KeyPair, KeyRing
 
 NAMES = ("alice", "bob", "carol", "dave")
+LABELS = {
+    "termination": "termination",
+    "agreement": "agreement",
+    "value_validity": "value validity",
+    "common_set_validity": "common-set validity",
+}
 
 
 def build_nodes(byzantine: bool):
@@ -50,7 +52,8 @@ def build_nodes(byzantine: bool):
     return nodes, docs
 
 
-def run_and_report(title: str, byzantine: bool) -> None:
+def run_and_report(title: str, byzantine: bool) -> bool:
+    """Run one cluster, print its checks, and return whether all of them hold."""
     nodes, docs = build_nodes(byzantine)
     driver = LocalDriver(nodes, loopback_broadcast=False)
     driver.start(docs)
@@ -58,11 +61,10 @@ def run_and_report(title: str, byzantine: bool) -> None:
 
     correct = [name for name in NAMES if not (byzantine and name == "dave")]
     outputs = {name: nodes[name].output for name in correct}
+    checks = check_all_properties(outputs, docs, correct, n=4, f=1, gst_zero=not byzantine)
     print(title)
-    print("  termination         :", check_termination(outputs, correct))
-    print("  agreement           :", check_agreement(outputs, correct))
-    print("  value validity      :", check_value_validity(outputs, docs, correct, gst_zero=not byzantine))
-    print("  common-set validity :", check_common_set_validity(outputs, correct, n=4, f=1))
+    for name, holds in checks.items():
+        print("  %-20s:" % LABELS[name], holds)
     sample = outputs[correct[0]]
     entries = {
         name: (document.data.decode() if document else "<bottom>")
@@ -70,12 +72,14 @@ def run_and_report(title: str, byzantine: bool) -> None:
     }
     print("  %s's output vector  : %s" % (correct[0], entries))
     print()
+    return all(checks.values())
 
 
-def main() -> None:
-    run_and_report("Good case (no faults, synchronous network):", byzantine=False)
-    run_and_report("With an equivocating Byzantine node (dave):", byzantine=True)
+def main() -> int:
+    good = run_and_report("Good case (no faults, synchronous network):", byzantine=False)
+    byzantine = run_and_report("With an equivocating Byzantine node (dave):", byzantine=True)
+    return 0 if good and byzantine else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

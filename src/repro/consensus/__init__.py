@@ -12,7 +12,16 @@ sub-package provides all three as **pure state machines**:
   schedules) and under the network simulator (integration tests and the
   paper's benchmarks);
 * all engines are single-shot (one decision per instance), support external
-  validity predicates, and rotate leaders round-robin across views.
+  validity predicates, and rotate leaders round-robin across views;
+* they share one skeleton, :class:`ConsensusEngine`, which owns the view,
+  leader check, view timer, digest memory, input handling, dispatch and
+  ``view-N`` timeouts.  An engine supplies only its protocol rules: a
+  ``_HANDLERS`` map from message type to handler name, the ``_UNBUFFERED``
+  types it handles even for a later view (all others wait in a buffer until
+  the engine enters that view), ``_maybe_propose()`` and ``_enter_view(view)``;
+* :class:`LocalDriver` runs engines on a :class:`~repro.simnet.engine.Simulator`
+  — the same event loop as the network simulator — and stops a ``run`` once
+  every correct node has decided.
 
 ``n >= 3f + 1`` is required, matching the partial-synchrony bound the paper
 moves to (and the corresponding drop from tolerating 4 to 2 faulty

@@ -1,17 +1,23 @@
 """A deterministic local driver for consensus engines.
 
-The driver executes a set of engines in virtual time without the full network
-simulator: messages are delivered after a configurable delay function, timers
-fire exactly when requested, and Byzantine participants can be plugged in as
-engine-like objects.  It is the workhorse of the consensus unit tests and the
-property-based safety tests, where we need to explore partitions, message
-delays (GST), and faulty leaders cheaply.
+The driver executes a set of engines in virtual time without the network and
+transport layers: messages are delivered after a configurable delay function,
+timers fire exactly when requested, and Byzantine participants can be plugged
+in as engine-like objects.  It is the workhorse of the consensus unit tests
+and the property-based safety tests, where we need to explore partitions,
+message delays (GST), and faulty leaders cheaply.
+
+Deliveries and timeouts are events on a :class:`~repro.simnet.engine.Simulator`
+(:attr:`LocalDriver.simulator`), so ordering, ``until`` and the exact
+``max_events`` bound are the simulator's.  :meth:`LocalDriver.run` stops early
+once every correct (non-crashed) node has decided: at once if they already
+have, otherwise right after the event that made the last one decide.  Later
+events stay queued, and only that one event stops the loop, so a direct
+``simulator.run`` keeps going past the decision.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -23,6 +29,7 @@ from repro.consensus.interfaces import (
     SendAction,
     SetTimerAction,
 )
+from repro.simnet.engine import Simulator
 from repro.utils.validation import ensure
 
 #: Returns the delivery time of a message, or None to drop it.
@@ -86,9 +93,13 @@ class DriverResult:
     final_time: float
 
     def all_agree(self) -> bool:
-        """True when every decided node decided the same value."""
-        values = {repr(value) for value in self.decisions.values()}
-        return len(values) <= 1
+        """True when every decided node decided an equal value."""
+        values = list(self.decisions.values())
+        return all(value == values[0] for value in values[1:])
+
+
+class _AllDecided(Exception):
+    """Raised by a driver callback once every correct node has decided."""
 
 
 class LocalDriver:
@@ -108,17 +119,13 @@ class LocalDriver:
         # Consensus engines expect their own broadcasts back (loopback); ICPS
         # nodes handle self-delivery internally and set this to False.
         self.loopback_broadcast = loopback_broadcast
-        self._queue: List[Tuple[float, int, str, str, Any]] = []
-        self._seq = itertools.count()
-        self._now = 0.0
+        self.simulator = Simulator()
         self.messages_delivered = 0
         self.decision_times: Dict[str, float] = {}
 
     # -- scheduling ------------------------------------------------------------
-    def _push(self, time: float, kind: str, node: str, payload: Any) -> None:
-        heapq.heappush(self._queue, (time, next(self._seq), kind, node, payload))
-
     def _handle_actions(self, node: str, actions: List[Action]) -> None:
+        now = self.simulator.now
         for action in actions:
             if isinstance(action, SendAction):
                 self._route(node, action.to, action.message)
@@ -128,74 +135,64 @@ class LocalDriver:
                         continue
                     self._route(node, receiver, action.message)
             elif isinstance(action, SetTimerAction):
-                self._push(self._now + action.duration, "timeout", node, action.timer_id)
+                self.simulator.schedule(now + action.duration, self._timeout, node, action.timer_id)
             elif isinstance(action, DecideAction):
-                self.decision_times.setdefault(node, self._now)
+                self.decision_times.setdefault(node, now)
 
     def _route(self, sender: str, receiver: str, message: ConsensusMessage) -> None:
         if receiver not in self.engines or receiver in self.crashed:
             return
+        now = self.simulator.now
         if sender == receiver:
             # Loopback messages are processed without network delay.
-            self._push(self._now, "deliver", receiver, message)
+            self.simulator.schedule(now, self._deliver, receiver, message)
             return
-        delivery_time = self.delivery_policy(sender, receiver, message, self._now)
+        delivery_time = self.delivery_policy(sender, receiver, message, now)
         if delivery_time is None:
             return
-        self._push(max(delivery_time, self._now), "deliver", receiver, message)
+        self.simulator.schedule(max(delivery_time, now), self._deliver, receiver, message)
+
+    def _deliver(self, node: str, message: ConsensusMessage) -> None:
+        self.messages_delivered += 1
+        self._react(node, self.engines[node].on_message, message)
+
+    def _timeout(self, node: str, timer_id: str) -> None:
+        self._react(node, self.engines[node].on_timeout, timer_id)
+
+    def _react(self, node: str, handler: Callable[[Any], List[Action]], argument: Any) -> None:
+        engine = self.engines[node]
+        was_decided = engine.decided
+        self._handle_actions(node, handler(argument))
+        # Only the node that handled the event can have become decided; the
+        # event that completes the set of correct deciders ends the run.
+        if not was_decided and engine.decided and self._all_correct_decided():
+            raise _AllDecided
 
     # -- execution ------------------------------------------------------------
     def start(self, inputs: Dict[str, Any]) -> None:
         """Call ``start`` on every non-crashed engine with its input value."""
         for node, engine in self.engines.items():
-            if node in self.crashed:
-                continue
-            actions = engine.start(inputs.get(node))
-            self._handle_actions(node, actions)
+            if node not in self.crashed:
+                self._handle_actions(node, engine.start(inputs.get(node)))
 
     def set_input(self, node: str, value: Any) -> None:
         """Late-provide an input value to one engine (used by ICPS)."""
-        if node in self.crashed:
-            return
-        actions = self.engines[node].set_input(value)
-        self._handle_actions(node, actions)
+        if node not in self.crashed:
+            self._handle_actions(node, self.engines[node].set_input(value))
 
-    def run(
-        self,
-        until: float = 1_000.0,
-        stop_when_all_decided: bool = True,
-        max_events: int = 1_000_000,
-    ) -> DriverResult:
-        """Run the event loop and return the collected decisions.
+    def run(self, until: float = 1_000.0, max_events: int = 1_000_000) -> DriverResult:
+        """Run :attr:`simulator` until ``until`` and return the collected decisions.
 
-        Events after ``until`` stay queued for a later ``run``.  Like
-        :meth:`repro.simnet.engine.Simulator.run`, ``max_events`` is an exact
-        bound: at most that many events execute, and the error is raised
-        only when a further event for a live node is still due.
+        Returns early once every correct node has decided (see the module
+        docstring); events after the stop or after ``until`` stay queued.
+        ``max_events`` is the simulator's exact bound and raises its
+        :class:`~repro.simnet.engine.SimulationError`.
         """
-        executed = 0
-        queue = self._queue
-        while queue:
-            if stop_when_all_decided and self._all_correct_decided():
-                break
-            time, _seq, kind, node, payload = queue[0]
-            if time > until:
-                self._now = until
-                break
-            if executed >= max_events and node not in self.crashed:
-                raise RuntimeError("LocalDriver exceeded max_events=%d" % max_events)
-            heapq.heappop(queue)
-            self._now = time
-            if node in self.crashed:
-                continue
-            engine = self.engines[node]
-            if kind == "deliver":
-                self.messages_delivered += 1
-                actions = engine.on_message(payload)
-            else:
-                actions = engine.on_timeout(payload)
-            self._handle_actions(node, actions)
-            executed += 1
+        if not self._all_correct_decided():
+            try:
+                self.simulator.run(until=until, max_events=max_events)
+            except _AllDecided:
+                pass
         return self.result()
 
     def _all_correct_decided(self) -> bool:
@@ -205,20 +202,15 @@ class LocalDriver:
 
     def result(self) -> DriverResult:
         """Collect the decisions made so far."""
-        decisions = {
-            node: engine.decision
-            for node, engine in self.engines.items()
-            if node not in self.crashed and engine.decided
-        }
-        views = {
-            node: engine.decision_view
+        decided = {
+            node: engine
             for node, engine in self.engines.items()
             if node not in self.crashed and engine.decided
         }
         return DriverResult(
-            decisions=decisions,
-            decision_views=views,
+            decisions={node: engine.decision for node, engine in decided.items()},
+            decision_views={node: engine.decision_view for node, engine in decided.items()},
             decision_times=dict(self.decision_times),
             messages_delivered=self.messages_delivered,
-            final_time=self._now,
+            final_time=self.simulator.now,
         )

@@ -27,7 +27,6 @@ from repro.consensus.interfaces import (
     ConsensusMessage,
     EngineConfig,
     SendAction,
-    SetTimerAction,
 )
 from repro.consensus.quorum import GENESIS_QC, QuorumCertificate
 from repro.consensus.values import value_digest
@@ -46,53 +45,29 @@ class HotStuffEngine(ConsensusEngine):
 
     name = "hotstuff"
     good_case_rounds = 5
+    _HANDLERS = {
+        "HS/PROPOSE": "_on_propose",
+        "HS/VOTE1": "_on_vote1",
+        "HS/PRECOMMIT": "_on_precommit",
+        "HS/VOTE2": "_on_vote2",
+        "HS/COMMIT": "_on_commit",
+        "HS/NEW-VIEW": "_on_new_view",
+    }
+    _UNBUFFERED = frozenset({"HS/COMMIT", "HS/NEW-VIEW"})
 
     def __init__(self, config: EngineConfig) -> None:
         super().__init__(config)
-        self.view = 0
-        self.input_value: Any = None
-        self.started = False
         self.locked_qc: QuorumCertificate = GENESIS_QC
         self.high_qc: QuorumCertificate = GENESIS_QC
         self._proposed_in_view: Set[int] = set()
         self._voted_phase1: Set[int] = set()
         self._voted_phase2: Set[int] = set()
         self._proposals: Dict[int, _Proposal] = {}
-        self._values_by_digest: Dict[bytes, Any] = {}
         self._vote1: Dict[Tuple[int, bytes], Set[str]] = {}
         self._vote2: Dict[Tuple[int, bytes], Set[str]] = {}
         self._new_views: Dict[int, Dict[str, QuorumCertificate]] = {}
-        self._future: Dict[int, List[ConsensusMessage]] = {}
 
-    # -- helpers -----------------------------------------------------------
-    def _is_leader(self, view: Optional[int] = None) -> bool:
-        view = self.view if view is None else view
-        return self.config.leader_of(view) == self.config.node_id
-
-    def _remember_value(self, value: Any) -> bytes:
-        digest = value_digest(value)
-        self._values_by_digest[digest] = value
-        return digest
-
-    def _view_timer(self, view: int) -> SetTimerAction:
-        return SetTimerAction(timer_id="view-%d" % view, duration=self.config.view_timeout(view))
-
-    # -- lifecycle -----------------------------------------------------------
-    def start(self, value: Any) -> List[Action]:
-        """Start the engine with this node's input value (may be None)."""
-        self.started = True
-        self.input_value = value
-        actions: List[Action] = [self._view_timer(0)]
-        actions.extend(self._maybe_propose())
-        return actions
-
-    def set_input(self, value: Any) -> List[Action]:
-        """Provide (or update) the input value after start."""
-        self.input_value = value
-        if not self.started or self.decided:
-            return []
-        return self._maybe_propose()
-
+    # -- proposing ---------------------------------------------------------
     def _maybe_propose(self) -> List[Action]:
         """If we lead the current view and have something to propose, propose."""
         if self.decided or not self._is_leader() or self.view in self._proposed_in_view:
@@ -104,7 +79,7 @@ class HotStuffEngine(ConsensusEngine):
         if not self.config.is_valid_value(value):
             return []
         self._proposed_in_view.add(self.view)
-        digest = self._remember_value(value)
+        digest = self._remember(value)
         self._proposals[self.view] = _Proposal(value=value, justify=self.high_qc)
         message = ConsensusMessage(
             msg_type="HS/PROPOSE",
@@ -121,27 +96,6 @@ class HotStuffEngine(ConsensusEngine):
         return None
 
     # -- message handling --------------------------------------------------
-    def on_message(self, message: ConsensusMessage) -> List[Action]:
-        if self.decided:
-            return []
-        handlers = {
-            "HS/PROPOSE": self._on_propose,
-            "HS/VOTE1": self._on_vote1,
-            "HS/PRECOMMIT": self._on_precommit,
-            "HS/VOTE2": self._on_vote2,
-            "HS/COMMIT": self._on_commit,
-            "HS/NEW-VIEW": self._on_new_view,
-        }
-        handler = handlers.get(message.msg_type)
-        if handler is None:
-            return []
-        # Messages for views we have not reached yet are buffered and replayed
-        # once our own view timer catches up (simple view synchronisation).
-        if message.view > self.view and message.msg_type not in ("HS/COMMIT", "HS/NEW-VIEW"):
-            self._future.setdefault(message.view, []).append(message)
-            return []
-        return handler(message)
-
     def _on_propose(self, message: ConsensusMessage) -> List[Action]:
         if message.view != self.view:
             return []
@@ -154,7 +108,7 @@ class HotStuffEngine(ConsensusEngine):
         justify: QuorumCertificate = payload.get("justify", GENESIS_QC)
         if value is None or not self.config.is_valid_value(value):
             return []
-        digest = self._remember_value(value)
+        digest = self._remember(value)
         # Safety rule: only vote if the justification is at least as recent as
         # our lock, or the proposal re-proposes the locked value itself.
         if not (justify.view >= self.locked_qc.view or digest == self.locked_qc.value_digest):
@@ -201,7 +155,7 @@ class HotStuffEngine(ConsensusEngine):
         if qc is None or not qc.is_valid(self.config.quorum) or qc.view != message.view:
             return []
         if value is not None:
-            self._remember_value(value)
+            self._remember(value)
         if message.view in self._voted_phase2:
             return []
         # Lock on the first-phase QC.
@@ -255,7 +209,7 @@ class HotStuffEngine(ConsensusEngine):
         qc: QuorumCertificate = (message.payload or {}).get("high_qc", GENESIS_QC)
         value = (message.payload or {}).get("value")
         if value is not None:
-            self._remember_value(value)
+            self._remember(value)
         per_view = self._new_views.setdefault(message.view, {})
         per_view[message.sender] = qc
         if qc.view > self.high_qc.view:
@@ -268,28 +222,22 @@ class HotStuffEngine(ConsensusEngine):
             return self._maybe_propose()
         return []
 
-    # -- timers ----------------------------------------------------------------
-    def on_timeout(self, timer_id: str) -> List[Action]:
-        if self.decided or not timer_id.startswith("view-"):
-            return []
-        timed_out_view = int(timer_id.split("-", 1)[1])
-        if timed_out_view != self.view:
-            return []
-        self.view = timed_out_view + 1
-        actions: List[Action] = [self._view_timer(self.view)]
+    # -- view change ---------------------------------------------------------
+    def _enter_view(self, view: int) -> List[Action]:
+        self.view = view
+        actions: List[Action] = [self._view_timer(view)]
         locked_value = self._values_by_digest.get(self.high_qc.value_digest)
         new_view = ConsensusMessage(
             msg_type="HS/NEW-VIEW",
             sender=self.config.node_id,
-            view=self.view,
+            view=view,
             payload={"high_qc": self.high_qc, "value": locked_value},
         )
-        leader = self.config.leader_of(self.view)
+        leader = self.config.leader_of(view)
         if leader == self.config.node_id:
             actions.extend(self._on_new_view(new_view))
             actions.extend(self._maybe_propose())
         else:
             actions.append(SendAction(to=leader, message=new_view))
-        for buffered in self._future.pop(self.view, []):
-            actions.extend(self.on_message(buffered))
+        actions.extend(self._replay_future())
         return actions

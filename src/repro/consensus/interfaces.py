@@ -1,17 +1,24 @@
-"""Interfaces shared by all consensus engines.
+"""Interfaces shared by all consensus engines, and their common skeleton.
 
-Engines are pure state machines: inputs are ``start``, ``on_message``, and
-``on_timeout`` calls; outputs are lists of :class:`Action` objects describing
-what the host should do (send a message, set a timer, record a
-decision).  This inversion keeps the engines testable in isolation and lets
-the exact same code run under the local driver and the network simulator.
+Engines are pure state machines: inputs are ``start``, ``set_input``,
+``on_message`` and ``on_timeout`` calls; outputs are lists of :class:`Action`
+objects describing what the host should do (send a message, set a timer,
+record a decision).  This inversion keeps the engines testable in isolation
+and lets the exact same code run under the local driver and the network
+simulator.
+
+:class:`ConsensusEngine` implements everything the view-based engines share —
+view, leader check, view timer, digest memory, input handling, dispatch with
+future-view buffering and ``view-N`` timeouts — so an engine supplies only its
+protocol rules (see the class docstring for the contract).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple
 
+from repro.consensus.values import value_digest
 from repro.utils.validation import ValidationError, ensure
 
 
@@ -143,11 +150,26 @@ class EngineConfig:
 
 
 class ConsensusEngine:
-    """Abstract single-shot consensus engine.
+    """Single-shot, view-based consensus engine skeleton.
 
-    Subclasses must implement :meth:`start`, :meth:`on_message`, and
-    :meth:`on_timeout`; they should use :meth:`_decide` to record their
-    decision so that the common ``decided``/``decision`` accessors work.
+    The base class owns the state every engine shares (``view``, ``started``,
+    ``input_value``, the digest → value memory and the future-view buffer) and
+    the host-facing hooks.  A subclass supplies only its protocol rules:
+
+    * ``_HANDLERS`` — class-level map from ``msg_type`` to the name of the
+      handling method (by name, so a subclass's override is the one that runs);
+      other types are ignored;
+    * ``_UNBUFFERED`` — the types handled even when they name a later view;
+      any other message for a later view is buffered and replayed by
+      :meth:`_replay_future` once the engine enters that view;
+    * ``_maybe_propose()`` — propose in the current view if this node leads it
+      and has a value; :meth:`start` and :meth:`set_input` call it;
+    * ``_enter_view(view)`` — move to ``view``; :meth:`on_timeout` calls it
+      with ``N + 1`` when the timer ``view-N`` of the current view ``N`` fires.
+
+    Subclasses record their decision through :meth:`_decide`, which sets
+    ``decided``, ``decision`` and ``decision_view`` once; a decided engine
+    ignores every further message and timer.
     """
 
     #: Human-readable engine name (used by benchmarks and ablation tables).
@@ -157,54 +179,99 @@ class ConsensusEngine:
     #: honest leader).  Used by the round-complexity analysis (Table 2).
     good_case_rounds = 0
 
+    #: ``msg_type`` → name of the handling method.
+    _HANDLERS: Dict[str, str] = {}
+
+    #: Message types dispatched at once even when they name a later view.
+    _UNBUFFERED: FrozenSet[str] = frozenset()
+
     def __init__(self, config: EngineConfig) -> None:
         self.config = config
-        self._decided = False
-        self._decision: Any = None
-        self._decision_view: Optional[int] = None
+        self.view = 0
+        self.started = False
+        self.input_value: Any = None
+        self.decided = False
+        self.decision: Any = None
+        self.decision_view: Optional[int] = None
+        self._values_by_digest: Dict[bytes, Any] = {}
+        self._future: Dict[int, List[ConsensusMessage]] = {}
 
-    # -- common state ------------------------------------------------------
-    @property
-    def decided(self) -> bool:
-        """True once the engine has decided."""
-        return self._decided
+    # -- helpers -----------------------------------------------------------
+    def _is_leader(self, view: Optional[int] = None) -> bool:
+        """Whether this node leads ``view`` (default: the current view)."""
+        view = self.view if view is None else view
+        return self.config.leader_of(view) == self.config.node_id
 
-    @property
-    def decision(self) -> Any:
-        """The decided value (None before a decision)."""
-        return self._decision
+    def _view_timer(self, view: int) -> SetTimerAction:
+        return SetTimerAction(timer_id="view-%d" % view, duration=self.config.view_timeout(view))
 
-    @property
-    def decision_view(self) -> Optional[int]:
-        """The view in which the decision happened."""
-        return self._decision_view
+    def _remember(self, value: Any) -> bytes:
+        """Record ``value`` under its digest and return the digest."""
+        digest = value_digest(value)
+        self._values_by_digest[digest] = value
+        return digest
 
     def _decide(self, value: Any, view: int) -> List[Action]:
-        if self._decided:
+        if self.decided:
             return []
-        self._decided = True
-        self._decision = value
-        self._decision_view = view
+        self.decided = True
+        self.decision = value
+        self.decision_view = view
         return [DecideAction(value=value, view=view)]
 
-    # -- hooks ----------------------------------------------------------------
+    # -- host-facing hooks -------------------------------------------------
     def start(self, value: Any) -> List[Action]:
-        """Begin the protocol with this node's input ``value``."""
-        raise NotImplementedError
+        """Begin the protocol with this node's input ``value`` (may be None)."""
+        self.started = True
+        self.input_value = value
+        actions: List[Action] = [self._view_timer(0)]
+        actions.extend(self._maybe_propose())
+        return actions
 
     def set_input(self, value: Any) -> List[Action]:
-        """Update this node's input value after start (default: store only).
+        """Provide (or update) the input value after start.
 
-        The ICPS dissemination phase may produce the leader's (H, π) input
-        only after the engine has started; engines that can use a late input
-        override this hook.
+        The ICPS dissemination phase produces the (H, π) input only after the
+        engine has started.
         """
-        raise NotImplementedError
+        self.input_value = value
+        if not self.started or self.decided:
+            return []
+        return self._maybe_propose()
 
     def on_message(self, message: ConsensusMessage) -> List[Action]:
         """Process an incoming message."""
-        raise NotImplementedError
+        if self.decided:
+            return []
+        handler = self._HANDLERS.get(message.msg_type)
+        if handler is None:
+            return []
+        # Messages for views we have not reached yet are buffered and replayed
+        # once our own view catches up (simple view synchronisation).
+        if message.view > self.view and message.msg_type not in self._UNBUFFERED:
+            self._future.setdefault(message.view, []).append(message)
+            return []
+        return getattr(self, handler)(message)
 
     def on_timeout(self, timer_id: str) -> List[Action]:
         """Process a timer expiry previously requested via :class:`SetTimerAction`."""
+        if self.decided or not timer_id.startswith("view-"):
+            return []
+        timed_out_view = int(timer_id.split("-", 1)[1])
+        if timed_out_view != self.view:
+            return []
+        return self._enter_view(timed_out_view + 1)
+
+    def _replay_future(self) -> List[Action]:
+        """Dispatch the messages buffered for the current view."""
+        actions: List[Action] = []
+        for buffered in self._future.pop(self.view, []):
+            actions.extend(self.on_message(buffered))
+        return actions
+
+    # -- protocol rules ----------------------------------------------------
+    def _maybe_propose(self) -> List[Action]:
+        raise NotImplementedError
+
+    def _enter_view(self, view: int) -> List[Action]:
         raise NotImplementedError

@@ -22,7 +22,6 @@ from repro.consensus.interfaces import (
     ConsensusEngine,
     ConsensusMessage,
     EngineConfig,
-    SetTimerAction,
 )
 from repro.consensus.values import value_digest
 
@@ -40,12 +39,17 @@ class PBFTEngine(ConsensusEngine):
 
     name = "pbft"
     good_case_rounds = 3
+    _HANDLERS = {
+        "PBFT/PRE-PREPARE": "_on_pre_prepare",
+        "PBFT/PREPARE": "_on_prepare",
+        "PBFT/COMMIT": "_on_commit",
+        "PBFT/VIEW-CHANGE": "_on_view_change",
+        "PBFT/DECIDED": "_on_decided",
+    }
+    _UNBUFFERED = frozenset({"PBFT/VIEW-CHANGE", "PBFT/DECIDED"})
 
     def __init__(self, config: EngineConfig) -> None:
         super().__init__(config)
-        self.view = 0
-        self.started = False
-        self.input_value: Any = None
         self.prepared: Optional[PreparedCertificate] = None
         self._pre_prepared: Dict[int, Any] = {}
         self._sent_prepare: Set[int] = set()
@@ -54,38 +58,8 @@ class PBFTEngine(ConsensusEngine):
         self._prepares: Dict[Tuple[int, bytes], Set[str]] = {}
         self._commits: Dict[Tuple[int, bytes], Set[str]] = {}
         self._view_changes: Dict[int, Dict[str, Optional[PreparedCertificate]]] = {}
-        self._values_by_digest: Dict[bytes, Any] = {}
-        self._future: Dict[int, List[ConsensusMessage]] = {}
 
-    # -- helpers -----------------------------------------------------------
-    def _is_leader(self, view: Optional[int] = None) -> bool:
-        view = self.view if view is None else view
-        return self.config.leader_of(view) == self.config.node_id
-
-    def _view_timer(self, view: int) -> SetTimerAction:
-        return SetTimerAction(timer_id="view-%d" % view, duration=self.config.view_timeout(view))
-
-    def _remember(self, value: Any) -> bytes:
-        digest = value_digest(value)
-        self._values_by_digest[digest] = value
-        return digest
-
-    # -- lifecycle -----------------------------------------------------------
-    def start(self, value: Any) -> List[Action]:
-        """Start the engine with this node's input value (may be None)."""
-        self.started = True
-        self.input_value = value
-        actions: List[Action] = [self._view_timer(0)]
-        actions.extend(self._maybe_pre_prepare())
-        return actions
-
-    def set_input(self, value: Any) -> List[Action]:
-        """Provide (or update) the input value after start."""
-        self.input_value = value
-        if not self.started or self.decided:
-            return []
-        return self._maybe_pre_prepare()
-
+    # -- proposing ---------------------------------------------------------
     def _proposal_value(self, view: int) -> Optional[Any]:
         """The value the leader of ``view`` must propose (safety first)."""
         reports = self._view_changes.get(view, {})
@@ -101,7 +75,7 @@ class PBFTEngine(ConsensusEngine):
             return self.prepared.value
         return self.input_value
 
-    def _maybe_pre_prepare(self) -> List[Action]:
+    def _maybe_propose(self) -> List[Action]:
         if self.decided or not self._is_leader() or self.view in self._proposed_in_view:
             return []
         if self.view > 0 and len(self._view_changes.get(self.view, {})) < self.config.quorum:
@@ -120,24 +94,6 @@ class PBFTEngine(ConsensusEngine):
         return [BroadcastAction(message)]
 
     # -- message handling -----------------------------------------------------
-    def on_message(self, message: ConsensusMessage) -> List[Action]:
-        if self.decided:
-            return []
-        handlers = {
-            "PBFT/PRE-PREPARE": self._on_pre_prepare,
-            "PBFT/PREPARE": self._on_prepare,
-            "PBFT/COMMIT": self._on_commit,
-            "PBFT/VIEW-CHANGE": self._on_view_change,
-            "PBFT/DECIDED": self._on_decided,
-        }
-        handler = handlers.get(message.msg_type)
-        if handler is None:
-            return []
-        if message.view > self.view and message.msg_type not in ("PBFT/VIEW-CHANGE", "PBFT/DECIDED"):
-            self._future.setdefault(message.view, []).append(message)
-            return []
-        return handler(message)
-
     def _on_pre_prepare(self, message: ConsensusMessage) -> List[Action]:
         if message.view != self.view or message.sender != self.config.leader_of(message.view):
             return []
@@ -234,28 +190,19 @@ class PBFTEngine(ConsensusEngine):
         if message.view > self.view and len(per_view) >= self.config.quorum:
             actions.extend(self._enter_view(message.view))
         if self._is_leader(message.view) and message.view == self.view:
-            actions.extend(self._maybe_pre_prepare())
+            actions.extend(self._maybe_propose())
         return actions
 
-    # -- timers -------------------------------------------------------------------
-    def on_timeout(self, timer_id: str) -> List[Action]:
-        if self.decided or not timer_id.startswith("view-"):
-            return []
-        timed_out_view = int(timer_id.split("-", 1)[1])
-        if timed_out_view != self.view:
-            return []
-        return self._enter_view(timed_out_view + 1)
-
-    def _enter_view(self, new_view: int) -> List[Action]:
-        self.view = new_view
-        actions: List[Action] = [self._view_timer(new_view)]
+    # -- view change --------------------------------------------------------------
+    def _enter_view(self, view: int) -> List[Action]:
+        self.view = view
+        actions: List[Action] = [self._view_timer(view)]
         view_change = ConsensusMessage(
             msg_type="PBFT/VIEW-CHANGE",
             sender=self.config.node_id,
-            view=new_view,
+            view=view,
             payload={"prepared": self.prepared},
         )
         actions.append(BroadcastAction(view_change))
-        for buffered in self._future.pop(new_view, []):
-            actions.extend(self.on_message(buffered))
+        actions.extend(self._replay_future())
         return actions

@@ -3,14 +3,14 @@
 Tendermint's characteristic structure — PROPOSAL, PREVOTE, PRECOMMIT per
 round, with value locking on a *polka* (a quorum of prevotes) and a
 ``validValue`` that later proposers must re-propose — implemented as a pure
-state machine.  Rounds advance on timer expiry; the paper cites Tendermint's
-linear view change (but with waiting) as one of the candidate agreement
-engines.
+state machine.  A round is the engine skeleton's view: rounds advance on
+timer expiry.  The paper cites Tendermint's linear view change (but with
+waiting) as one of the candidate agreement engines.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Set, Tuple
 
 from repro.consensus.interfaces import (
     Action,
@@ -18,7 +18,6 @@ from repro.consensus.interfaces import (
     ConsensusEngine,
     ConsensusMessage,
     EngineConfig,
-    SetTimerAction,
 )
 from repro.consensus.values import NIL_DIGEST, value_digest
 
@@ -28,96 +27,43 @@ class TendermintEngine(ConsensusEngine):
 
     name = "tendermint"
     good_case_rounds = 3
+    _HANDLERS = {
+        "TM/PROPOSAL": "_on_proposal",
+        "TM/PREVOTE": "_on_prevote",
+        "TM/PRECOMMIT": "_on_precommit",
+    }
 
     def __init__(self, config: EngineConfig) -> None:
         super().__init__(config)
-        self.round = 0
-        self.started = False
-        self.input_value: Any = None
         self.locked_value: Any = None
         self.locked_round: int = -1
         self.valid_value: Any = None
         self.valid_round: int = -1
         self._proposals: Dict[int, Any] = {}
-        self._proposed_in_round: Set[int] = set()
+        self._proposed_in_view: Set[int] = set()
         self._prevoted: Set[int] = set()
         self._precommitted: Set[int] = set()
         self._prevotes: Dict[Tuple[int, bytes], Set[str]] = {}
         self._precommits: Dict[Tuple[int, bytes], Set[str]] = {}
-        self._values_by_digest: Dict[bytes, Any] = {}
-        self._future: Dict[int, List[ConsensusMessage]] = {}
 
-    # The agreement layer addresses views; for Tendermint a view is a round.
-    @property
-    def view(self) -> int:
-        """Alias so hosts can treat rounds uniformly with other engines."""
-        return self.round
-
-    # -- helpers -----------------------------------------------------------
-    def _is_proposer(self, round_number: Optional[int] = None) -> bool:
-        round_number = self.round if round_number is None else round_number
-        return self.config.leader_of(round_number) == self.config.node_id
-
-    def _round_timer(self, round_number: int) -> SetTimerAction:
-        return SetTimerAction(
-            timer_id="view-%d" % round_number,
-            duration=self.config.view_timeout(round_number),
-        )
-
-    def _remember(self, value: Any) -> bytes:
-        digest = value_digest(value)
-        self._values_by_digest[digest] = value
-        return digest
-
-    # -- lifecycle -----------------------------------------------------------
-    def start(self, value: Any) -> List[Action]:
-        """Start the engine with this node's input value (may be None)."""
-        self.started = True
-        self.input_value = value
-        actions: List[Action] = [self._round_timer(0)]
-        actions.extend(self._maybe_propose())
-        return actions
-
-    def set_input(self, value: Any) -> List[Action]:
-        """Provide (or update) the input value after start."""
-        self.input_value = value
-        if not self.started or self.decided:
-            return []
-        return self._maybe_propose()
-
+    # -- proposing ---------------------------------------------------------
     def _maybe_propose(self) -> List[Action]:
-        if self.decided or not self._is_proposer() or self.round in self._proposed_in_round:
+        if self.decided or not self._is_leader() or self.view in self._proposed_in_view:
             return []
         value = self.valid_value if self.valid_value is not None else self.input_value
         if value is None or not self.config.is_valid_value(value):
             return []
-        self._proposed_in_round.add(self.round)
+        self._proposed_in_view.add(self.view)
         digest = self._remember(value)
         proposal = ConsensusMessage(
             msg_type="TM/PROPOSAL",
             sender=self.config.node_id,
-            view=self.round,
+            view=self.view,
             payload={"value": value, "digest": digest, "valid_round": self.valid_round},
         )
         return [BroadcastAction(proposal)]
 
     # -- message handling --------------------------------------------------------
-    def on_message(self, message: ConsensusMessage) -> List[Action]:
-        if self.decided:
-            return []
-        handlers = {
-            "TM/PROPOSAL": self._on_proposal,
-            "TM/PREVOTE": self._on_prevote,
-            "TM/PRECOMMIT": self._on_precommit,
-        }
-        handler = handlers.get(message.msg_type)
-        if handler is None:
-            return []
-        if message.view > self.round:
-            self._future.setdefault(message.view, []).append(message)
-            return []
-        return handler(message)
-
     def _on_proposal(self, message: ConsensusMessage) -> List[Action]:
         if message.sender != self.config.leader_of(message.view):
             return []
@@ -126,7 +72,7 @@ class TendermintEngine(ConsensusEngine):
         proposal_valid_round = payload.get("valid_round", -1)
         if value is None:
             return []
-        if message.view != self.round:
+        if message.view != self.view:
             # A proposal for an earlier round still teaches us the value, which
             # may be exactly what a pending precommit quorum is waiting for.
             digest = self._remember(value)
@@ -151,7 +97,7 @@ class TendermintEngine(ConsensusEngine):
         return [BroadcastAction(prevote)]
 
     def _on_prevote(self, message: ConsensusMessage) -> List[Action]:
-        if message.view != self.round:
+        if message.view != self.view:
             return []
         digest = (message.payload or {}).get("digest")
         if digest is None:
@@ -196,16 +142,10 @@ class TendermintEngine(ConsensusEngine):
             return []
         return self._decide(value, round_number)
 
-    # -- timers ---------------------------------------------------------------------
-    def on_timeout(self, timer_id: str) -> List[Action]:
-        if self.decided or not timer_id.startswith("view-"):
-            return []
-        timed_out_round = int(timer_id.split("-", 1)[1])
-        if timed_out_round != self.round:
-            return []
-        self.round = timed_out_round + 1
-        actions: List[Action] = [self._round_timer(self.round)]
+    # -- round change ----------------------------------------------------------------
+    def _enter_view(self, view: int) -> List[Action]:
+        self.view = view
+        actions: List[Action] = [self._view_timer(view)]
         actions.extend(self._maybe_propose())
-        for buffered in self._future.pop(self.round, []):
-            actions.extend(self.on_message(buffered))
+        actions.extend(self._replay_future())
         return actions

@@ -19,8 +19,8 @@ agreement, value validity, common-set validity) — the property checkers in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.consensus import EngineConfig, make_engine
 from repro.consensus.interfaces import (
@@ -150,9 +150,13 @@ class ICPSConfig:
 
 @dataclass(frozen=True)
 class ICPSOutput:
-    """The protocol output: a document (or ⊥) per node, plus the agreed vector."""
+    """The protocol output: a document (or ⊥) per node, plus the agreed vector.
 
-    node_id: str
+    Outputs compare equal when their contents do; ``node_id`` only says which
+    node produced one.
+    """
+
+    node_id: str = field(compare=False)
     documents: Dict[str, Optional[Document]]
     agreed_vector: DigestVectorValue
     decided_view: int
@@ -180,13 +184,7 @@ class ICPSNode:
         "FETCH_RESPONSE": "_on_fetch_response",
     }
 
-    def __init__(
-        self,
-        config: ICPSConfig,
-        ring: KeyRing,
-        keypair: KeyPair,
-        engine_factory: Optional[Callable[[EngineConfig], Any]] = None,
-    ) -> None:
+    def __init__(self, config: ICPSConfig, ring: KeyRing, keypair: KeyPair) -> None:
         self.config = config
         self.ring = ring
         self.keypair = keypair
@@ -204,10 +202,7 @@ class ICPSNode:
             timeout_growth=config.timeout_growth,
             validator=lambda value: validate_digest_vector(value, ring, config.nodes, config.f),
         )
-        if engine_factory is not None:
-            self.engine = engine_factory(engine_config)
-        else:
-            self.engine = make_engine(config.engine, engine_config)
+        self.engine = make_engine(config.engine, engine_config)
 
         self._started = False
         self._delta_expired = False

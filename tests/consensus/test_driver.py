@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.attack.adversary import SilentICPSAdversary
 from repro.consensus import ENGINE_REGISTRY, EngineConfig, LocalDriver, make_engine
 from repro.consensus.driver import (
     gst_delivery,
@@ -9,6 +10,7 @@ from repro.consensus.driver import (
     synchronous_delivery,
 )
 from repro.consensus.interfaces import ConsensusMessage
+from repro.simnet.engine import SimulationError
 
 
 def test_synchronous_delivery_constant_latency():
@@ -82,7 +84,7 @@ def test_a_run_split_before_the_view_change_decides_like_one_run(engine_name):
     split = _crashed_leader_driver(engine_name)
     # The first run stops short of the timers; the event it looked at past
     # its horizon must still be queued for the second.
-    assert split.run(until=1.0, stop_when_all_decided=False).decisions == {}
+    assert split.run(until=1.0).decisions == {}
     assert split.run(until=600) == whole
 
 
@@ -100,9 +102,26 @@ def test_max_events_is_an_exact_bound():
     events = good_case().run(until=100).messages_delivered
     assert len(good_case().run(until=100, max_events=events).decisions) == 4
     driver = good_case()
-    with pytest.raises(RuntimeError):
+    with pytest.raises(SimulationError):
         driver.run(until=100, max_events=events - 1)
     assert driver.messages_delivered == events - 1
+
+
+def test_final_time_is_until_when_the_queue_drains_first():
+    # n3 stays silent and never decides, so the run does not stop early; the
+    # last events are the deciders' view-0 timers at t=30.
+    nodes = ("n0", "n1", "n2", "n3")
+    engines = {
+        name: make_engine("hotstuff", EngineConfig(node_id=name, nodes=nodes, base_timeout=30.0))
+        for name in nodes[:3]
+    }
+    engines["n3"] = SilentICPSAdversary("n3")
+    driver = LocalDriver(engines)
+    driver.start({name: "v" for name in nodes})
+    result = driver.run(until=100)
+    assert set(result.decisions) == {"n0", "n1", "n2"}
+    assert driver.simulator.pending_events == 0
+    assert result.final_time == 100
 
 
 def test_all_agree_with_no_decisions_is_true():
@@ -112,6 +131,6 @@ def test_all_agree_with_no_decisions_is_true():
     }
     driver = LocalDriver(engines)
     # No start: nothing happens.
-    result = driver.run(until=1.0, stop_when_all_decided=False)
+    result = driver.run(until=1.0)
     assert result.decisions == {}
     assert result.all_agree()

@@ -196,7 +196,7 @@ class TestTendermint:
         engine.start("own")
         engine.locked_value = "locked"
         engine.locked_round = 2
-        engine.round = 3
+        engine.view = 3
         actions = engine.on_message(
             ConsensusMessage(
                 msg_type="TM/PROPOSAL",

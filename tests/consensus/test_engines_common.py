@@ -122,7 +122,7 @@ def test_late_input_via_set_input(engine_name):
     nodes, engines = build(engine_name, node_count=4, base_timeout=3.0)
     driver = LocalDriver(engines)
     driver.start({name: None for name in nodes})
-    driver.run(until=1.0, stop_when_all_decided=False)
+    driver.run(until=1.0)
     for name in nodes:
         driver.set_input(name, "late-value-%s" % name)
     result = driver.run(until=600)
@@ -137,9 +137,9 @@ def test_decision_is_stable_after_first_decision(engine_name):
     driver.start(inputs_for(nodes))
     result = driver.run(until=200)
     first = dict(result.decisions)
-    # Keep running: no engine may change its decision.
-    result2 = driver.run(until=400, stop_when_all_decided=False)
-    assert result2.decisions == first
+    # Keep running past the early stop: no engine may change its decision.
+    driver.simulator.run(until=400)
+    assert driver.result().decisions == first
 
 
 @pytest.mark.parametrize("engine_name", ENGINES)

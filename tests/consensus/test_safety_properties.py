@@ -1,9 +1,12 @@
 """Property-based safety tests for the consensus engines.
 
-Hypothesis draws random crash sets, partition layouts, heal times, and
-latencies; under every sampled schedule the engines must preserve agreement
-(no two correct nodes decide differently) — and, when the adversarial
-schedule eventually heals, termination as well.
+Hypothesis draws random crash sets, partition layouts, heal times, latencies,
+an instant at which the run is split in two ``run`` calls, and optionally a
+late instant at which the inputs arrive through ``set_input`` (the engines
+start without one, as under ICPS).  Under every sampled schedule the split run
+must equal the whole one, and the engines must preserve agreement (no two
+correct nodes decide differently) — and, when the adversarial schedule
+eventually heals, termination as well.
 """
 
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -13,6 +16,8 @@ from repro.consensus.driver import gst_delivery, partition_delivery
 
 NODE_COUNT = 4
 NODES = tuple("n%d" % index for index in range(NODE_COUNT))
+INPUTS = {name: "input-%s" % name for name in NODES}
+END = 5000.0
 
 
 def build_engines(engine_name, base_timeout=2.0):
@@ -24,7 +29,30 @@ def build_engines(engine_name, base_timeout=2.0):
     }
 
 
+def run_schedule(engine_name, policy, crashed=(), late_input_at=None, split_at=None):
+    """One run to ``END``, stopping at ``split_at`` and feeding late inputs."""
+    driver = LocalDriver(build_engines(engine_name), delivery_policy=policy, crashed=crashed)
+    driver.start({} if late_input_at is not None else INPUTS)
+    stops = [] if split_at is None else [(split_at, False)]
+    if late_input_at is not None:
+        stops.append((late_input_at, True))
+    for instant, feed in sorted(stops):
+        driver.run(until=instant)
+        if feed:
+            for name in NODES:
+                driver.set_input(name, INPUTS[name])
+    return driver.run(until=END)
+
+
+def run_whole_and_split(engine_name, policy, split_at, **options):
+    whole = run_schedule(engine_name, policy, **options)
+    assert run_schedule(engine_name, policy, split_at=split_at, **options) == whole
+    return whole
+
+
 engine_names = st.sampled_from(sorted(ENGINE_REGISTRY))
+instants = st.floats(min_value=0.0, max_value=60.0)
+late_instants = st.one_of(st.none(), instants)
 
 
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -33,17 +61,20 @@ engine_names = st.sampled_from(sorted(ENGINE_REGISTRY))
     crashed_index=st.one_of(st.none(), st.integers(min_value=0, max_value=NODE_COUNT - 1)),
     gst=st.floats(min_value=0.0, max_value=30.0),
     latency=st.floats(min_value=0.001, max_value=0.5),
+    split_at=instants,
+    late_input_at=late_instants,
 )
 def test_agreement_and_termination_under_gst_and_one_crash(
-    engine_name, crashed_index, gst, latency
+    engine_name, crashed_index, gst, latency, split_at, late_input_at
 ):
     crashed = () if crashed_index is None else (NODES[crashed_index],)
-    engines = build_engines(engine_name)
-    driver = LocalDriver(
-        engines, delivery_policy=gst_delivery(gst=gst, latency=latency), crashed=crashed
+    result = run_whole_and_split(
+        engine_name,
+        gst_delivery(gst=gst, latency=latency),
+        split_at,
+        crashed=crashed,
+        late_input_at=late_input_at,
     )
-    driver.start({name: "input-%s" % name for name in NODES})
-    result = driver.run(until=5000)
 
     correct = [name for name in NODES if name not in crashed]
     # Agreement among whoever decided.
@@ -52,7 +83,7 @@ def test_agreement_and_termination_under_gst_and_one_crash(
     assert set(result.decisions) == set(correct)
     # The decided value is one of the proposed inputs (no fabrication).
     decided_value = list(result.decisions.values())[0]
-    assert decided_value in {"input-%s" % name for name in NODES}
+    assert decided_value in set(INPUTS.values())
 
 
 @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -60,14 +91,16 @@ def test_agreement_and_termination_under_gst_and_one_crash(
     engine_name=engine_names,
     split=st.integers(min_value=1, max_value=NODE_COUNT - 1),
     heal_time=st.floats(min_value=1.0, max_value=40.0),
+    split_at=instants,
+    late_input_at=late_instants,
 )
-def test_agreement_survives_partitions(engine_name, split, heal_time):
+def test_agreement_survives_partitions(engine_name, split, heal_time, split_at, late_input_at):
     groups = (NODES[:split], NODES[split:])
-    engines = build_engines(engine_name)
-    driver = LocalDriver(
-        engines, delivery_policy=partition_delivery(groups, heal_time=heal_time, latency=0.01)
+    result = run_whole_and_split(
+        engine_name,
+        partition_delivery(groups, heal_time=heal_time, latency=0.01),
+        split_at,
+        late_input_at=late_input_at,
     )
-    driver.start({name: "input-%s" % name for name in NODES})
-    result = driver.run(until=5000)
     assert result.all_agree()
     assert set(result.decisions) == set(NODES)

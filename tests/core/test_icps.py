@@ -83,6 +83,15 @@ def test_good_case_all_properties_hold(engine):
     assert all(output.non_bottom_count == len(names) for output in outputs.values())
 
 
+def test_driver_result_agrees_on_an_agreeing_cluster():
+    # The outputs differ only in which node produced them.
+    names, _pairs, _ring, nodes, docs = build_cluster()
+    result = run_cluster(nodes, docs).result()
+    assert set(result.decisions) == set(names)
+    assert check_agreement(result.decisions, names)
+    assert result.all_agree()
+
+
 def test_nine_node_cluster_decides():
     names, _pairs, _ring, nodes, docs = build_cluster(n=9)
     run_cluster(nodes, docs)
